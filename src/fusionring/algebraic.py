@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import intpoly
+from .errors import InternalInvariantError
 from .intpoly import Poly
 from .numtheory import quad_sign, squarefree_part
 
@@ -169,7 +170,13 @@ class Quadratic:
     def __hash__(self):
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        # floor(4x), the key IsolatedRoot hashes by, so equal values hash
+        # alike: 4x = (n + s sqrt(D)) / den, and s sqrt(D) is never an integer
+        n = 4 * self.a.numerator * self.b.denominator
+        s = 4 * self.b.numerator * self.a.denominator
+        den = self.a.denominator * self.b.denominator
+        r = math.isqrt(s * s * self.D)
+        return hash((n + (r if s > 0 else -r - 1)) // den)
 
     def _cmp_same_field(self, other: "Quadratic") -> int:
         d = self - other
@@ -253,7 +260,7 @@ class IsolatedRoot:
         if self._hi - self._lo > width:
             lo, hi = intpoly.refine_interval(self.poly, self._lo, self._hi, width)
             if lo == hi:
-                raise AssertionError("square-free isolation hit an exact rational root")
+                raise InternalInvariantError("square-free isolation hit an exact rational root")
             self._lo, self._hi = lo, hi
         return self._lo, self._hi
 
@@ -276,9 +283,13 @@ class IsolatedRoot:
         return NotImplemented
 
     def __hash__(self):
-        # hash by minimal data: polynomial plus a coarse locator
-        lo, hi = self.interval(Fraction(1, 4))
-        return hash((self.poly, math.floor(lo * 4)))
+        # floor(4x), as Quadratic hashes, found on a local copy of the
+        # interval so that later refinement cannot change it; the root is
+        # irrational, so 4x is not an integer and the loop ends
+        lo, hi = self._lo, self._hi
+        while math.floor(4 * lo) != math.floor(4 * hi):
+            lo, hi = intpoly.refine_interval(self.poly, lo, hi, (hi - lo) / 2)
+        return hash(math.floor(4 * lo))
 
     def __lt__(self, other):
         return alg_cmp(self, other) < 0
@@ -384,7 +395,7 @@ def alg_cmp(x, y) -> int:
             if eq is True:
                 return 0
         if eq is False and width < Fraction(1, 2**512):
-            raise AssertionError("failed to separate unequal algebraic numbers")
+            raise InternalInvariantError("failed to separate unequal algebraic numbers")
         width /= 256
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import intpoly
 from .errors import InternalInvariantError
@@ -26,12 +25,12 @@ from .obstruct import (
     ELIMINATES,
     PASSES,
     ObstructionVerdict,
+    _xbound_verdict,
     eliminated,
     elementary2_coarse_both,
     endgame_both,
     near_group_shape,
     prime_parity,
-    prime_xbound,
     quartic_coeffs,
     quartic_f,
     run_all,
@@ -131,7 +130,8 @@ def coarse_cutoff(n: int) -> tuple[int, dict]:
     coefficient, so every integer beyond the cutoff fails the coarse test.
     """
     coeffs = tuple(reversed(quartic_coeffs(n)))  # ascending for the poly layer
-    assert coeffs[-1] < 0
+    if coeffs[-1] >= 0:
+        raise InternalInvariantError("coarse quartic must have a negative leading coefficient")
     rational, intervals = intpoly.isolate_real_roots(coeffs)
     candidates: list[Fraction] = list(rational)
     root_repr: dict = {}
@@ -276,32 +276,53 @@ def admissible_squarefree_parts(p: int) -> list[int]:
     return sorted(set(out))
 
 
-def _scan_chunk(args) -> list[tuple[int, int]]:
-    """Scan m in [m_lo, m_hi] for square-free parts in xs; returns (m, x)."""
-    p, m_lo, m_hi, xs = args
+def _pell_unit(n: int) -> tuple[int, int]:
+    """Fundamental solution (u, v) of u^2 - n v^2 = 1 for a non-square n > 1,
+    the first convergent of the continued fraction of sqrt(n) that solves it."""
+    a0 = math.isqrt(n)
+    b, d, a = 0, 1, a0
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    while h1 * h1 - n * k1 * k1 != 1:
+        b = d * a - b
+        d = (n - b * b) // d
+        a = (a0 + b) // d
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    return h1, k1
+
+
+def _pell_hits(p: int, m_max: int, xs) -> list[tuple[int, int, int]]:
+    """Every (m, x, y) with 1 <= m <= m_max, x in xs and x y^2 = m^2 p + 1,
+    sorted by m; the x in xs are square-free and prime to p.
+
+    Each hit solves x y^2 - p m^2 = 1.  With (u, v) the fundamental unit of
+    u^2 - px v^2 = 1: for x = 1 the solutions are the powers of u + v sqrt(p);
+    for x > 1 the equation has at most one class of solutions, and its least
+    solution a = y sqrt(x) + m sqrt(p) satisfies a^2 = u + v sqrt(px)
+    (D. T. Walker, Amer. Math. Monthly 74 (1967) 504-513), so
+    y^2 = (u+1)/(2x), m^2 = (u-1)/(2p), and the other solutions are a times
+    the powers of the unit.  Only integers are used, and the cost grows with
+    log(m_max), not with m_max.
+    """
     hits = []
     for x in xs:
-        residues = [r for r in range(x) if (r * r * p + 1) % x == 0] if x > 1 else [0]
-        for r in residues:
-            start = m_lo + ((r - m_lo) % x)
-            for m in range(start, m_hi + 1, x):
-                if m < 1:
-                    continue
-                v = m * m * p + 1
-                q, rem = divmod(v, x)
-                if rem:
-                    continue
-                root = math.isqrt(q)
-                if root * root == q:
-                    hits.append((m, x))
-    return hits
+        u, v = _pell_unit(p * x)
+        if x == 1:
+            y, m = u, v
+        else:
+            y, m = math.isqrt((u + 1) // (2 * x)), math.isqrt((u - 1) // (2 * p))
+            if x * y * y - p * m * m != 1:
+                continue  # not solvable
+        while m <= m_max:
+            hits.append((m, x, y))
+            y, m = y * u + p * m * v, m * u + x * y * v
+    return sorted(hits)
 
 
 def scan_prime_levels(
     p: int,
     k_max: int,
     residue_filter: tuple[int, ...] | None = None,
-    jobs: int = 1,
     conjecture_cutoff: bool = False,
 ) -> LevelReport:
     """Candidate levels k*p (k <= k_max) for near-group rings over C_p,
@@ -309,11 +330,11 @@ def scan_prime_levels(
 
     k = 1 is always a candidate.  Even k = 2m survives iff the square-free
     part x of m^2 p + 1 lies in the finite admissible set and the exact
-    per-m bound holds; the scan finds x by perfect-square testing of
-    (m^2 p + 1)/x, so nothing is ever factored.  A residue filter (the
-    literature's exclusion set; default available for p = 7) removes x
-    values; without it, survivors carried only by that claim are flagged
-    rather than suppressed.
+    per-m bound holds; the hits (m, x, y) with m^2 p + 1 = x y^2 come from
+    the Pell equation x y^2 - p m^2 = 1 (see _pell_hits), so m^2 p + 1 is
+    never factored.  A residue filter (the literature's exclusion set;
+    default available for p = 7) removes x values; without it, survivors
+    carried only by that claim are flagged rather than suppressed.
     """
     if not is_prime(p) or p % 4 != 3:
         raise ValueError("p must be a prime congruent to 3 mod 4")
@@ -336,21 +357,6 @@ def scan_prime_levels(
 
     default_rf = DEFAULT_RESIDUE_FILTERS.get(p, ())
 
-    m_max = k_max // 2
-    hits: list[tuple[int, int]] = []
-    if m_max >= 1:
-        if jobs > 1:
-            chunk = max(1, (m_max + jobs - 1) // jobs)
-            tasks = [
-                (p, lo, min(lo + chunk - 1, m_max), tuple(xs))
-                for lo in range(1, m_max + 1, chunk)
-            ]
-            with Pool(jobs) as pool:
-                for part in pool.map(_scan_chunk, tasks):
-                    hits.extend(part)
-        else:
-            hits = _scan_chunk((p, 1, m_max, tuple(xs)))
-
     entries: list[LevelEntry] = []
     x1 = squarefree_part(p + 4).x
     entries.append(
@@ -362,9 +368,11 @@ def scan_prime_levels(
             certificates=(prime_parity(p, 1),),
         )
     )
-    for m, x in sorted(hits):
+    for m, x, y in _pell_hits(p, k_max // 2, xs):
+        if x * y * y != m * m * p + 1:
+            raise InternalInvariantError(f"Pell hit m = {m} has x y^2 != m^2 p + 1")
         k = 2 * m
-        xb = prime_xbound(p, m)
+        xb = _xbound_verdict(p, m, x, y)
         if xb.eliminates:
             continue
         flags = ()

@@ -12,6 +12,8 @@ import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .errors import InternalInvariantError
+
 
 class FiniteGroup:
     """Immutable multiplication table with identity at index 0."""
@@ -229,18 +231,11 @@ def character_exponents(group: FiniteGroup) -> list[tuple[int, ...]]:
             powg = group.mult(powg, g)
         members = new_members
         in_sub = set(members)
-    assert len(chars) == group.order, "abelian group must have |G| characters"
+    if len(chars) != group.order:
+        raise InternalInvariantError("abelian group must have |G| characters")
     out = [tuple(ch[g] for g in range(group.order)) for ch in chars]
     out.sort()
     return out
-
-
-def inversion_map(group: FiniteGroup) -> tuple[int, ...]:
-    return group.inverse
-
-
-def identity_map(group: FiniteGroup) -> tuple[int, ...]:
-    return tuple(range(group.order))
 
 
 def is_automorphism(group: FiniteGroup, phi: Sequence[int]) -> bool:

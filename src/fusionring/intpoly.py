@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalInvariantError
+
 Poly = tuple  # tuple of int or Fraction, index = degree
 
 
@@ -398,7 +400,8 @@ def charpoly(matrix) -> Poly:
         rows = [[(t if i == j else 0) - int(matrix[i][j]) for j in range(n)] for i in range(n)]
         vals.append(bareiss_det(rows))
     coeffs = _lagrange_interpolate(pts, vals, n)
-    assert coeffs[-1] == 1, "characteristic polynomial must be monic"
+    if coeffs[-1] != 1:
+        raise InternalInvariantError("characteristic polynomial must be monic")
     return coeffs
 
 
@@ -415,6 +418,6 @@ def _lagrange_interpolate(xs: list[int], ys: list[int], deg: int) -> Poly:
         scale = Fraction(yi) / den
         for k, c in enumerate(num):
             acc[k] += c * scale
-    for c in acc:
-        assert c.denominator == 1, "interpolation of det(xI - A) must be integral"
+    if any(c.denominator != 1 for c in acc):
+        raise InternalInvariantError("interpolation of det(xI - A) must be integral")
     return trim([int(c) for c in acc])

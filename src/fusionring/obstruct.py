@@ -96,7 +96,8 @@ def obstruct_noncommutative(ring: FusionRing) -> ObstructionVerdict:
     if not is_commutative(ring):
         return ObstructionVerdict(name, NOT_APPLICABLE, {"reason": "ring is noncommutative"}, CITE_NONCOM)
     profile = dimension_profile(ring)
-    assert profile is not None and profile.is_two_dimension
+    if profile is None or not profile.is_two_dimension:
+        raise InternalInvariantError("two-orbit ring without a two-dimension profile")
     h = len(data.stabilizer)
     cert = {"r": profile.r, "s": profile.s, "stabilizer_order": h}
     if 0 < profile.r < h - 1:
@@ -283,17 +284,22 @@ def prime_xbound(p: int, m: int) -> ObstructionVerdict:
         raise ValueError("m must be >= 1")
     v = m * m * p + 1
     dec = squarefree_part(v)
-    x = dec.x
-    if (x == 1) != is_square(v):
+    if (dec.x == 1) != is_square(v):
         raise InternalInvariantError("square-free part inconsistent with squareness")
+    return _xbound_verdict(p, m, dec.x, dec.y)
+
+
+def _xbound_verdict(p: int, m: int, x: int, y: int) -> ObstructionVerdict:
+    """prime_xbound for a caller that already knows m^2 p + 1 = x y^2 with x
+    square-free, so nothing is factored but x."""
     lhs = totient(x) ** 2 * (p - 1) ** 2 * m * m
-    rhs = x * (p + 1) ** 2 * v
+    rhs = x * (p + 1) ** 2 * (m * m * p + 1)
     cert = {
         "p": p,
         "m": m,
         "k": 2 * m,
         "x": x,
-        "y": dec.y,
+        "y": y,
         "phi_x": totient(x),
         "lhs_sq": lhs,
         "rhs_sq": rhs,

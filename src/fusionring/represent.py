@@ -287,7 +287,8 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
         noninv_coset[y] = coset_pos[gs[0]]
 
     profile = dimension_profile(ring)
-    assert profile is not None and profile.is_two_dimension
+    if profile is None or not profile.is_two_dimension:
+        raise InternalInvariantError("two-orbit ring without a two-dimension profile")
     disc = profile.r * profile.r + 4 * profile.s
     dec = squarefree_part(disc)
 
@@ -310,7 +311,8 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
 
     # quotient semidirect models
     theta = data.theta
-    assert theta is not None
+    if theta is None:
+        raise InternalInvariantError("two-orbit data without a coset involution")
     for rep in semidirect_irr(quotient, theta):
         if rep.kind == "extension" and rep.chi.is_trivial:
             continue  # replaced by the two dimension characters below

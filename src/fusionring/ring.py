@@ -28,6 +28,7 @@ from .algebraic import (
     largest_real_root,
 )
 from .errors import (
+    InternalInvariantError,
     MalformedRingError,
     NotAFusionRingError,
     NotTwoOrbitError,
@@ -205,7 +206,8 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     else:
         cp = intpoly.charpoly(ring.fusion_matrix(i).tolist())
         result = largest_real_root(cp, width)
-    assert alg_cmp(result, 1) >= 0, "FP dimension below 1"
+    if alg_cmp(result, 1) < 0:
+        raise InternalInvariantError("FP dimension below 1")
     if width == DEFAULT_WIDTH:
         ring._cache[key] = result
     return result
@@ -385,8 +387,9 @@ def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
             # d solves d^2 = r d + s, so it is quadratic and the Perron
             # promotion must have produced an exact Quadratic
             if not isinstance(d0, Quadratic):
-                raise AssertionError("two-dimension Perron root not promoted")
-            assert (d0 * d0 - r * d0 - s).sign() == 0
+                raise InternalInvariantError("two-dimension Perron root not promoted")
+            if (d0 * d0 - r * d0 - s).sign() != 0:
+                raise InternalInvariantError("two-dimension Perron root does not solve d^2 = r d + s")
             result = DimensionProfile(True, d0, r, s, d0.is_rational)
     ring._cache["profile"] = result
     return result
@@ -428,7 +431,8 @@ def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[
         g = coset[0]
         xg_row = t[x, g]
         nz = np.flatnonzero(xg_row)
-        assert len(nz) == 1
+        if len(nz) != 1:
+            raise InternalInvariantError("noninvertible times invertible is not a basis element")
         xg = int(nz[0])
         gprime = None
         for h in inv.indices:

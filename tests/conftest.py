@@ -3,11 +3,13 @@
 The oracles here are deliberately implemented by different algorithms than
 the library paths they check: characteristic polynomials via the
 Faddeev-LeVerrier trace recursion (the library interpolates fraction-free
-determinants), numeric eigenvalues via numpy.
+determinants), numeric eigenvalues via numpy, prime-scan hits by testing
+every m (the library solves Pell equations).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from itertools import product
@@ -110,6 +112,21 @@ def charpoly_oracle(matrix) -> tuple:
     asc = list(reversed(coeffs_desc))
     assert all(c.denominator == 1 for c in asc)
     return tuple(int(c) for c in asc)
+
+
+def linear_scan_hits(p: int, m_max: int, xs) -> list[tuple[int, int]]:
+    """Every (m, x) with 1 <= m <= m_max, x in xs and (m^2 p + 1)/x a
+    perfect square, sorted; tests each m in the residue classes where x
+    divides m^2 p + 1."""
+    hits = []
+    for x in xs:
+        residues = [r for r in range(x) if (r * r * p + 1) % x == 0] if x > 1 else [0]
+        for r in residues:
+            for m in range(r or x, m_max + 1, x):
+                q, rem = divmod(m * m * p + 1, x)
+                if not rem and math.isqrt(q) ** 2 == q:
+                    hits.append((m, x))
+    return sorted(hits)
 
 
 def numeric_eigs(matrix) -> list[float]:

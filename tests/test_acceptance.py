@@ -87,7 +87,7 @@ def test_criterion_3_endgame_fixtures():
 
 def test_criterion_4_prime_scan():
     t0 = time.monotonic()
-    report = fr.scan_prime_levels(7, 2_000_000, residue_filter=(2, 3, 5, 13), jobs=1)
+    report = fr.scan_prime_levels(7, 2_000_000, residue_filter=(2, 3, 5, 13))
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
     ks = [e.k for e in report.levels]
@@ -95,7 +95,7 @@ def test_criterion_4_prime_scan():
     assert all(e.x in (1, 11) for e in report.levels)
     assert all(e.status == STATUS_CANDIDATE for e in report.levels)
 
-    unfiltered = fr.scan_prime_levels(7, 2_000_000, jobs=1)
+    unfiltered = fr.scan_prime_levels(7, 2_000_000)
     uk = {e.k: e for e in unfiltered.levels}
     assert set(ks) <= set(uk)
     assert 2 in uk and uk[2].x == 2 and uk[2].flags

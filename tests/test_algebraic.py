@@ -33,6 +33,26 @@ def test_quadratic_arithmetic():
     assert d.conjugate() * d == Quadratic(-2)  # norm a^2 - b^2 D
 
 
+def test_isolated_root_hash_survives_refinement():
+    r = IsolatedRoot((-2, 0, 0, 1), Fraction(6, 5), Fraction(13, 10))  # cube root of 2
+    before = hash(r)
+    seen = {r}
+    r.interval(Fraction(1, 2**40))
+    assert hash(r) == before
+    assert r in seen
+
+
+def test_equal_values_hash_alike_across_types():
+    sqrt2 = IsolatedRoot((6, 0, -5, 0, 1), Fraction(13, 10), Fraction(3, 2))  # (x^2-2)(x^2-3)
+    assert sqrt2 == Quadratic(0, 1, 2)
+    assert hash(sqrt2) == hash(Quadratic(0, 1, 2))
+    assert Quadratic(0, 1, 2) in {sqrt2}
+    # negative and fractional surd parts take the exact floor too
+    golden_conj = IsolatedRoot((-1, -1, 1), Fraction(-1), Fraction(0))  # (1 - sqrt 5)/2
+    assert hash(golden_conj) == hash(Quadratic(Fraction(1, 2), Fraction(-1, 2), 5))
+    assert hash(Quadratic(7)) == hash(Fraction(7))
+
+
 def test_quadratic_comparisons():
     a = Quadratic(0, 1, 2)  # sqrt(2)
     b = Quadratic(0, 1, 3)  # sqrt(3), different field

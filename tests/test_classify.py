@@ -131,12 +131,6 @@ def test_scan_unfiltered_flags():
         assert bool(e.flags) == expected_flag, e.k
 
 
-def test_scan_parallel_matches_serial():
-    serial = scan_prime_levels(7, 5000, residue_filter=(2, 3, 5, 13), jobs=1)
-    parallel = scan_prime_levels(7, 5000, residue_filter=(2, 3, 5, 13), jobs=3)
-    assert [(e.k, e.x) for e in serial.levels] == [(e.k, e.x) for e in parallel.levels]
-
-
 def test_scan_conjecture_cutoff():
     report = scan_prime_levels(7, 10**6, residue_filter=(2, 3, 5, 13), conjecture_cutoff=True)
     assert all(e.k <= 6 for e in report.levels)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -211,8 +212,7 @@ def test_build_uniform_multi_generator_stab(capsys):
     assert data.uniform_coeff == 4  # k * |H|
 
 
-def test_jobs_env_variable(monkeypatch, capsys):
-    monkeypatch.setenv("FUSIONRING_JOBS", "2")
+def test_classify_prime_json_levels(capsys):
     code, out, err = run_cli(["classify", "prime", "--p", "7", "--kmax", "200", "--json"], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -231,11 +231,34 @@ def test_isolated_root_serialization():
     assert "/" in doc["lo"] or doc["lo"].isdigit()
 
 
-def test_parallel_scan_cli_byte_identical():
-    base = [sys.executable, "-m", "fusionring.cli", "classify", "prime", "--p", "7", "--kmax", "4000", "--json"]
-    serial = subprocess.run(base + ["--jobs", "1"], capture_output=True, env=cli_env()).stdout
-    parallel = subprocess.run(base + ["--jobs", "2"], capture_output=True, env=cli_env()).stdout
-    assert serial and serial == parallel
+def test_classify_prime_huge_kmax():
+    # the Pell scan's cost grows with log(k_max): 10^40 is as quick as 10^4
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionring.cli", "classify", "prime", "--p", "7", "--kmax", str(10**40), "--json"],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0
+    assert time.monotonic() - t0 < 5.0
+    levels = json.loads(proc.stdout)["levels"]
+    assert [e["level"] for e in levels[:8]] == [7, 42, 70, 672, 10710, 49210, 170688, 2720298]
+    for e in levels[1:]:
+        cert = {c["test"]: c["certificate"] for c in e["certificates"]}["prime-xbound"]
+        m = cert["m"]
+        assert e["k"] == 2 * m <= 10**40
+        assert cert["x"] * cert["y"] ** 2 == m * m * 7 + 1
+        assert cert["lhs_sq"] <= cert["rhs_sq"]
+
+
+def test_removed_jobs_flag_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fusionring.cli", "classify", "prime", "--p", "7", "--kmax", "200", "--jobs", "2"],
+        capture_output=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 2
+    assert b"unrecognized arguments: --jobs" in proc.stderr
 
 
 def test_irreps_refuses_nonuniform_exit_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import ast
+
 import numpy as np
 import pytest
 
 import fusionring as fr
-from conftest import brute_force_associator_violations, s3_group
+from conftest import REPO_ROOT, brute_force_associator_violations, s3_group
 from fusionring import Quadratic, alg_cmp
 from fusionring.errors import (
     MalformedRingError,
@@ -288,3 +290,16 @@ def test_nonabelian_group_ring():
     assert fr.verify_axioms(ring) == []
     assert len(noninvertible_indices(ring)) == 0
     assert all(is_invertible(ring, i) for i in range(6))
+
+
+def test_library_has_no_assert_statements():
+    # invariant checks raise InternalInvariantError, so python -O keeps them
+    sources = sorted((REPO_ROOT / "src" / "fusionring").glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,15 +1,16 @@
 """Cross-validation between independent computation routes.
 
 Each test here computes the same quantity twice through code paths that
-share as little as possible: scan optimizations against definitional per-k
-evaluation, exact irreducible models against the eigenvalue spectrum and
+share as little as possible: the Pell-equation scan against a scan of
+every m and against definitional per-k evaluation, exact irreducible models against the eigenvalue spectrum and
 against numerically certified characters, and total dimensions against
 per-basis sums.
 """
 
 import fusionring as fr
+from conftest import linear_scan_hits
 from fusionring import Quadratic, alg_cmp
-from fusionring.classify import admissible_squarefree_parts, scan_prime_levels
+from fusionring.classify import _pell_hits, admissible_squarefree_parts, scan_prime_levels
 from fusionring.numtheory import is_squarefree, squarefree_part, totient
 from fusionring.represent import SOURCE_IRR_H
 
@@ -34,6 +35,15 @@ def test_scan_matches_per_k_brute_force():
             brute.append((k, x))
     scanned = [(e.k, e.x) for e in scan_prime_levels(p, kmax).levels]
     assert scanned == brute
+
+
+def test_pell_hits_match_linear_scan():
+    # every (m, x) up to m = 10^5 over the whole admissible set, no filter
+    for p in (7, 11, 19, 23, 31, 43, 47):
+        xs = admissible_squarefree_parts(p)
+        pell = _pell_hits(p, 10**5, xs)
+        assert [(m, x) for m, x, _ in pell] == linear_scan_hits(p, 10**5, xs), p
+        assert all(x * y * y == m * m * p + 1 for m, x, y in pell), p
 
 
 def test_admissible_set_matches_brute_force():
