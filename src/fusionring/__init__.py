@@ -39,14 +39,12 @@ from .numtheory import (
     totient,
 )
 from .obstruct import (
-    BudgetModel,
     ObstructionVerdict,
     budget_bound,
     elementary2_coarse,
     elementary2_coarse_both,
     endgame_both,
     endgame_check,
-    galois_partner,
     obstruct_divisibility,
     obstruct_noncommutative,
     prime_parity,
@@ -58,7 +56,6 @@ from .obstruct import (
 from .represent import (
     Codegree,
     IrrepModel,
-    characters_commutative,
     codegree_spectrum,
     irr0_codegrees,
     irr_H_of_G,
@@ -74,7 +71,6 @@ from .ring import (
     dimension_profile,
     fpdim_basis,
     fpdim_total,
-    fusion_matrix,
     invertibles,
     is_commutative,
     orbit_structure,

@@ -10,8 +10,9 @@ Two representations cover everything downstream:
   inside a rational interval with a sign change.  Construction verifies the
   Sturm count is exactly one.
 
-Comparisons across the two kinds (and across different D) are decided
-exactly: structural/gcd-based equality testing first, then interval
+Comparisons of Quadratics, also across different D, are sign tests in
+integer arithmetic.  Comparisons involving an IsolatedRoot are decided
+exactly too: structural/gcd-based equality testing first, then interval
 refinement, which terminates because distinct algebraic numbers separate.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Union
 
 from . import intpoly
@@ -178,10 +180,6 @@ class Quadratic:
         r = math.isqrt(s * s * self.D)
         return hash((n + (r if s > 0 else -r - 1)) // den)
 
-    def _cmp_same_field(self, other: "Quadratic") -> int:
-        d = self - other
-        return quad_sign(d.a, d.b, d.D)
-
     def __lt__(self, other):
         return alg_cmp(self, other) < 0
 
@@ -324,9 +322,8 @@ def ensure_algebraic(x) -> AlgebraicReal:
 
 def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool | None:
     """Exact equality decision; None means 'not equal by structure, compare
-    numerically' is not yet settled and refinement is required."""
-    if isinstance(x, Quadratic) and isinstance(y, Quadratic):
-        return x.a == y.a and x.b == y.b and x.D == y.D
+    numerically' is not yet settled and refinement is required.  At least
+    one of x, y is an IsolatedRoot; alg_cmp decides two Quadratics itself."""
     if isinstance(x, Quadratic) and isinstance(y, IsolatedRoot):
         x, y = y, x
     if isinstance(x, IsolatedRoot) and isinstance(y, Quadratic):
@@ -379,6 +376,7 @@ def alg_cmp(x, y) -> int:
         if x.D == y.D or x.is_rational or y.is_rational:
             d = x - y
             return quad_sign(d.a, d.b, d.D)
+        return _cmp_across_fields(x, y)
     eq = _structural_eq(x, y)
     if eq is True:
         return 0
@@ -394,9 +392,20 @@ def alg_cmp(x, y) -> int:
             eq = _structural_eq(x, y)
             if eq is True:
                 return 0
-        if eq is False and width < Fraction(1, 2**512):
-            raise InternalInvariantError("failed to separate unequal algebraic numbers")
+        # not equal (or not settled yet): refinement separates them
         width /= 256
+
+
+def _cmp_across_fields(x: Quadratic, y: Quadratic) -> int:
+    """Sign of x - y = s - t for irrationals x, y with D1 != D2, where
+    s = (a1 - a2) + b1 sqrt(D1) and t = b2 sqrt(D2): unequal signs decide, else
+    s - t has the sign of s times that of s^2 - t^2 in Q(sqrt(D1)), not 0."""
+    s = Quadratic(x.a - y.a, x.b, x.D)
+    s_sign = s.sign()
+    t_sign = 1 if y.b > 0 else -1
+    if s_sign != t_sign:
+        return 1 if s_sign > t_sign else -1
+    return s_sign * (s * s - y.b * y.b * y.D).sign()
 
 
 def _eval_int_poly_at_quadratic(p: Poly, q: Quadratic) -> Quadratic:
@@ -404,10 +413,6 @@ def _eval_int_poly_at_quadratic(p: Poly, q: Quadratic) -> Quadratic:
     for c in reversed(p):
         acc = acc * q + Quadratic(c)
     return acc
-
-
-def alg_float(x) -> float:
-    return float(ensure_algebraic(x))
 
 
 def algebraic_root(poly: Poly, lo: Fraction, hi: Fraction, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
@@ -507,17 +512,5 @@ def all_real_roots(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> list[Algebrai
     rational, intervals = intpoly.isolate_real_roots(sf)
     roots: list[AlgebraicReal] = [Quadratic(r) for r in rational]
     roots.extend(algebraic_root(sf, lo, hi, width) for lo, hi in intervals)
-    roots.sort(key=_SortKey)
+    roots.sort(key=cmp_to_key(alg_cmp))
     return roots
-
-
-class _SortKey:
-    """Exact comparison key for sorting algebraic reals."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return alg_cmp(self.v, other.v) < 0

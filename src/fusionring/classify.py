@@ -20,16 +20,15 @@ from . import intpoly
 from .errors import InternalInvariantError
 from .numtheory import is_prime, squarefree_part, totient
 from .obstruct import (
-    CITE_DIVIS,
-    CITE_NONCOM,
-    ELIMINATES,
-    PASSES,
     ObstructionVerdict,
+    _require_prime,
     _xbound_verdict,
+    divis_verdict,
     eliminated,
     elementary2_coarse_both,
     endgame_both,
     near_group_shape,
+    noncom_verdict,
     prime_parity,
     quartic_coeffs,
     quartic_f,
@@ -106,24 +105,6 @@ class LevelReport:
         }
 
 
-def _noncom_param_verdict(n: int, level: int) -> ObstructionVerdict:
-    """Parameter-level noncommutativity verdict for a near-group ring over an
-    abelian group of order n at the given level (r = level, |H| = n)."""
-    cert = {"r": level, "s": n, "stabilizer_order": n}
-    outcome = ELIMINATES if 0 < level < n - 1 else PASSES
-    return ObstructionVerdict("noncommutative", outcome, cert, CITE_NONCOM)
-
-
-def _divis_param_verdict(n: int, level: int) -> ObstructionVerdict:
-    """Parameter-level divisibility verdict; valid when level >= n forces the
-    dimension irrational (r >= s)."""
-    if level < n:
-        raise InternalInvariantError("divisibility shortcut needs level >= n")
-    cert = {"r": level, "s": n}
-    outcome = ELIMINATES if level % n else PASSES
-    return ObstructionVerdict("divisibility", outcome, cert, CITE_DIVIS)
-
-
 def coarse_cutoff(n: int) -> tuple[int, dict]:
     """Largest integer k with quartic_f(n, k) >= 0, via Sturm isolation of the
     quartic's largest real root.  The quartic has a negative leading
@@ -185,20 +166,23 @@ def classify_elementary2(m: int) -> LevelReport:
             ),
         )
 
+    # a near-group ring over C2^m at level l has profile r = l, s = |H| = n
     n = 2**m
     cutoff, cutoff_cert = coarse_cutoff(n)
     entries = [LevelEntry(0, STATUS_KNOWN, tag=TAG_LEVEL_ZERO)]
     for level in range(1, n - 1):
         entries.append(
-            LevelEntry(level, STATUS_ELIMINATED, certificates=(_noncom_param_verdict(n, level),))
+            LevelEntry(level, STATUS_ELIMINATED, certificates=(noncom_verdict(level, n, n),))
         )
     entries.append(LevelEntry(n - 1, STATUS_ELIMINATED, tag=TAG_SIEHLER))
 
     top = n * max(cutoff, 1)
     for level in range(n, top + 1):
         if level % n:
+            if level < n:
+                raise InternalInvariantError("divisibility shortcut needs level >= n")
             entries.append(
-                LevelEntry(level, STATUS_ELIMINATED, certificates=(_divis_param_verdict(n, level),))
+                LevelEntry(level, STATUS_ELIMINATED, certificates=(divis_verdict(level, n),))
             )
             continue
         k = level // n
@@ -336,8 +320,7 @@ def scan_prime_levels(
     default available for p = 7) removes x values; without it, survivors
     carried only by that claim are flagged rather than suppressed.
     """
-    if not is_prime(p) or p % 4 != 3:
-        raise ValueError("p must be a prime congruent to 3 mod 4")
+    _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     filters: list[str] = []

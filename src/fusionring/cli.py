@@ -40,6 +40,9 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_ELIMINATED = 10
 
+# classify elementary2 lists all 2^m + 1 levels: m = 20 --json takes about 24 s and 1.6 GB
+ELEMENTARY2_MAX_M = 20
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fusionring", description=__doc__)
@@ -304,6 +307,8 @@ def _emit_report(report, args) -> None:
 
 def _cmd_classify(args) -> int:
     if args.engine == "elementary2":
+        if args.m > ELEMENTARY2_MAX_M:
+            raise ValueError(f"--m {args.m} is above the limit {ELEMENTARY2_MAX_M}: the report lists 2^m + 1 levels")
         report = classify_elementary2(args.m)
         _emit_report(report, args)
         return EXIT_OK

@@ -186,12 +186,6 @@ class Cyc:
     def __hash__(self):
         return hash((self.N, self.coeffs))
 
-    def __complex__(self):
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.N)
-        return sum(complex(c) * z**i for i, c in enumerate(self.coeffs))
-
     def __repr__(self):
         terms = [f"{c}*z{self.N}^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Cyc(" + (" + ".join(terms) or "0") + ")"
@@ -249,8 +243,3 @@ class CycSqrt:
     @property
     def is_zero(self) -> bool:
         return self.u.is_zero and self.v.is_zero
-
-    def __complex__(self):
-        import math
-
-        return complex(self.u) + complex(self.v) * math.sqrt(self.D)

@@ -100,12 +100,6 @@ class FiniteGroup:
                         frontier.append(y)
         return tuple(sorted(seen))
 
-    def is_subgroup(self, elems: Sequence[int]) -> bool:
-        s = set(elems)
-        if 0 not in s:
-            return False
-        return all(self.mult(a, b) in s and self.inv(a) in s for a in s for b in s)
-
     def is_normal(self, elems: Sequence[int]) -> bool:
         s = set(elems)
         return all(

@@ -61,12 +61,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def poly_scale(p: Poly, c) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
 def poly_derivative(p: Poly) -> Poly:
     return trim([i * p[i] for i in range(1, len(p))])
 
@@ -98,13 +92,6 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
     if rem:
         raise ValueError("inexact polynomial division")
     return quo
-
-
-def content(p: Poly) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(int(c)))
-    return g
 
 
 def primitive(p: Poly) -> Poly:

@@ -3,9 +3,7 @@ sign tests for quadratic surds.
 
 Everything here is deterministic and exact.  Factorization uses trial
 division followed by Miller-Rabin and Brent's variant of Pollard rho, which
-comfortably covers the ~1e14 range the level scans produce.  The batch
-(sieve) routines exist for the exhaustive totient-ratio verification, where
-per-call factorization would be too slow.
+comfortably covers the ~1e14 range the level scans produce.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -212,23 +208,3 @@ def phi_ratio_cmp(c: int, coeff: Fraction | int, surd: int) -> int:
     lhs = Fraction(totient(2 * c) ** 2, c)
     rhs = coeff * coeff * surd
     return (lhs > rhs) - (lhs < rhs)
-
-
-def totient_sieve(limit: int) -> np.ndarray:
-    """phi(n) for all 0 <= n <= limit as an int64 array (phi(0) set to 0)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime: untouched so far
-            phi[p::p] -= phi[p::p] // p
-    return phi
-
-
-def squarefree_sieve(limit: int) -> np.ndarray:
-    """Boolean mask over 0..limit marking square-free integers."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    d = 2
-    while d * d <= limit:
-        mask[d * d :: d * d] = False
-        d += 1
-    return mask

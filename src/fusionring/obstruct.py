@@ -42,13 +42,8 @@ PASSES = "passes"
 NOT_APPLICABLE = "not_applicable"
 
 
-def _frac(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _surd(a, b, D: int) -> dict:
-    return {"a": _frac(a), "b": _frac(b), "D": int(D)}
+    return {"a": str(Fraction(a)), "b": str(Fraction(b)), "D": int(D)}
 
 
 @dataclass(frozen=True)
@@ -98,12 +93,17 @@ def obstruct_noncommutative(ring: FusionRing) -> ObstructionVerdict:
     profile = dimension_profile(ring)
     if profile is None or not profile.is_two_dimension:
         raise InternalInvariantError("two-orbit ring without a two-dimension profile")
-    h = len(data.stabilizer)
-    cert = {"r": profile.r, "s": profile.s, "stabilizer_order": h}
-    if 0 < profile.r < h - 1:
-        return ObstructionVerdict(name, ELIMINATES, cert, CITE_NONCOM)
+    return noncom_verdict(profile.r, profile.s, len(data.stabilizer))
+
+
+def noncom_verdict(r: int, s: int, h: int) -> ObstructionVerdict:
+    """The noncommutativity rule on the profile d^2 = r d + s of a commutative
+    two-orbit ring with stabilizer order h: eliminates iff 0 < r < h - 1."""
+    cert = {"r": r, "s": s, "stabilizer_order": h}
+    if 0 < r < h - 1:
+        return ObstructionVerdict("noncommutative", ELIMINATES, cert, CITE_NONCOM)
     cert["reason"] = "r outside (0, |H|-1)"
-    return ObstructionVerdict(name, PASSES, cert, CITE_NONCOM)
+    return ObstructionVerdict("noncommutative", PASSES, cert, CITE_NONCOM)
 
 
 def obstruct_divisibility(ring: FusionRing) -> ObstructionVerdict:
@@ -120,27 +120,17 @@ def obstruct_divisibility(ring: FusionRing) -> ObstructionVerdict:
         return ObstructionVerdict(
             name, NOT_APPLICABLE, {"reason": "dimension is rational", "r": profile.r, "s": profile.s}, CITE_DIVIS
         )
-    cert = {"r": profile.r, "s": profile.s}
-    if profile.r % profile.s != 0:
-        return ObstructionVerdict(name, ELIMINATES, cert, CITE_DIVIS)
-    cert["k"] = profile.r // profile.s
-    return ObstructionVerdict(name, PASSES, cert, CITE_DIVIS)
+    return divis_verdict(profile.r, profile.s)
 
 
-@dataclass(frozen=True)
-class GaloisPartner:
-    """Conjugate dimension data: a + b*d pairs with a + (a*k - b)*d."""
-
-    a: int
-    b: int
-    partner_b: int
-    violation: bool
-
-
-def galois_partner(a: int, b: int, k: int) -> GaloisPartner:
-    """Partner coefficients under the nontrivial field automorphism, with a
-    flag when b falls outside the admissible band [0, a*k]."""
-    return GaloisPartner(a, b, a * k - b, violation=(b < 0 or b > a * k))
+def divis_verdict(r: int, s: int) -> ObstructionVerdict:
+    """The divisibility rule on the profile d^2 = r d + s of a ring whose
+    dimension d is irrational: eliminates iff s does not divide r."""
+    cert = {"r": r, "s": s}
+    if r % s != 0:
+        return ObstructionVerdict("divisibility", ELIMINATES, cert, CITE_DIVIS)
+    cert["k"] = r // s
+    return ObstructionVerdict("divisibility", PASSES, cert, CITE_DIVIS)
 
 
 def budget_bound(n: int, k: int) -> Fraction:
@@ -168,24 +158,6 @@ def quartic_f(n: int, k: int) -> int:
     return ((((c4 * k + c3) * k + c2) * k + c1) * k) + c0
 
 
-@dataclass(frozen=True)
-class BudgetModel:
-    """Shared data of the level tests at |G| = n, level = k*n."""
-
-    n: int
-    k: int
-    nu2: int
-    c: int  # square-free part of k^2 n^2 + 4n
-    budget_rhs: Fraction  # the bound of budget_bound(n, k)
-
-    @classmethod
-    def for_level(cls, n: int, k: int, nu2: int) -> "BudgetModel":
-        if nu2 not in (1, -1):
-            raise ValueError("nu2 must be +-1")
-        c = squarefree_part(k * k * n * n + 4 * n).x
-        return cls(n, k, nu2, c, budget_bound(n, k))
-
-
 def _require_elementary2(n: int, k: int) -> None:
     if n < 4 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 4")
@@ -197,8 +169,9 @@ def elementary2_coarse(n: int, k: int, nu2: int = 1) -> ObstructionVerdict:
     """Coarse budget test at a fixed sign nu2: eliminates iff
     (1/2)k^2(n^2-1)+2n < (2/sqrt 3)(kn/2 - nu2) sqrt(k^2 n^2 + 4n)."""
     _require_elementary2(n, k)
-    model = BudgetModel.for_level(n, k, nu2)
-    lhs = model.budget_rhs
+    if nu2 not in (1, -1):
+        raise ValueError("nu2 must be +-1")
+    lhs = budget_bound(n, k)
     u = k * k * n * n + 4 * n
     t = Fraction(k * n, 2) - nu2
     dec = squarefree_part(3 * u)
@@ -211,11 +184,11 @@ def elementary2_coarse(n: int, k: int, nu2: int = 1) -> ObstructionVerdict:
         "n": n,
         "k": k,
         "nu2": nu2,
-        "c": model.c,
-        "lhs": _frac(lhs),
+        "c": squarefree_part(u).x,
+        "lhs": str(lhs),
         "rhs": _surd(0, rhs_b, dec.x),
         "quartic": quartic_f(n, k) if nu2 == 1 else None,
-        "budget": _frac(model.budget_rhs),
+        "budget": str(lhs),
     }
     return ObstructionVerdict("coarse-budget", ELIMINATES if eliminated else PASSES, cert, CITE_COARSE)
 
@@ -238,8 +211,8 @@ def endgame_check(n: int, k: int, nu2: int = 1) -> ObstructionVerdict:
         "c": dec.x,
         "y": dec.y,
         "phi_2c": totient(2 * dec.x),
-        "lhs": _frac(lhs),
-        "rhs": _frac(rhs),
+        "lhs": str(lhs),
+        "rhs": str(rhs),
     }
     outcome = ELIMINATES if lhs < rhs else PASSES
     return ObstructionVerdict("endgame", outcome, cert, CITE_ENDGAME)

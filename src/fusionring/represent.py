@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
 from . import intpoly
 from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
 from .cyclotomic import Cyc, CycSqrt
-from .errors import CertificationError, HypothesisError, InternalInvariantError
+from .errors import HypothesisError, InternalInvariantError
 from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
 from .ring import (
@@ -83,19 +84,9 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
             raise InternalInvariantError(
                 f"eigenvalue {e.value!r} of M below the invertible count {order}"
             )
-    entries.sort(key=lambda e: _DescKey(e.value))
+    entries.sort(key=cmp_to_key(lambda e, f: alg_cmp(f.value, e.value)))
     ring._cache["codegrees"] = entries
     return entries
-
-
-class _DescKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return alg_cmp(self.v, other.v) > 0
 
 
 @dataclass(frozen=True)
@@ -366,137 +357,3 @@ def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
             if lhs != rhs:
                 failures.append((i, j))
     return failures
-
-
-@dataclass(frozen=True)
-class CertifiedCharacter:
-    """Approximate character vector with an exact residual certificate:
-    every ||N_i v - chi_i v||_inf is at most residual_bound, computed in
-    exact rational arithmetic from the dyadic approximations."""
-
-    values: tuple[tuple[Fraction, Fraction], ...]  # (re, im) per basis element
-    vector: tuple[tuple[Fraction, Fraction], ...]
-    residual_bound: Fraction
-
-    def complex_values(self) -> tuple[complex, ...]:
-        return tuple(complex(float(re), float(im)) for re, im in self.values)
-
-
-def characters_commutative(ring: FusionRing, width: Fraction = Fraction(1, 2**30)) -> list[CertifiedCharacter]:
-    """Simultaneous-eigenvector characters of a commutative ring.
-
-    Joint eigenvectors are extracted numerically from a deterministic random
-    integer combination of the fusion matrices (float64 first, escalating to
-    multiprecision when the requested width demands it), then certified by an
-    exact rational residual bound below 'width' for every character.  Used
-    for cross-checks only; obstruction verdicts never consume these.
-    """
-    import random
-
-    ring.require_verified()
-    if not is_commutative(ring):
-        raise HypothesisError("characters_commutative needs a commutative ring")
-    n = ring.rank
-    mats = [np.asarray(ring.fusion_matrix(i), dtype=np.int64) for i in range(n)]
-    for attempt in range(10):
-        rng = random.Random(1000 + attempt)
-        weights = [rng.randrange(1, 997) for _ in range(n)]
-        if attempt < 4:
-            columns = _eig_columns_numpy(mats, weights)
-        else:
-            columns = _eig_columns_mpmath(mats, weights, dps=30 * (attempt - 3))
-        if columns is None:
-            continue
-        chars = []
-        ok = True
-        for vec in columns:
-            pivot = max(range(n), key=lambda r: vec[r][0] * vec[r][0] + vec[r][1] * vec[r][1])
-            # normalize exactly so vec[pivot] == 1
-            pr, pi = vec[pivot]
-            norm = pr * pr + pi * pi
-            vec = tuple(
-                (
-                    (re * pr + im * pi) / norm,
-                    (im * pr - re * pi) / norm,
-                )
-                for re, im in vec
-            )
-            values = []
-            worst = Fraction(0)
-            for m in mats:
-                prod = [_cx_dot(m[row], vec) for row in range(n)]
-                chi = prod[pivot]  # vec[pivot] == 1 exactly
-                for row in range(n):
-                    dre = prod[row][0] - (chi[0] * vec[row][0] - chi[1] * vec[row][1])
-                    dim = prod[row][1] - (chi[0] * vec[row][1] + chi[1] * vec[row][0])
-                    worst = max(worst, abs(dre), abs(dim))
-                values.append(chi)
-            if worst >= width:
-                ok = False
-                break
-            chars.append(CertifiedCharacter(tuple(values), vec, worst))
-        if ok and len(chars) == n and _pairwise_distinct(chars):
-            return chars
-    raise CertificationError(f"could not certify {n} characters at width {width}")
-
-
-def _eig_columns_numpy(mats, weights):
-    a = sum(w * m for w, m in zip(weights, mats)).astype(float)
-    try:
-        _, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        return None
-    n = len(mats)
-    return [
-        tuple((Fraction(float(np.real(z))), Fraction(float(np.imag(z)))) for z in vecs[:, col])
-        for col in range(n)
-    ]
-
-
-def _eig_columns_mpmath(mats, weights, dps: int):
-    import mpmath
-
-    n = len(mats)
-    with mpmath.workdps(dps):
-        a = mpmath.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = sum(int(w) * int(m[i, j]) for w, m in zip(weights, mats))
-        try:
-            _, vecs = mpmath.eig(a)
-        except Exception:  # pragma: no cover
-            return None
-        scale = 1 << mpmath.mp.prec
-        out = []
-        for col in range(n):
-            column = []
-            for row in range(n):
-                z = vecs[row, col]
-                column.append(
-                    (
-                        Fraction(int(mpmath.floor(mpmath.re(z) * scale)), scale),
-                        Fraction(int(mpmath.floor(mpmath.im(z) * scale)), scale),
-                    )
-                )
-            out.append(tuple(column))
-    return out
-
-
-def _cx_dot(int_row, vec) -> tuple[Fraction, Fraction]:
-    re = Fraction(0)
-    im = Fraction(0)
-    for c, (vr, vi) in zip(int_row, vec):
-        if c:
-            re += int(c) * vr
-            im += int(c) * vi
-    return re, im
-
-
-def _pairwise_distinct(chars: list[CertifiedCharacter]) -> bool:
-    seen = set()
-    for ch in chars:
-        key = tuple((round(float(re), 6), round(float(im), 6)) for re, im in ch.values)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True

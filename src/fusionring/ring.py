@@ -189,10 +189,6 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
     return out
 
 
-def fusion_matrix(ring: FusionRing, i: int) -> np.ndarray:
-    return ring.fusion_matrix(i)
-
-
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
     """Frobenius-Perron dimension of basis element i: the largest real
     eigenvalue of N_i, exact (Quadratic when its minimal polynomial has
@@ -297,7 +293,6 @@ class OrbitStructure:
     left_orbits: tuple[tuple[int, ...], ...]
     right_orbits: tuple[tuple[int, ...], ...]
     stabilizers: tuple[tuple[int, ...] | None, ...]  # common left stabilizer per left orbit
-    element_stabilizers: dict[int, tuple[int, ...]]
 
     @property
     def orbit_count(self) -> int:
@@ -348,7 +343,7 @@ def orbit_structure(ring: FusionRing) -> OrbitStructure:
     for orb in left_orbits:
         common = {elem_stab[x] for x in orb}
         stabs.append(elem_stab[orb[0]] if len(common) == 1 else None)
-    result = OrbitStructure(left_orbits, right_orbits, tuple(stabs), elem_stab)
+    result = OrbitStructure(left_orbits, right_orbits, tuple(stabs))
     ring._cache["orbits"] = result
     return result
 
@@ -413,10 +408,6 @@ class TwoOrbitData:
     @property
     def group_indices(self) -> tuple[int, ...]:
         return self.invertible.indices
-
-    @property
-    def quotient_abelian(self) -> bool:
-        return self.theta is not None
 
 
 def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[int, ...]:

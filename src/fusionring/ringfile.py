@@ -101,21 +101,16 @@ def load_character_table(path: str) -> CharacterTable:
     return table
 
 
-def frac_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def alg_to_dict(x) -> dict:
     """Exact serialization: Quadratics as (a, b, D) triples with rationals as
     'p/q' strings, isolated roots as polynomial plus interval."""
     if isinstance(x, (int, Fraction)):
         x = Quadratic(x)
     if isinstance(x, Quadratic):
-        return {"a": frac_str(x.a), "b": frac_str(x.b), "D": x.D}
+        return {"a": str(x.a), "b": str(x.b), "D": x.D}
     if isinstance(x, IsolatedRoot):
         lo, hi = x.interval()
-        return {"poly": [int(c) for c in x.poly], "lo": frac_str(lo), "hi": frac_str(hi)}
+        return {"poly": [int(c) for c in x.poly], "lo": str(lo), "hi": str(hi)}
     raise TypeError(f"cannot serialize {x!r}")
 
 

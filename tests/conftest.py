@@ -4,13 +4,18 @@ The oracles here are deliberately implemented by different algorithms than
 the library paths they check: characteristic polynomials via the
 Faddeev-LeVerrier trace recursion (the library interpolates fraction-free
 determinants), numeric eigenvalues via numpy, prime-scan hits by testing
-every m (the library solves Pell equations).
+every m (the library solves Pell equations), characters of commutative
+rings as certified numeric joint eigenvectors (the library builds exact
+matrix models), and totients and square-free flags by sieving (the library
+factors).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 import fusionring as fr
+from fusionring.errors import CertificationError, HypothesisError
 from fusionring.groups import FiniteGroup
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +133,154 @@ def linear_scan_hits(p: int, m_max: int, xs) -> list[tuple[int, int]]:
                 if not rem and math.isqrt(q) ** 2 == q:
                     hits.append((m, x))
     return sorted(hits)
+
+
+def totient_sieve(limit: int) -> np.ndarray:
+    """phi(n) for all 0 <= n <= limit as an int64 array (phi(0) set to 0)."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p prime: untouched so far
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def squarefree_sieve(limit: int) -> np.ndarray:
+    """Boolean mask over 0..limit marking square-free integers."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    d = 2
+    while d * d <= limit:
+        mask[d * d :: d * d] = False
+        d += 1
+    return mask
+
+
+@dataclass(frozen=True)
+class CertifiedCharacter:
+    """Approximate character vector with an exact residual certificate:
+    every ||N_i v - chi_i v||_inf is at most residual_bound, computed in
+    exact rational arithmetic from the dyadic approximations."""
+
+    values: tuple[tuple[Fraction, Fraction], ...]  # (re, im) per basis element
+    vector: tuple[tuple[Fraction, Fraction], ...]
+    residual_bound: Fraction
+
+
+def characters_commutative(ring, width: Fraction = Fraction(1, 2**30)) -> list[CertifiedCharacter]:
+    """Simultaneous-eigenvector characters of a commutative ring.
+
+    Joint eigenvectors are extracted numerically from a deterministic random
+    integer combination of the fusion matrices (float64 first, escalating to
+    multiprecision when the requested width demands it), then certified by an
+    exact rational residual bound below 'width' for every character.
+    """
+    ring.require_verified()
+    if not fr.is_commutative(ring):
+        raise HypothesisError("characters_commutative needs a commutative ring")
+    n = ring.rank
+    mats = [np.asarray(ring.fusion_matrix(i), dtype=np.int64) for i in range(n)]
+    for attempt in range(10):
+        rng = random.Random(1000 + attempt)
+        weights = [rng.randrange(1, 997) for _ in range(n)]
+        if attempt < 4:
+            columns = _eig_columns_numpy(mats, weights)
+        else:
+            columns = _eig_columns_mpmath(mats, weights, dps=30 * (attempt - 3))
+        if columns is None:
+            continue
+        chars = []
+        ok = True
+        for vec in columns:
+            pivot = max(range(n), key=lambda r: vec[r][0] * vec[r][0] + vec[r][1] * vec[r][1])
+            # normalize exactly so vec[pivot] == 1
+            pr, pi = vec[pivot]
+            norm = pr * pr + pi * pi
+            vec = tuple(
+                (
+                    (re * pr + im * pi) / norm,
+                    (im * pr - re * pi) / norm,
+                )
+                for re, im in vec
+            )
+            values = []
+            worst = Fraction(0)
+            for m in mats:
+                prod = [_cx_dot(m[row], vec) for row in range(n)]
+                chi = prod[pivot]  # vec[pivot] == 1 exactly
+                for row in range(n):
+                    dre = prod[row][0] - (chi[0] * vec[row][0] - chi[1] * vec[row][1])
+                    dim = prod[row][1] - (chi[0] * vec[row][1] + chi[1] * vec[row][0])
+                    worst = max(worst, abs(dre), abs(dim))
+                values.append(chi)
+            if worst >= width:
+                ok = False
+                break
+            chars.append(CertifiedCharacter(tuple(values), vec, worst))
+        if ok and len(chars) == n and _pairwise_distinct(chars):
+            return chars
+    raise CertificationError(f"could not certify {n} characters at width {width}")
+
+
+def _eig_columns_numpy(mats, weights):
+    a = sum(w * m for w, m in zip(weights, mats)).astype(float)
+    try:
+        _, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError:  # pragma: no cover
+        return None
+    n = len(mats)
+    return [
+        tuple((Fraction(float(np.real(z))), Fraction(float(np.imag(z)))) for z in vecs[:, col])
+        for col in range(n)
+    ]
+
+
+def _eig_columns_mpmath(mats, weights, dps: int):
+    import mpmath
+
+    n = len(mats)
+    with mpmath.workdps(dps):
+        a = mpmath.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = sum(int(w) * int(m[i, j]) for w, m in zip(weights, mats))
+        try:
+            _, vecs = mpmath.eig(a)
+        except Exception:  # pragma: no cover
+            return None
+        scale = 1 << mpmath.mp.prec
+        out = []
+        for col in range(n):
+            column = []
+            for row in range(n):
+                z = vecs[row, col]
+                column.append(
+                    (
+                        Fraction(int(mpmath.floor(mpmath.re(z) * scale)), scale),
+                        Fraction(int(mpmath.floor(mpmath.im(z) * scale)), scale),
+                    )
+                )
+            out.append(tuple(column))
+    return out
+
+
+def _cx_dot(int_row, vec) -> tuple[Fraction, Fraction]:
+    re = Fraction(0)
+    im = Fraction(0)
+    for c, (vr, vi) in zip(int_row, vec):
+        if c:
+            re += int(c) * vr
+            im += int(c) * vi
+    return re, im
+
+
+def _pairwise_distinct(chars: list[CertifiedCharacter]) -> bool:
+    seen = set()
+    for ch in chars:
+        key = tuple((round(float(re), 6), round(float(im), 6)) for re, im in ch.values)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
 
 
 def numeric_eigs(matrix) -> list[float]:

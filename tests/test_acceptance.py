@@ -14,11 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 import fusionring as fr
-from conftest import charpoly_oracle, cli_env, numeric_eigs
+from conftest import charpoly_oracle, cli_env, numeric_eigs, squarefree_sieve, totient_sieve
 from fusionring import Quadratic, alg_cmp, intpoly
 from fusionring.algebraic import IsolatedRoot
 from fusionring.classify import STATUS_CANDIDATE, STATUS_KNOWN
-from fusionring.numtheory import squarefree_sieve, totient_sieve
 from fusionring.obstruct import quartic_coeffs, quartic_f
 from fusionring.represent import SOURCE_D_MINUS, SOURCE_D_PLUS
 from fusionring.ring import global_multiplication_matrix, is_invertible

@@ -1,7 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionring import intpoly
 from fusionring.algebraic import (
@@ -150,3 +153,61 @@ def test_interval_contains_value():
     val = -1 / 3 + (2 / 7) * math.sqrt(13)
     assert float(lo) <= val <= float(hi)
     assert hi - lo <= Fraction(1, 2**40)
+
+
+def test_alg_cmp_close_quadratics_across_fields():
+    # 3 Y^2 - 2 X^2 = 1 with X of 200 digits: X sqrt 2 < Y sqrt 3, the two
+    # differing by about 1/(2 X sqrt 2), far below any fixed precision cap
+    x, y = 1, 1
+    while len(str(x)) < 200:
+        x, y = 5 * x + 6 * y, 4 * x + 5 * y
+    assert 3 * y * y - 2 * x * x == 1
+    assert alg_cmp(Quadratic(0, x, 2), Quadratic(0, y, 3)) == -1
+    assert alg_cmp(Quadratic(0, y, 3), Quadratic(0, x, 2)) == 1
+    assert alg_cmp(Quadratic(1, -x, 2), Quadratic(1, -y, 3)) == 1
+
+
+def test_alg_cmp_isolated_root_against_close_rational():
+    # q = floor(2^(1/3) 2^610) / 2^610, so 0 < 2^(1/3) - q < 2^-600
+    target = 2 * 2 ** (3 * 610)
+    a = 1 << 611
+    while a**3 > target:  # Newton from above: integer cube root
+        a = (2 * a + target // (a * a)) // 3
+    while (a + 1) ** 3 <= target:
+        a += 1
+    q = Fraction(a, 2**610)
+    assert q**3 < 2 < (q + Fraction(1, 2**600)) ** 3
+    for other in (q, Quadratic(q)):
+        assert alg_cmp(largest_real_root((-2, 0, 0, 1)), other) == 1
+        assert alg_cmp(other, largest_real_root((-2, 0, 0, 1))) == -1
+
+
+SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21]
+
+
+@given(
+    st.integers(-50, 50),
+    st.integers(1, 10**6),
+    st.sampled_from(SQUAREFREE),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.sampled_from(SQUAREFREE),
+    st.integers(0, 30),
+    st.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_alg_cmp_across_fields_matches_mpmath(a1, b1, d1, b2, d2, digits, nudge):
+    # a2 is x - b2 sqrt(d2) rounded to `digits` decimals and nudged by a few
+    # units, so x and y agree to about that many digits
+    if d1 == d2:
+        d2 = SQUAREFREE[(SQUAREFREE.index(d2) + 1) % len(SQUAREFREE)]
+    den = 10**digits
+    with mpmath.workdps(200):
+        gap = a1 + b1 * mpmath.sqrt(d1) - b2 * mpmath.sqrt(d2)
+        a2 = Fraction(int(mpmath.floor(gap * den)) + nudge, den)
+        diff = gap - mpmath.mpf(a2.numerator) / a2.denominator
+        # a nonzero difference of this height exceeds 10^-150 (norm bound)
+        assert abs(diff) > mpmath.mpf(10) ** -150
+        want = 1 if diff > 0 else -1
+    x, y = Quadratic(a1, b1, d1), Quadratic(a2, b2, d2)
+    assert alg_cmp(x, y) == want
+    assert alg_cmp(y, x) == -want

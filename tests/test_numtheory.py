@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import squarefree_sieve, totient_sieve
+
 from fusionring.numtheory import (
     SquareFreeDecomposition,
     factorize,
@@ -16,9 +18,7 @@ from fusionring.numtheory import (
     phi_ratio_cmp,
     quad_sign,
     squarefree_part,
-    squarefree_sieve,
     totient,
-    totient_sieve,
 )
 
 

@@ -5,13 +5,11 @@ import pytest
 
 import fusionring as fr
 from fusionring.obstruct import (
-    BudgetModel,
     budget_bound,
     elementary2_coarse,
     elementary2_coarse_both,
     endgame_both,
     endgame_check,
-    galois_partner,
     near_group_shape,
     prime_parity,
     prime_xbound,
@@ -49,16 +47,6 @@ def test_divisibility_obstruction():
     # rational dimension: not applicable
     v = fr.obstruct_divisibility(fr.near_group((2,), 1))
     assert v.outcome == "not_applicable"
-
-
-def test_galois_partner():
-    assert galois_partner(1, 0, 3) == fr.galois_partner(1, 0, 3)
-    p = galois_partner(1, 0, 5)
-    assert (p.a, p.partner_b, p.violation) == (1, 5, False)
-    p = galois_partner(2, 3, 3)
-    assert (p.partner_b, p.violation) == (3, False)  # self-paired at b = ak/2
-    p = galois_partner(1, 3, 2)
-    assert p.violation
 
 
 def test_budget_bound():
@@ -134,11 +122,11 @@ def test_endgame_fixtures():
 
 
 def test_budget_model():
-    model = BudgetModel.for_level(4, 1, 1)
-    assert model.c == 2
-    assert model.budget_rhs == Fraction(31, 2)
+    cert = elementary2_coarse(4, 1, 1).certificate
+    assert cert["c"] == 2
+    assert Fraction(cert["budget"]) == Fraction(31, 2)
     with pytest.raises(ValueError):
-        BudgetModel.for_level(4, 1, 0)
+        elementary2_coarse(4, 1, 0)
 
 
 def test_prime_parity():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fusionring as fr
-from conftest import charpoly_oracle, numeric_eigs
+from conftest import characters_commutative, charpoly_oracle, numeric_eigs
 from fusionring import Quadratic, alg_cmp
 from fusionring.cyclotomic import Cyc
 from fusionring.errors import HypothesisError
@@ -182,16 +182,16 @@ def test_uniform_irreps_refuses_nonuniform():
 
 
 def test_characters_commutative_group_ring():
-    chars = fr.characters_commutative(fr.group_ring((2,)))
+    chars = characters_commutative(fr.group_ring((2,)))
     vals = sorted(tuple(round(float(re)) for re, im in ch.values) for ch in chars)
     assert vals == [(1, -1), (1, 1)]
 
 
 def test_characters_commutative_near_group():
-    chars = fr.characters_commutative(fr.near_group((2,), 1))
+    chars = characters_commutative(fr.near_group((2,), 1))
     rho_vals = sorted(round(float(ch.values[2][0]), 6) for ch in chars)
     assert rho_vals == [-1.0, 0.0, 2.0]
-    chars = fr.characters_commutative(fr.near_group((2,), 2))
+    chars = characters_commutative(fr.near_group((2,), 2))
     rho_vals = sorted(round(float(ch.values[2][0]), 6) for ch in chars)
     import math
 
@@ -200,7 +200,7 @@ def test_characters_commutative_near_group():
 
 def test_characters_square_sum_matches_codegrees():
     ring = fr.near_group((2,), 2)
-    chars = fr.characters_commutative(ring)
+    chars = characters_commutative(ring)
     eigs = sorted(float(e.value) for e in fr.codegree_spectrum(ring))
     sums = []
     for ch in chars:
@@ -221,7 +221,7 @@ def test_characters_vanishing_count_matches_irr0(two_orbit_corpus):
         if not data.invertible.group.is_abelian:
             continue
         expected = len(fr.irr0_codegrees(ring))
-        chars = fr.characters_commutative(ring)
+        chars = characters_commutative(ring)
         noninv = [i for i in range(ring.rank) if i not in set(data.group_indices)]
         vanishing = 0
         for ch in chars:
@@ -232,13 +232,13 @@ def test_characters_vanishing_count_matches_irr0(two_orbit_corpus):
 
 def test_characters_commutative_rejects_noncommutative():
     with pytest.raises(HypothesisError):
-        fr.characters_commutative(fr.haagerup_izumi((3,)))
+        characters_commutative(fr.haagerup_izumi((3,)))
 
 
 def test_characters_commutative_tight_width_escalates():
     # beyond float64 resolution: the multiprecision fallback must certify
     width = Fraction(1, 2**60)
-    chars = fr.characters_commutative(fr.near_group((2,), 2), width=width)
+    chars = characters_commutative(fr.near_group((2,), 2), width=width)
     assert len(chars) == 3
     assert all(c.residual_bound < width for c in chars)
 
