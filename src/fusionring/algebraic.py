@@ -263,6 +263,9 @@ class IsolatedRoot:
         return self._lo, self._hi
 
     def min_poly(self) -> Poly:
+        """Defining polynomial: the square-free integer polynomial the root
+        was isolated from (for a Perron root, the square-free part of the
+        charpoly), not always minimal."""
         return self.poly
 
     def sign(self) -> int:
@@ -415,11 +418,19 @@ def _eval_int_poly_at_quadratic(p: Poly, q: Quadratic) -> Quadratic:
     return acc
 
 
-def algebraic_root(poly: Poly, lo: Fraction, hi: Fraction, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
+def algebraic_root(
+    poly: Poly,
+    lo: Fraction,
+    hi: Fraction,
+    width: Fraction = DEFAULT_WIDTH,
+    intervals: list[tuple[Fraction, Fraction]] | None = None,
+) -> AlgebraicReal:
     """The unique root of square-free integer poly in (lo, hi), promoted to a
     Quadratic when its minimal polynomial has degree <= 2.
 
     For higher-degree roots an IsolatedRoot refined below `width` is returned.
+    `intervals`, when given, are the isolating intervals of all irrational
+    real roots of poly, as isolate_real_roots(poly) returns them.
     """
     poly = intpoly.primitive(poly)
     if intpoly.degree(poly) == 1:
@@ -431,7 +442,7 @@ def algebraic_root(poly: Poly, lo: Fraction, hi: Fraction, width: Fraction = DEF
     r = intpoly._rational_root_in(poly, lo, hi)
     if r is not None:
         return Quadratic(r)
-    q = _promote_quadratic(poly, lo, hi)
+    q = _promote_quadratic(poly, lo, hi, intervals)
     if q is not None:
         return q
     root = IsolatedRoot(poly, lo, hi)
@@ -439,22 +450,26 @@ def algebraic_root(poly: Poly, lo: Fraction, hi: Fraction, width: Fraction = DEF
     return root
 
 
-def _promote_quadratic(poly: Poly, lo: Fraction, hi: Fraction) -> Quadratic | None:
+def _promote_quadratic(
+    poly: Poly, lo: Fraction, hi: Fraction, intervals: list[tuple[Fraction, Fraction]] | None
+) -> Quadratic | None:
     """Find a monic quadratic factor x^2 - t*x - u of poly owning the root in
     (lo, hi), and return that root exactly.
 
     Only applies to monic poly (characteristic polynomials), where quadratic
     algebraic numbers are quadratic algebraic integers.  The conjugate root
     is itself a root of poly, so the trace candidates t come from pairing the
-    target with each other isolated real root; that keeps the search linear
-    in the degree instead of in the coefficient size.
+    target with each other isolated real root (`intervals`, the isolating
+    intervals of poly's irrational real roots, isolated here when None); that
+    keeps the search linear in the degree instead of in the coefficient size.
     """
     if poly[-1] != 1:
         return None
+    if intervals is None:
+        _, intervals = intpoly.isolate_real_roots(poly)
     lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 2**20))
     if lo == hi:
         return Quadratic(lo)
-    _, intervals = intpoly.isolate_real_roots(poly)
     for other in intervals:
         olo, ohi = other
         # narrow both roots until the trace pins down at most one integer
@@ -500,7 +515,7 @@ def largest_real_root(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
         best = Quadratic(rational[-1])
     if intervals:
         lo, hi = intervals[-1]
-        cand = algebraic_root(sf, lo, hi, width)
+        cand = algebraic_root(sf, lo, hi, width, intervals)
         if best is None or alg_cmp(cand, best) > 0:
             best = cand
     return best
@@ -511,6 +526,6 @@ def all_real_roots(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> list[Algebrai
     sf = intpoly.squarefree_part(poly)
     rational, intervals = intpoly.isolate_real_roots(sf)
     roots: list[AlgebraicReal] = [Quadratic(r) for r in rational]
-    roots.extend(algebraic_root(sf, lo, hi, width) for lo, hi in intervals)
+    roots.extend(algebraic_root(sf, lo, hi, width, intervals) for lo, hi in intervals)
     roots.sort(key=cmp_to_key(alg_cmp))
     return roots

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import intpoly
 from .errors import InternalInvariantError
-from .numtheory import is_prime, squarefree_part, totient
+from .numtheory import is_prime, squarefree_part
 from .obstruct import (
     ObstructionVerdict,
     _require_prime,
@@ -229,35 +229,34 @@ def admissible_squarefree_parts(p: int) -> list[int]:
     primes q with (q-1)^2 (p-1)^2 <= 2 q (p+1)^3 (the factor 2 allows for a
     single factor of 2, the only prime that shrinks the ratio).
     """
-    bound_sq = Fraction((p + 1) ** 3, (p - 1) ** 2)
+    lhs, rhs = (p - 1) ** 2, (p + 1) ** 3  # x is admissible iff phi(x)^2 lhs <= x rhs
     primes = []
     q = 2
     while True:
         if is_prime(q):
-            if Fraction((q - 1) ** 2, q) > 2 * bound_sq:
+            if (q - 1) ** 2 * lhs > 2 * q * rhs:
                 break
             if q != p:
                 primes.append(q)
         q += 1
 
-    def ratio_sq(x: int) -> Fraction:
-        return Fraction(totient(x) ** 2, x)
-
-    # 2 is the only prime whose factor (q-1)^2/q is below 1, and it sits first
-    # in the list, so along every DFS path the ratio is monotone increasing:
-    # pruning children whose ratio already exceeds the bound loses nothing.
+    # Along a DFS path phi(x q) = phi(x) (q - 1), so the ratio phi(x)^2 / x
+    # gets the factor (q-1)^2 / q: below 1 only for q = 2, which sits first,
+    # so pruning children beyond the bound loses nothing.  The factor grows
+    # with q, so once a child fails, every later sibling fails too.
     out: list[int] = []
 
-    def dfs(i: int, x: int) -> None:
+    def dfs(i: int, x: int, phi: int) -> None:
         out.append(x)
         for j in range(i, len(primes)):
-            child = x * primes[j]
-            if ratio_sq(child) <= bound_sq:
-                dfs(j + 1, child)
+            q = primes[j]
+            child, child_phi = x * q, phi * (q - 1)
+            if child_phi * child_phi * lhs > child * rhs:
+                break
+            dfs(j + 1, child, child_phi)
 
-    if ratio_sq(1) <= bound_sq:
-        dfs(0, 1)
-    return sorted(set(out))
+    dfs(0, 1, 1)
+    return sorted(out)
 
 
 def _pell_unit(n: int) -> tuple[int, int]:

@@ -1,9 +1,10 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Polynomials are tuples of coefficients, lowest degree first.  The routines
-here supply everything the algebraic-number layer needs: fraction-free
-characteristic polynomials, Yun square-free decomposition, Sturm chains, and
-bisection-based real-root isolation.  No floating point anywhere.
+here supply everything the algebraic-number layer needs: Berkowitz
+characteristic polynomials, Yun square-free decomposition, Sturm chains on
+pseudo-remainders, and bisection-based real-root isolation with integer sign
+tests.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-from .errors import InternalInvariantError
 
 Poly = tuple  # tuple of int or Fraction, index = degree
 
@@ -118,14 +117,31 @@ def primitive(p: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive gcd over Z (computed via monic Euclid over Q)."""
-    a, b = trim(p), trim(q)
+    """Primitive gcd over Z, by Euclid on integer pseudo-remainders kept
+    primitive (each a nonzero multiple of the remainder over Q)."""
+    a, b = primitive(p), primitive(q)
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, trim(r)
-    if not a:
-        return ()
-    return primitive(a)
+        a, b = b, primitive(_prem(a, b))
+    return a
+
+
+def _prem(p: Poly, q: Poly) -> Poly:
+    """Remainder of |lc(q)|^k * p on division by q, for integer p, q and
+    some k <= deg p - deg q + 1, in integers: a positive multiple of the
+    remainder over Q.  p itself when deg p < deg q."""
+    r = list(p)
+    dq = len(q) - 1
+    scale = abs(q[-1])
+    sign = 1 if q[-1] > 0 else -1
+    while len(r) - 1 >= dq:
+        c = sign * r.pop()
+        shift = len(r) - dq
+        r = [scale * x for x in r]
+        for i in range(dq):
+            r[shift + i] -= c * q[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
 
 
 def squarefree_part(p: Poly) -> Poly:
@@ -167,20 +183,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    """All real roots of p lie in [-B, B]."""
-    p = trim(p)
-    if degree(p) < 1:
-        return Fraction(1)
-    lead = abs(Fraction(p[-1]))
-    m = max(abs(Fraction(c)) for c in p[:-1]) if len(p) > 1 else Fraction(0)
-    return 1 + m / lead
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of a square-free integer polynomial, kept primitive.
 
-    Only positive rescaling is applied, so sign evaluations are unaffected.
+    Each step negates a pseudo-remainder, a positive multiple of the
+    remainder over Q, so sign evaluations are unaffected.
     """
     p0 = primitive(p)
     chain = [p0]
@@ -188,8 +195,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     if p1:
         chain.append(p1)
     while degree(chain[-1]) > 0:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = trim(r)
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
         chain.append(primitive_signed(poly_neg(r)))
@@ -199,7 +205,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
 def primitive_signed(p: Poly) -> Poly:
     """Like primitive() but keeps the sign of the leading coefficient."""
     q = primitive(p)
-    if q and p and (Fraction(p[-1]) < 0) != (q[-1] < 0):
+    if q and p[-1] < 0:
         return poly_neg(q)
     return q
 
@@ -208,9 +214,21 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def sign_variations_at(chain: list[Poly], x: Fraction) -> int:
-    signs = [s for s in (_sign(poly_eval(p, x)) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_at(p: Poly, a: int, b: int) -> int:
+    """Sign of p(a/b) for integer p and b > 0: the sign of b^deg(p) p(a/b),
+    by integer Horner."""
+    acc = 0
+    bpow = 1
+    for c in reversed(p):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return _sign(acc)
+
+
+def sign_variations_at(chain: list[Poly], a: int, b: int) -> int:
+    """Sign changes along the chain at a/b, b > 0."""
+    signs = [s for s in (sign_at(p, a, b) for p in chain) if s != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def sign_variations_at_inf(chain: list[Poly], positive: bool) -> int:
@@ -230,7 +248,9 @@ def count_real_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
 
     Endpoints must not be roots of chain[0].
     """
-    return sign_variations_at(chain, lo) - sign_variations_at(chain, hi)
+    return sign_variations_at(chain, lo.numerator, lo.denominator) - sign_variations_at(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def count_all_real_roots(p: Poly) -> int:
@@ -245,41 +265,61 @@ def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fr
     intervals (lo, hi) each containing exactly one irrational root, with a
     guaranteed sign change and non-root endpoints.  Results are sorted
     ascending across both lists combined.
+
+    Bisection starts from (-B, B), B = 2 + max|c_i|/|c_n| (beyond the Cauchy
+    bound), in integers: a stack entry (a, b, d, va, vb) is the interval
+    (a/d, b/d) with the chain's sign variations va, vb at its ends.
     """
     p = squarefree_part(p)
     if degree(p) < 1:
         return [], []
     chain = sturm_chain(p)
-    bound = cauchy_bound(p)
-    lo, hi = -bound - 1, bound + 1
+    d = abs(p[-1])
+    b = 2 * d + max(abs(c) for c in p[:-1])
     rational: list[Fraction] = []
     intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(lo), Fraction(hi), count_real_roots(chain, Fraction(lo), Fraction(hi)))]
+    stack = [(-b, b, d, sign_variations_at(chain, -b, d), sign_variations_at(chain, b, d))]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
+        a, b, d, va, vb = stack.pop()
+        if va == vb:
             continue
-        if n == 1 and _sign(poly_eval(p, a)) * _sign(poly_eval(p, b)) < 0:
+        if va - vb == 1 and sign_at(p, a, d) * sign_at(p, b, d) < 0:
             # check for a rational (hence integer, if p is monic) root first
-            r = _rational_root_in(p, a, b)
+            lo, hi = Fraction(a, d), Fraction(b, d)
+            r = _rational_root_in(p, lo, hi)
             if r is None:
-                intervals.append((a, b))
+                intervals.append((lo, hi))
             else:
                 rational.append(r)
             continue
-        mid = (a + b) / 2
-        if poly_eval(p, mid) == 0:
-            rational.append(mid)
-            eps = _root_free_radius(p, chain, mid, a, b)
-            stack.append((a, mid - eps, count_real_roots(chain, a, mid - eps)))
-            stack.append((mid + eps, b, count_real_roots(chain, mid + eps, b)))
+        a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
+        if sign_at(p, m, d) == 0:
+            rational.append(Fraction(m, d))
+            e = min(m - a, b - m)
+            s, vlo, vhi = _root_free_radius(p, chain, m, d, e)
+            stack.append((a * s, m * s - e, d * s, va, vlo))
+            stack.append((m * s + e, b * s, d * s, vhi, vb))
         else:
-            nl = count_real_roots(chain, a, mid)
-            stack.append((a, mid, nl))
-            stack.append((mid, b, n - nl))
+            vm = sign_variations_at(chain, m, d)
+            stack.append((a, m, d, va, vm))
+            stack.append((m, b, d, vm, vb))
     rational.sort()
     intervals.sort()
     return rational, intervals
+
+
+def _root_free_radius(p: Poly, chain: list[Poly], m: int, d: int, e: int) -> tuple[int, int, int]:
+    """The least s in 4, 8, 16, ... for which ((m s - e)/(d s), (m s + e)/(d s))
+    holds no root of p besides m/d, nor at its ends; returns s and the
+    chain's sign variations at both ends."""
+    s = 4
+    while True:
+        lo, hi = m * s - e, m * s + e
+        if sign_at(p, lo, d * s) and sign_at(p, hi, d * s):
+            vlo, vhi = sign_variations_at(chain, lo, d * s), sign_variations_at(chain, hi, d * s)
+            if vlo - vhi == 1:
+                return s, vlo, vhi
+        s *= 2
 
 
 def _rational_root_in(p: Poly, a: Fraction, b: Fraction) -> Fraction | None:
@@ -302,7 +342,7 @@ def _rational_root_in(p: Poly, a: Fraction, b: Fraction) -> Fraction | None:
     if a == b:
         return a
     cand = _simplest_in(a, b)
-    if cand.denominator <= lead and poly_eval(p, cand) == 0:
+    if cand.denominator <= lead and sign_at(p, cand.numerator, cand.denominator) == 0:
         return cand
     return None
 
@@ -318,93 +358,44 @@ def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / inner
 
 
-def _root_free_radius(p: Poly, chain: list[Poly], x: Fraction, a: Fraction, b: Fraction) -> Fraction:
-    """A radius eps > 0 such that (x-eps, x+eps) holds no root besides x."""
-    eps = min(x - a, b - x) / 4
-    while True:
-        if (
-            poly_eval(p, x - eps) != 0
-            and poly_eval(p, x + eps) != 0
-            and count_real_roots(chain, x - eps, x + eps) == 1
-        ):
-            return eps
-        eps /= 2
-
-
 def refine_interval(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a sign-change isolating interval of square-free p below width."""
-    slo = _sign(poly_eval(p, lo))
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _sign(poly_eval(p, mid))
+    """Shrink a sign-change isolating interval of square-free integer p below
+    width by bisection, in integers: the interval is (a/d, b/d), and each step
+    doubles a, b and d and tests the midpoint (a + b)/(2d)."""
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    slo = sign_at(p, a, d)
+    while (b - a) * width.denominator > width.numerator * d:
+        a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
+        smid = sign_at(p, m, d)
         if smid == 0:
             # exact root hit; return a degenerate interval
-            return mid, mid
+            return Fraction(m, d), Fraction(m, d)
         if smid == slo:
-            lo = mid
+            a = m
         else:
-            hi = mid
-    return lo, hi
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Gaussian elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            b = m
+    return Fraction(a, d), Fraction(b, d)
 
 
 def charpoly(matrix) -> Poly:
-    """Characteristic polynomial det(xI - A) of an integer matrix.
+    """Characteristic polynomial det(xI - A) of an integer matrix, monic.
 
-    Fraction-free determinants at n+1 integer points, then exact Lagrange
-    interpolation.  Returns a monic integer polynomial.
+    Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984)
+    147-150), in integers and O(n^4): the descending coefficients of the
+    leading block [[A, C], [R, d]] are those of A times the lower-triangular
+    Toeplitz matrix with first column (1, -d, -RC, -RAC, -RA^2C, ...).
     """
-    n = len(matrix)
-    if n == 0:
-        return (1,)
-    pts = list(range(n + 1))
-    vals = []
-    for t in pts:
-        rows = [[(t if i == j else 0) - int(matrix[i][j]) for j in range(n)] for i in range(n)]
-        vals.append(bareiss_det(rows))
-    coeffs = _lagrange_interpolate(pts, vals, n)
-    if coeffs[-1] != 1:
-        raise InternalInvariantError("characteristic polynomial must be monic")
-    return coeffs
-
-
-def _lagrange_interpolate(xs: list[int], ys: list[int], deg: int) -> Poly:
-    acc = [Fraction(0)] * (deg + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num: Poly = (Fraction(1),)
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = poly_mul(num, (Fraction(-xj), Fraction(1)))
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            acc[k] += c * scale
-    if any(c.denominator != 1 for c in acc):
-        raise InternalInvariantError("interpolation of det(xI - A) must be integral")
-    return trim([int(c) for c in acc])
+    a = [[int(x) for x in row] for row in matrix]
+    c = [1]
+    for r in range(len(a)):
+        rows = [[(j, x) for j, x in enumerate(row[:r]) if x] for row in a[:r]]
+        bottom = [(j, x) for j, x in enumerate(a[r][:r]) if x]
+        col = [row[r] for row in a[:r]]
+        t = [1, -a[r][r]]
+        for _ in range(r):
+            t.append(-sum(x * col[j] for j, x in bottom))
+            col = [sum(x * col[j] for j, x in row) for row in rows]
+        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return tuple(reversed(c))

@@ -23,6 +23,7 @@ from . import intpoly
 from .algebraic import (
     DEFAULT_WIDTH,
     AlgebraicReal,
+    IsolatedRoot,
     Quadratic,
     alg_cmp,
     largest_real_root,
@@ -192,21 +193,19 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
     """Frobenius-Perron dimension of basis element i: the largest real
     eigenvalue of N_i, exact (Quadratic when its minimal polynomial has
-    degree <= 2, IsolatedRoot otherwise)."""
+    degree <= 2, IsolatedRoot otherwise, whose defining polynomial is the
+    square-free part of the charpoly, not always minimal)."""
     ring.require_verified()
-    key = ("fpdim", i)
-    if key in ring._cache and width == DEFAULT_WIDTH:
-        return ring._cache[key]
-    if is_invertible(ring, i):
-        result: AlgebraicReal = Quadratic(1)
-    else:
-        cp = intpoly.charpoly(ring.fusion_matrix(i).tolist())
-        result = largest_real_root(cp, width)
-    if alg_cmp(result, 1) < 0:
-        raise InternalInvariantError("FP dimension below 1")
-    if width == DEFAULT_WIDTH:
-        ring._cache[key] = result
-    return result
+
+    def compute(w: Fraction) -> AlgebraicReal:
+        if is_invertible(ring, i):
+            return Quadratic(1)
+        result = largest_real_root(intpoly.charpoly(ring.fusion_matrix(i).tolist()), w)
+        if alg_cmp(result, 1) < 0:
+            raise InternalInvariantError("FP dimension below 1")
+        return result
+
+    return _cached_root(ring, ("fpdim", i), compute, width)
 
 
 def fpdim_all(ring: FusionRing) -> list[AlgebraicReal]:
@@ -217,14 +216,30 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     """Sum of squared FP dimensions, computed exactly as the largest
     eigenvalue of M = sum_i N_i N_i^T (the global FP character value)."""
     ring.require_verified()
-    key = "fpdim_total"
-    if key in ring._cache and width == DEFAULT_WIDTH:
-        return ring._cache[key]
-    m = global_multiplication_matrix(ring)
-    result = largest_real_root(intpoly.charpoly(m.tolist()), width)
-    if width == DEFAULT_WIDTH:
-        ring._cache[key] = result
-    return result
+
+    def compute(w: Fraction) -> AlgebraicReal:
+        return largest_real_root(intpoly.charpoly(global_multiplication_matrix(ring).tolist()), w)
+
+    return _cached_root(ring, "fpdim_total", compute, width)
+
+
+def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicReal:
+    """The root compute(DEFAULT_WIDTH), kept in ring._cache[key], at `width`.
+
+    A narrower width refines a fresh IsolatedRoot built from the cached
+    interval, never the cached object, whose interval reports print:
+    bisection goes on along the same path, so it ends on the interval that
+    compute(width) would give.  A wider width is computed afresh."""
+    if width > DEFAULT_WIDTH:
+        return compute(width)
+    if key not in ring._cache:
+        ring._cache[key] = compute(DEFAULT_WIDTH)
+    root = ring._cache[key]
+    if width == DEFAULT_WIDTH or isinstance(root, Quadratic):
+        return root
+    fresh = IsolatedRoot(root.poly, *root.interval())
+    fresh.interval(width)
+    return fresh
 
 
 def global_multiplication_matrix(ring: FusionRing) -> np.ndarray:

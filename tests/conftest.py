@@ -2,12 +2,15 @@
 
 The oracles here are deliberately implemented by different algorithms than
 the library paths they check: characteristic polynomials via the
-Faddeev-LeVerrier trace recursion (the library interpolates fraction-free
-determinants), numeric eigenvalues via numpy, prime-scan hits by testing
-every m (the library solves Pell equations), characters of commutative
-rings as certified numeric joint eigenvectors (the library builds exact
-matrix models), and totients and square-free flags by sieving (the library
-factors).
+Faddeev-LeVerrier trace recursion (the library runs Berkowitz's
+division-free recursion), polynomial gcds, Sturm chains and interval
+bisection over Fraction (the library stays in integers, with
+pseudo-remainders and common denominators), numeric eigenvalues via numpy,
+prime-scan hits by testing every m (the library solves Pell equations),
+characters of commutative rings as certified numeric joint eigenvectors (the
+library builds exact matrix models), totients and square-free flags by
+sieving (the library factors), and admissible square-free parts by a
+totient per candidate (the library carries phi along its search).
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ import numpy as np
 import pytest
 
 import fusionring as fr
+from fusionring import intpoly
 from fusionring.errors import CertificationError, HypothesisError
 from fusionring.groups import FiniteGroup
+from fusionring.numtheory import is_prime, totient
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,7 +109,7 @@ def q8_group() -> FiniteGroup:
 
 def charpoly_oracle(matrix) -> tuple:
     """det(xI - A) by the Faddeev-LeVerrier recursion, ascending integer
-    coefficients; independent of the library's interpolation route."""
+    coefficients; independent of the library's Berkowitz recursion."""
     a = [[Fraction(int(x)) for x in row] for row in matrix]
     n = len(a)
     coeffs_desc = [Fraction(1)]
@@ -118,6 +123,72 @@ def charpoly_oracle(matrix) -> tuple:
     asc = list(reversed(coeffs_desc))
     assert all(c.denominator == 1 for c in asc)
     return tuple(int(c) for c in asc)
+
+
+def poly_gcd_oracle(p, q) -> tuple:
+    """Primitive gcd by monic Euclid over Q (Fraction remainders)."""
+    a, b = intpoly.trim(p), intpoly.trim(q)
+    while b:
+        _, r = intpoly.poly_divmod(a, b)
+        a, b = b, intpoly.trim(r)
+    return intpoly.primitive(a)
+
+
+def sturm_chain_oracle(p) -> list:
+    """Sturm chain with Fraction remainders, each made primitive keeping the
+    sign of its leading coefficient."""
+    chain = [intpoly.primitive(p)]
+    p1 = intpoly.primitive(intpoly.poly_derivative(chain[0]))
+    if p1:
+        chain.append(p1)
+    while intpoly.degree(chain[-1]) > 0:
+        _, r = intpoly.poly_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(intpoly.primitive_signed(intpoly.poly_neg(r)))
+    return chain
+
+
+def refine_interval_oracle(p, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+    """Bisection of a sign-change interval below width, in Fraction."""
+    slo = intpoly.poly_eval(p, lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = intpoly.poly_eval(p, mid)
+        if v == 0:
+            return mid, mid
+        if (v > 0) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def admissible_squarefree_parts_oracle(p: int) -> list[int]:
+    """Every square-free x with p not dividing x and
+    phi(x)^2 (p-1)^2 <= x (p+1)^3, by a depth-first search over products of
+    primes that factors and takes the totient of every candidate."""
+    bound_sq = Fraction((p + 1) ** 3, (p - 1) ** 2)
+    primes = []
+    q = 2
+    while True:
+        if is_prime(q):
+            if Fraction((q - 1) ** 2, q) > 2 * bound_sq:
+                break
+            if q != p:
+                primes.append(q)
+        q += 1
+    out: list[int] = []
+
+    def dfs(i: int, x: int) -> None:
+        out.append(x)
+        for j in range(i, len(primes)):
+            child = x * primes[j]
+            if Fraction(totient(child) ** 2, child) <= bound_sq:
+                dfs(j + 1, child)
+
+    dfs(0, 1)
+    return sorted(set(out))
 
 
 def linear_scan_hits(p: int, m_max: int, xs) -> list[tuple[int, int]]:
@@ -374,6 +445,18 @@ def cubic_chain_ring() -> fr.FusionRing:
     t[2, 1, 1] = t[2, 1, 2] = 1
     t[2, 2, 0] = t[2, 2, 1] = t[2, 2, 2] = 1
     return fr.FusionRing(["1", "x", "y"], [0, 1, 2], t)
+
+
+def su2_ring(k: int) -> fr.FusionRing:
+    """SU(2)_k fusion rules on spins 0, 1/2, ..., k/2 (index a = 2 * spin):
+    N_ab^c = 1 iff |a-b| <= c <= min(a+b, 2k-a-b) and a+b+c is even."""
+    r = k + 1
+    tensor = [
+        [[int(abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0) for c in range(r)] for b in range(r)]
+        for a in range(r)
+    ]
+    labels = [str(a // 2) if a % 2 == 0 else f"{a}/2" for a in range(r)]
+    return fr.FusionRing(labels, list(range(r)), tensor)
 
 
 def s3_two_orbit_ring() -> fr.FusionRing:

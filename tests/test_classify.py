@@ -1,6 +1,7 @@
 import pytest
 
 import fusionring as fr
+from conftest import admissible_squarefree_parts_oracle
 from fusionring.classify import (
     DEFAULT_RESIDUE_FILTERS,
     STATUS_CANDIDATE,
@@ -10,6 +11,7 @@ from fusionring.classify import (
     coarse_cutoff,
     scan_prime_levels,
 )
+from fusionring.numtheory import is_prime
 
 
 def test_elementary2_classification_sets():
@@ -91,6 +93,13 @@ def test_elementary2_matches_ring_level_verdicts():
             assert not ring_eliminated, level
         else:
             assert (entry.status == STATUS_ELIMINATED) == ring_eliminated or entry.tag, level
+
+
+def test_admissible_set_matches_totient_oracle():
+    # every odd prime up to 103 against the definition that factors each candidate
+    for p in range(3, 104, 2):
+        if is_prime(p):
+            assert admissible_squarefree_parts(p) == admissible_squarefree_parts_oracle(p), p
 
 
 def test_admissible_set_for_seven():

@@ -10,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from conftest import characters_commutative, charpoly_oracle, cubic_chain_ring, numeric_eigs, s3_two_orbit_ring
-from fusionring import Quadratic, alg_cmp
-from fusionring.algebraic import IsolatedRoot
+from conftest import (
+    characters_commutative,
+    charpoly_oracle,
+    cubic_chain_ring,
+    numeric_eigs,
+    s3_two_orbit_ring,
+    su2_ring,
+)
+from fusionring import Quadratic, alg_cmp, intpoly
+from fusionring.algebraic import IsolatedRoot, largest_real_root
+from fusionring.ringfile import alg_to_dict, dumps_report
 from fusionring.errors import HypothesisError
-from fusionring.ring import global_multiplication_matrix
+from fusionring.ring import fpdim_all, global_multiplication_matrix
 
 
 def test_cubic_ring_is_valid():
@@ -39,6 +47,25 @@ def test_cubic_fpdim_respects_requested_width():
     d = fr.fpdim_basis(ring, 1, width=width)
     lo, hi = d.interval(width)
     assert hi - lo <= width
+
+
+def test_narrow_fpdim_reuses_cache_without_narrowing_it():
+    # a 2^-256 call refines a copy of the cached Perron root: its interval is
+    # the one a direct computation at that width gives, and the cached value
+    # (and so the `fpdim --json` bytes) is what fpdim_all alone gives
+    width = Fraction(1, 2**256)
+    for ring_of in (cubic_chain_ring, lambda: su2_ring(9)):
+        alone, narrow_first = ring_of(), ring_of()
+        for i in range(narrow_first.rank):
+            d = fr.fpdim_basis(narrow_first, i, width=width)
+            direct = largest_real_root(intpoly.charpoly(narrow_first.fusion_matrix(i).tolist()), width)
+            assert alg_to_dict(d) == alg_to_dict(direct), i
+        fr.fpdim_total(narrow_first, width=width)
+        docs = [
+            dumps_report({"dims": [alg_to_dict(d) for d in fpdim_all(r)], "total": alg_to_dict(fr.fpdim_total(r))})
+            for r in (alone, narrow_first)
+        ]
+        assert docs[0] == docs[1]
 
 
 def test_cubic_total_and_codegrees_against_oracle():

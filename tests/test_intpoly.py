@@ -1,10 +1,20 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import charpoly_oracle
+from conftest import (
+    charpoly_oracle,
+    poly_gcd_oracle,
+    refine_interval_oracle,
+    sturm_chain_oracle,
+    su2_ring,
+)
 from fusionring import intpoly
+from fusionring.ring import global_multiplication_matrix
 
 
 def test_poly_basics():
@@ -76,13 +86,13 @@ def test_refine_interval():
     assert lo < Fraction(1414213562, 10**9) < hi
 
 
-def test_bareiss_det_matches_numpy():
+def test_charpoly_constant_term_is_det():
     rng = random.Random(11)
     for n in (1, 2, 3, 5, 7):
         for _ in range(10):
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             want = round(float(np.linalg.det(np.array(m, dtype=float))))
-            assert intpoly.bareiss_det(m) == want
+            assert (-1) ** n * intpoly.charpoly(m)[0] == want
 
 
 def test_charpoly_matches_oracle():
@@ -91,6 +101,63 @@ def test_charpoly_matches_oracle():
         for _ in range(6):
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert intpoly.charpoly(m) == charpoly_oracle(m)
+
+
+def test_charpoly_matches_oracle_random_up_to_12():
+    rng = random.Random(7)
+    for n in range(1, 13):
+        for _ in range(3):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            assert intpoly.charpoly(m) == charpoly_oracle(m), n
+
+
+def test_charpoly_matches_oracle_su2_fusion_matrices():
+    for k in range(1, 11):
+        ring = su2_ring(k)
+        mats = [ring.fusion_matrix(i).tolist() for i in range(ring.rank)]
+        mats.append(global_multiplication_matrix(ring).tolist())
+        for m in mats:
+            assert intpoly.charpoly(m) == charpoly_oracle(m), k
+
+
+# products of small integer factors: repeated, non-monic and negative-leading
+# factors make common roots, multiple roots and sign flips
+_factor = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+_product = st.lists(_factor, min_size=1, max_size=4).map(
+    lambda fs: reduce(intpoly.poly_mul, map(tuple, fs), (1,))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product, _product, _product)
+def test_poly_gcd_matches_fraction_euclid(f, g, h):
+    p, q = intpoly.poly_mul(f, h), intpoly.poly_mul(g, h)
+    assert intpoly.poly_gcd(p, q) == poly_gcd_oracle(p, q)
+    assert intpoly.poly_gcd(p, intpoly.poly_derivative(p)) == poly_gcd_oracle(p, intpoly.poly_derivative(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product)
+def test_sturm_chain_matches_fraction_euclid(f):
+    p = intpoly.squarefree_part(f)
+    assert intpoly.sturm_chain(p) == sturm_chain_oracle(p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_product, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+def test_sign_at_matches_fraction_eval(p, a, b):
+    v = intpoly.poly_eval(p, Fraction(a, b))
+    assert intpoly.sign_at(p, a, b) == (v > 0) - (v < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product, st.integers(1, 30))
+def test_refine_interval_matches_fraction_bisection(f, bits):
+    p = intpoly.squarefree_part(f)
+    _, intervals = intpoly.isolate_real_roots(p)
+    width = Fraction(1, 2**bits)
+    for lo, hi in intervals:  # endpoints are non-dyadic when p is not monic
+        assert intpoly.refine_interval(p, lo, hi, width) == refine_interval_oracle(p, lo, hi, width)
 
 
 def test_charpoly_identity():
