@@ -323,52 +323,30 @@ def ensure_algebraic(x) -> AlgebraicReal:
     raise TypeError(f"not an exact real: {x!r}")
 
 
-def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool | None:
-    """Exact equality decision; None means 'not equal by structure, compare
-    numerically' is not yet settled and refinement is required.  At least
-    one of x, y is an IsolatedRoot; alg_cmp decides two Quadratics itself."""
-    if isinstance(x, Quadratic) and isinstance(y, IsolatedRoot):
+def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool:
+    """Exact equality when at least one of x, y is an IsolatedRoot (alg_cmp
+    decides two Quadratics itself).
+
+    An IsolatedRoot is irrational and the only root of its polynomial in its
+    open interval, and neither endpoint is a root.  So a rational never
+    equals it; an irrational Quadratic does iff it lies in the interval and
+    its minimal polynomial divides the polynomial; and another IsolatedRoot
+    does iff the gcd of the two polynomials has a root in the intersection
+    of the intervals.  Each end of the intersection is an endpoint of one of
+    them, so no root of the gcd, and the Sturm count there is exact."""
+    if isinstance(x, Quadratic):
         x, y = y, x
-    if isinstance(x, IsolatedRoot) and isinstance(y, Quadratic):
-        # y is a root of x.poly and lies in x's interval <=> equal
-        val = _eval_int_poly_at_quadratic(x.poly, y)
-        if val.sign() != 0:
-            return False
-        lo, hi = x.interval(Fraction(1, 16))
-        ylo, yhi = y.interval(Fraction(1, 16))
-        if yhi < lo or ylo > hi:
-            return False
-        # y is a root of x.poly near x's interval; settle by containment
-        return _quadratic_in_interval(y, x)
-    if isinstance(x, IsolatedRoot) and isinstance(y, IsolatedRoot):
-        g = intpoly.poly_gcd(x.poly, y.poly)
-        if intpoly.degree(g) < 1:
-            return False
-        xlo, xhi = x.interval(Fraction(1, 16))
-        ylo, yhi = y.interval(Fraction(1, 16))
-        lo, hi = max(xlo, ylo), min(xhi, yhi)
-        if lo >= hi:
-            # shrink both until separated or overlapping stabilizes
-            return None
-        chain = intpoly.sturm_chain(g)
-        while intpoly.poly_eval(g, lo) == 0 or intpoly.poly_eval(g, hi) == 0:
-            # perturb endpoints off roots of the gcd
-            span = hi - lo
-            lo -= span / 7
-            hi += span / 7
-        return intpoly.count_real_roots(chain, lo, hi) >= 1
-    return None
-
-
-def _quadratic_in_interval(q: Quadratic, r: IsolatedRoot) -> bool:
-    lo, hi = r._lo, r._hi
-    while True:
-        qlo, qhi = q.interval((hi - lo) / 8)
-        if qlo > lo and qhi < hi:
-            return True
-        if qhi < lo or qlo > hi:
-            return False
-        lo, hi = r.interval((hi - lo) / 8)
+    if isinstance(y, Quadratic):
+        return (
+            not y.is_rational
+            and _quad_in_open_interval(y, x._lo, x._hi)
+            and not intpoly._prem(x.poly, y.min_poly())
+        )
+    lo, hi = max(x._lo, y._lo), min(x._hi, y._hi)
+    if lo >= hi:
+        return False
+    g = intpoly.poly_gcd(x.poly, y.poly)
+    return intpoly.degree(g) >= 1 and intpoly.count_real_roots(intpoly.sturm_chain(g), lo, hi) >= 1
 
 
 def alg_cmp(x, y) -> int:
@@ -380,8 +358,7 @@ def alg_cmp(x, y) -> int:
             d = x - y
             return quad_sign(d.a, d.b, d.D)
         return _cmp_across_fields(x, y)
-    eq = _structural_eq(x, y)
-    if eq is True:
+    if _structural_eq(x, y):
         return 0
     width = Fraction(1, 16)
     while True:
@@ -391,11 +368,7 @@ def alg_cmp(x, y) -> int:
             return -1
         if yhi < xlo:
             return 1
-        if eq is None:
-            eq = _structural_eq(x, y)
-            if eq is True:
-                return 0
-        # not equal (or not settled yet): refinement separates them
+        # not equal: refinement separates them
         width /= 256
 
 
@@ -409,13 +382,6 @@ def _cmp_across_fields(x: Quadratic, y: Quadratic) -> int:
     if s_sign != t_sign:
         return 1 if s_sign > t_sign else -1
     return s_sign * (s * s - y.b * y.b * y.D).sign()
-
-
-def _eval_int_poly_at_quadratic(p: Poly, q: Quadratic) -> Quadratic:
-    acc = Quadratic(0, 0, q.D)
-    for c in reversed(p):
-        acc = acc * q + Quadratic(c)
-    return acc
 
 
 def algebraic_root(

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .cyclotomic import Cyc
 from .errors import MalformedRingError
 from .groups import FiniteGroup, abelian_group, is_automorphism
@@ -51,6 +49,11 @@ def as_group(spec) -> FiniteGroup:
     return abelian_group(tuple(spec))
 
 
+def _zeros(n: int) -> list:
+    """An n x n x n structure-constant tensor of zeros, as nested lists."""
+    return [[[0] * n for _ in range(n)] for _ in range(n)]
+
+
 def group_ring(spec) -> FusionRing:
     """Integral group ring of a finite group (pointed fusion ring).
 
@@ -62,10 +65,10 @@ def group_ring(spec) -> FusionRing:
     else:
         g = as_group(spec)
     n = g.order
-    tensor = np.zeros((n, n, n), dtype=np.int64)
+    tensor = _zeros(n)
     for i in range(n):
         for j in range(n):
-            tensor[i, j, g.mult(i, j)] = 1
+            tensor[i][j][g.mult(i, j)] = 1
     ring = FusionRing(g.names, g.inverse, tensor)
     ring.require_verified()
     return ring
@@ -79,14 +82,14 @@ def near_group(spec, level: int) -> FusionRing:
     g = as_group(spec)
     n = g.order
     rho = n
-    tensor = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    tensor = _zeros(n + 1)
     for i in range(n):
         for j in range(n):
-            tensor[i, j, g.mult(i, j)] = 1
-        tensor[i, rho, rho] = 1
-        tensor[rho, i, rho] = 1
-        tensor[rho, rho, i] = 1
-    tensor[rho, rho, rho] = level
+            tensor[i][j][g.mult(i, j)] = 1
+        tensor[i][rho][rho] = 1
+        tensor[rho][i][rho] = 1
+        tensor[rho][rho][i] = 1
+    tensor[rho][rho][rho] = level
     labels = list(g.names) + ["rho"]
     dual = list(g.inverse) + [rho]
     ring = FusionRing(labels, dual, tensor)
@@ -103,15 +106,15 @@ def haagerup_izumi(spec) -> FusionRing:
         raise ValueError("Haagerup-Izumi rings need an abelian group")
     n = g.order
     rank = 2 * n
-    t = np.zeros((rank, rank, rank), dtype=np.int64)
+    t = _zeros(rank)
     for a in range(n):
         for b in range(n):
-            t[a, b, g.mult(a, b)] = 1  # g * h
-            t[a, n + b, n + g.mult(a, b)] = 1  # g * (h x)
-            t[n + b, a, n + g.mult(b, g.inv(a))] = 1  # (h x) * g = (h g^-1) x
-            t[n + a, n + b, g.mult(a, g.inv(b))] = 1  # invertible part of (gx)(hx)
+            t[a][b][g.mult(a, b)] = 1  # g * h
+            t[a][n + b][n + g.mult(a, b)] = 1  # g * (h x)
+            t[n + b][a][n + g.mult(b, g.inv(a))] = 1  # (h x) * g = (h g^-1) x
+            t[n + a][n + b][g.mult(a, g.inv(b))] = 1  # invertible part of (gx)(hx)
             for c in range(n):
-                t[n + a, n + b, n + c] += 1
+                t[n + a][n + b][n + c] += 1
     labels = list(g.names) + [f"x({name})" for name in g.names]
     dual = list(g.inverse) + [n + a for a in range(n)]
     ring = FusionRing(labels, dual, t)
@@ -160,23 +163,23 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     n = g.order
     m = len(reps)
     rank = n + m
-    t = np.zeros((rank, rank, rank), dtype=np.int64)
+    t = _zeros(rank)
     for a in range(n):
         for b in range(n):
-            t[a, b, g.mult(a, b)] = 1
+            t[a][b][g.mult(a, b)] = 1
     for a in range(n):
         for i in range(m):
-            t[a, n + i, n + coset_of[g.mult(a, reps[i])]] = 1  # g . (rep x)
+            t[a][n + i][n + coset_of[g.mult(a, reps[i])]] = 1  # g . (rep x)
             # (rep x) . g  =  rep * theta-lift(g) * x
-            t[n + i, a, n + coset_of[g.mult(reps[i], reps[phi[proj[a]]])]] = 1
+            t[n + i][a][n + coset_of[g.mult(reps[i], reps[phi[proj[a]]])]] = 1
     for i in range(m):
         for j in range(m):
             base = g.mult(reps[i], reps[phi[j]])  # rep_i * theta(rep_j), up to H
             for h in sub:
-                t[n + i, n + j, g.mult(base, h)] += 1
+                t[n + i][n + j][g.mult(base, h)] += 1
             if kappa:
                 for c in range(m):
-                    t[n + i, n + j, n + c] += kappa
+                    t[n + i][n + j][n + c] += kappa
 
     labels = list(g.names) + [f"x({g.names[r]})" for r in reps]
     dual = list(g.inverse)
@@ -259,7 +262,7 @@ def character_ring(table: CharacterTable) -> FusionRing:
     table.validate()
     k = len(table.class_sizes)
     n = table.group_order
-    tensor = np.zeros((k, k, k), dtype=np.int64)
+    tensor = _zeros(k)
     conj_rows = [tuple(v.conjugate() for v in row) for row in table.values]
     dual = []
     for i in range(k):
@@ -280,7 +283,7 @@ def character_ring(table: CharacterTable) -> FusionRing:
                 mult = ip.as_fraction() / n
                 if mult.denominator != 1 or mult < 0:
                     raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{l})")
-                tensor[i, j, l] = int(mult)
+                tensor[i][j][l] = int(mult)
     labels = [f"chi{i}" for i in range(k)]
     ring = FusionRing(labels, dual, tensor)
     ring.require_verified()

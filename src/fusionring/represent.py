@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-import numpy as np
-
 from . import intpoly
 from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
 from .cyclotomic import Cyc, CycSqrt
@@ -61,7 +59,7 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     if "codegrees" in ring._cache:
         return ring._cache["codegrees"]
     m = global_multiplication_matrix(ring)
-    cp = intpoly.charpoly(m.tolist())
+    cp = intpoly.charpoly(m)
     commutative = is_commutative(ring)
     order = invertibles(ring).order
     entries: list[Codegree] = []
@@ -77,7 +75,7 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
             entries.append(Codegree(root, mult, 1 if commutative else None))
     if counted != ring.rank:
         raise InternalInvariantError("eigenvalue count does not match rank")
-    if root_sum != int(np.trace(m)):
+    if root_sum != sum(m[i][i] for i in range(ring.rank)):
         raise InternalInvariantError("eigenvalue sum does not match trace of M")
     for e in entries:
         if alg_cmp(e.value, order) < 0:
@@ -272,7 +270,7 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     # coset tag of each noninvertible: y = g*x0 for g in a unique coset
     noninv_coset = {}
     for y in noninv:
-        gs = [gi for gi in inv.indices if ring.tensor[gi, x0, y] == 1]
+        gs = [gi for gi in inv.indices if ring.rows[gi][x0][y] == 1]
         if not gs:
             raise InternalInvariantError("orbit labelling failed")
         noninv_coset[y] = coset_pos[gs[0]]
@@ -345,13 +343,11 @@ def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
     failures = []
     zero = model.matrices[0][0][0] * 0
     zero_mat = tuple(tuple(zero for _ in range(model.dim)) for _ in range(model.dim))
-    t = ring.tensor
     for i in range(ring.rank):
         for j in range(ring.rank):
             lhs = _mat_mul(model.matrices[i], model.matrices[j], zero)
             rhs = zero_mat
-            for k in range(ring.rank):
-                c = int(t[i, j, k])
+            for k, c in enumerate(ring.rows[i][j]):
                 if c:
                     rhs = _mat_add(rhs, _mat_scale(model.matrices[k], c))
             if lhs != rhs:

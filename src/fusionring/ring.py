@@ -6,6 +6,12 @@ c[i,j,0] = delta(j, dual(i)) hold.  This module verifies those axioms,
 computes Frobenius-Perron data exactly, and extracts the invertible-group /
 orbit structure that the obstruction layer consumes.
 
+A ring stores its structure constants once, as `rows`: nested tuples of
+Python ints with rows[i][j][k] = c[i,j,k], so rows[i] is the fusion matrix
+N_i and rows[i][j] the coefficient vector of the product of i and j.  Every
+computation here reads `rows` with plain loops and exact integers; entries
+are limited to |c| < 2^63.
+
 All objects are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.  Caches only memoize pure
 results.
@@ -13,11 +19,12 @@ results.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice, product
 from typing import Sequence
-
-import numpy as np
 
 from . import intpoly
 from .algebraic import (
@@ -51,8 +58,11 @@ class Violation:
         return f"{msg}: {self.detail}" if self.detail else msg
 
 
+ENTRY_LIMIT = 2**63  # |c| < 2^63 for every structure constant: the int64 range
+
+
 class FusionRing:
-    """Basis labels, duality involution, and structure-constant tensor."""
+    """Basis labels, duality involution, and structure constants `rows`."""
 
     def __init__(self, labels: Sequence[str], dual: Sequence[int], tensor):
         labels = tuple(str(x) for x in labels)
@@ -65,46 +75,30 @@ class FusionRing:
             raise MalformedRingError(f"dual must be a list of integers: {exc}")
         if len(dual) != rank:
             raise MalformedRingError("dual length must equal rank")
-        arr = np.asarray(tensor)
-        if arr.shape != (rank, rank, rank):
-            raise MalformedRingError(f"tensor shape {arr.shape} != {(rank, rank, rank)}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            if np.issubdtype(arr.dtype, np.floating) or arr.dtype == object:
-                asint = arr.astype(np.int64)
-                if not np.array_equal(asint, arr):
-                    raise MalformedRingError("tensor entries must be integers")
-                arr = asint
-            else:
-                raise MalformedRingError(f"tensor dtype {arr.dtype} is not integral")
-        arr = arr.astype(np.int64).copy()
-        arr.setflags(write=False)
+        self.rows = _as_rows(tensor, rank)
         self.labels = labels
         self.rank = rank
         self.dual = dual
-        self._tensor = arr
         self._cache: dict = {}
 
     @property
-    def tensor(self) -> np.ndarray:
-        return self._tensor
+    def tensor(self):
+        """A view for numpy-style callers: a read-only int64 array equal to
+        `rows`, built on each access.  The library reads `rows`."""
+        import numpy as np
 
-    def c(self, i: int, j: int, k: int) -> int:
-        return int(self._tensor[i, j, k])
+        arr = np.array(self.rows, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
+    def fusion_matrix(self, i: int) -> tuple:
         """N_i = [c(i, j, k)]_{j,k}, the matrix of left multiplication by i."""
         if not 0 <= i < self.rank:
             raise IndexError(f"basis index {i} out of range")
-        m = self._tensor[i].copy()
-        m.setflags(write=False)
-        return m
+        return self.rows[i]
 
     def same_fusion_rules(self, other: "FusionRing") -> bool:
-        return (
-            self.rank == other.rank
-            and self.dual == other.dual
-            and np.array_equal(self._tensor, other._tensor)
-        )
+        return self.rank == other.rank and self.dual == other.dual and self.rows == other.rows
 
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
@@ -121,25 +115,60 @@ class FusionRing:
             raise NotAFusionRingError(v)
 
 
+def _as_rows(tensor, rank: int) -> tuple:
+    """tensor (nested sequences or a numpy array) as rows of ints, checked for
+    shape (rank, rank, rank), integral entries and |c| < ENTRY_LIMIT."""
+    if hasattr(tensor, "tolist"):  # numpy array
+        tensor = tensor.tolist()
+
+    def part(seq, at: str):
+        if not isinstance(seq, (list, tuple)) or len(seq) != rank:
+            raise MalformedRingError(f"tensor shape is not {(rank,) * 3}: tensor{at} is not a list of {rank}")
+        return seq
+
+    def row_of(i: int, j: int, row) -> tuple:
+        row = part(row, f"[{i}][{j}]")
+        if all(type(c) is int for c in row) and -ENTRY_LIMIT < min(row) and max(row) < ENTRY_LIMIT:
+            return tuple(row)
+        return tuple(_entry(c, (i, j, k)) for k, c in enumerate(row))
+
+    return tuple(
+        tuple(row_of(i, j, row) for j, row in enumerate(part(mat, f"[{i}]")))
+        for i, mat in enumerate(part(tensor, ""))
+    )
+
+
+def _entry(c, at: tuple) -> int:
+    """c as an int when it is integral (integral floats included, bool not)
+    and below ENTRY_LIMIT in size."""
+    try:
+        v = int(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else None
+    except (OverflowError, ValueError):  # inf, nan
+        v = None
+    if v is None or v != c:
+        raise MalformedRingError(f"tensor entry {c!r} at {at} is not an integer")
+    if abs(v) >= ENTRY_LIMIT:
+        raise MalformedRingError(f"tensor entry at {at} is outside the limit |c| < 2^63")
+    return v
+
+
 def verify_axioms(ring: FusionRing) -> list[Violation]:
-    """Every violated fusion-ring axiom, with witnesses; empty iff valid."""
-    t = ring.tensor
+    """Every violated fusion-ring axiom, with witnesses; empty iff valid.
+    Witnesses come in index order, at most 20 per axiom."""
+    t = ring.rows
     n = ring.rank
+    d = ring.dual
+    square = partial(product, range(n), repeat=2)
+    cube = partial(product, range(n), repeat=3)
     out: list[Violation] = []
 
-    neg = np.argwhere(t < 0)
-    for i, j, k in neg[:20]:
-        out.append(Violation("nonnegativity", (int(i), int(j), int(k)), f"c={int(t[i, j, k])}"))
+    def report(axiom: str, witnesses) -> None:
+        out.extend(Violation(axiom, idx, detail) for idx, detail in islice(witnesses, 20))
 
-    eye = np.eye(n, dtype=np.int64)
-    bad = np.argwhere(t[0] != eye)
-    for j, k in bad[:20]:
-        out.append(Violation("unit-left", (0, int(j), int(k)), f"c={int(t[0, j, k])}"))
-    bad = np.argwhere(t[:, 0, :] != eye)
-    for i, k in bad[:20]:
-        out.append(Violation("unit-right", (int(i), 0, int(k)), f"c={int(t[i, 0, k])}"))
+    report("nonnegativity", (((i, j, k), f"c={t[i][j][k]}") for i, j, k in cube() if t[i][j][k] < 0))
+    report("unit-left", (((0, j, k), f"c={t[0][j][k]}") for j, k in square() if t[0][j][k] != (j == k)))
+    report("unit-right", (((i, 0, k), f"c={t[i][0][k]}") for i, k in square() if t[i][0][k] != (i == k)))
 
-    d = ring.dual
     if sorted(d) != list(range(n)):
         out.append(Violation("dual-permutation", tuple(d), "not a permutation"))
         return out  # the remaining checks need a valid involution
@@ -150,44 +179,48 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
         out.append(Violation("dual-fixes-unit", (0,), f"dual(0)={d[0]}"))
 
     # pairing c[i,j,0] = 1 iff j = dual(i)
-    expected = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        expected[i, d[i]] = 1
-    bad = np.argwhere(t[:, :, 0] != expected)
-    for i, j in bad[:20]:
-        out.append(
-            Violation("duality-pairing", (int(i), int(j), 0), f"c={int(t[i, j, 0])}")
-        )
-
+    report("duality-pairing", (((i, j, 0), f"c={t[i][j][0]}") for i, j in square() if t[i][j][0] != (j == d[i])))
     # anti-involution c[i,j,k] = c[dual(j),dual(i),dual(k)]
-    dd = np.asarray(d)
-    star = t[np.ix_(dd, dd, dd)].transpose(1, 0, 2)
-    bad = np.argwhere(t != star)
-    for i, j, k in bad[:20]:
-        out.append(
-            Violation(
-                "anti-involution",
-                (int(i), int(j), int(k)),
-                f"c={int(t[i, j, k])} vs dual {int(star[i, j, k])}",
-            )
-        )
-
-    # guard against int64 overflow on adversarial inputs: fall back to exact
-    # Python integers when products could exceed the dtype
-    if int(t.max(initial=0)) ** 2 * n >= 2**62:
-        t = t.astype(object)
-    left = np.einsum("ijm,mkl->ijkl", t, t)
-    right = np.einsum("jkm,iml->ijkl", t, t)
-    bad = np.argwhere(left != right)
-    for i, j, k, l in bad[:20]:
-        out.append(
-            Violation(
-                "associativity",
-                (int(i), int(j), int(k), int(l)),
-                f"{int(left[i, j, k, l])} != {int(right[i, j, k, l])}",
-            )
-        )
+    report(
+        "anti-involution",
+        (
+            ((i, j, k), f"c={t[i][j][k]} vs dual {t[d[j]][d[i]][d[k]]}")
+            for i, j, k in cube()
+            if t[i][j][k] != t[d[j]][d[i]][d[k]]
+        ),
+    )
+    report("associativity", _associativity_witnesses(t))
     return out
+
+
+def _associativity_witnesses(t: tuple):
+    """((i, j, k, l), detail) wherever (b_i b_j) b_k and b_i (b_j b_k) differ
+    at b_l, in index order.
+
+    With digits of B bits, pack each row as P[i][m] = sum_l c[i,m,l] 2^(B l)
+    and each N_m as W[m] = sum_{k,l} c[m,k,l] 2^(B (rank k + l)).  Digit
+    (k, l) of sum_m c[i,j,m] W[m] is the coefficient of b_l in (b_i b_j) b_k,
+    and of sum_{k,m} c[j,k,m] P[i][m] 2^(B rank k) the one in b_i (b_j b_k).
+    Both are at most rank * cmax^2 in size, so with B = bit_length(2 rank
+    cmax^2 + 1) the digits of the difference lie below 2^B in size: the two
+    integers are equal exactly when every coefficient is.  Only a failing
+    (i, j) is expanded coefficient by coefficient."""
+    n = len(t)
+    cmax = max(abs(c) for mat in t for row in mat for c in row)
+    bits = (2 * n * cmax * cmax + 1).bit_length()
+    packed = [[sum(c << (bits * l) for l, c in enumerate(row) if c) for row in mat] for mat in t]
+    wide = [sum(p << (bits * n * k) for k, p in enumerate(rows)) for rows in packed]
+    nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in mat] for mat in t]
+    terms = [[(bits * n * k, m, c) for k, jk in enumerate(mat) for m, c in jk] for mat in nonzero]
+    for i, j in product(range(n), repeat=2):
+        ij = nonzero[i][j]
+        if sum(c * wide[m] for m, c in ij) == sum(c * packed[i][m] << s for s, m, c in terms[j]):
+            continue
+        for k, l in product(range(n), repeat=2):
+            left = sum(c * t[m][k][l] for m, c in ij)
+            right = sum(c * t[i][m][l] for m, c in nonzero[j][k])
+            if left != right:
+                yield (i, j, k, l), f"{left} != {right}"
 
 
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
@@ -200,7 +233,7 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     def compute(w: Fraction) -> AlgebraicReal:
         if is_invertible(ring, i):
             return Quadratic(1)
-        result = largest_real_root(intpoly.charpoly(ring.fusion_matrix(i).tolist()), w)
+        result = largest_real_root(intpoly.charpoly(ring.rows[i]), w)
         if alg_cmp(result, 1) < 0:
             raise InternalInvariantError("FP dimension below 1")
         return result
@@ -218,7 +251,7 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     ring.require_verified()
 
     def compute(w: Fraction) -> AlgebraicReal:
-        return largest_real_root(intpoly.charpoly(global_multiplication_matrix(ring).tolist()), w)
+        return largest_real_root(intpoly.charpoly(global_multiplication_matrix(ring)), w)
 
     return _cached_root(ring, "fpdim_total", compute, width)
 
@@ -242,23 +275,25 @@ def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicRe
     return fresh
 
 
-def global_multiplication_matrix(ring: FusionRing) -> np.ndarray:
-    """Matrix of multiplication by sum_x x x* (symmetric, PSD)."""
-    t = ring.tensor
-    if int(t.max(initial=0)) ** 2 * ring.rank >= 2**62:
-        t = t.astype(object)  # exact Python integers, no overflow
-        m = np.zeros((ring.rank, ring.rank), dtype=object)
-    else:
-        m = np.zeros((ring.rank, ring.rank), dtype=np.int64)
-    for i in range(ring.rank):
-        m += t[i] @ t[i].T
+def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
+    """Matrix of multiplication by sum_x x x* (symmetric, PSD):
+    M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l], summed over the nonzeros of each
+    column l of each N_x."""
+    n = ring.rank
+    m = [[0] * n for _ in range(n)]
+    for mat in ring.rows:
+        for l in range(n):
+            col = [(j, row[l]) for j, row in enumerate(mat) if row[l]]
+            for j, a in col:
+                for k, b in col:
+                    m[j][k] += a * b
     return m
 
 
 def is_invertible(ring: FusionRing, i: int) -> bool:
     """x invertible iff x x* = 1 on the nose."""
-    row = ring.tensor[i, ring.dual[i]]
-    return bool(row[0] == 1 and not row[1:].any())
+    row = ring.rows[i][ring.dual[i]]
+    return row[0] == 1 and not any(row[1:])
 
 
 @dataclass(frozen=True)
@@ -279,17 +314,16 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
         return ring._cache["invertibles"]
     idx = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
     pos = {g: p for p, g in enumerate(idx)}
-    t = ring.tensor
     table = []
     for g in idx:
         row = []
         for h in idx:
-            prods = np.flatnonzero(t[g, h])
-            if len(prods) != 1 or int(prods[0]) not in pos:
+            prods = [k for k, c in enumerate(ring.rows[g][h]) if c]
+            if len(prods) != 1 or prods[0] not in pos:
                 raise NotAFusionRingError(
                     [Violation("invertible-closure", (g, h), "product not invertible")]
                 )
-            row.append(pos[int(prods[0])])
+            row.append(pos[prods[0]])
         table.append(row)
     for g in idx:
         if ring.dual[g] not in pos:
@@ -316,16 +350,16 @@ class OrbitStructure:
 
 def _action_permutation(ring: FusionRing, g: int, side: str) -> list[int]:
     """Permutation of the basis given by left (g.x) or right (x.g) product."""
-    t = ring.tensor
+    t = ring.rows
     perm = []
     for x in range(ring.rank):
-        row = t[g, x] if side == "left" else t[x, g]
-        nz = np.flatnonzero(row)
+        row = t[g][x] if side == "left" else t[x][g]
+        nz = [k for k, c in enumerate(row) if c]
         if len(nz) != 1 or row[nz[0]] != 1:
             raise NotAFusionRingError(
                 [Violation("invertible-action", (g, x), "product by invertible not a basis element")]
             )
-        perm.append(int(nz[0]))
+        perm.append(nz[0])
     return perm
 
 
@@ -391,9 +425,9 @@ def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
             result = None
         else:
             x = noninv[0]
-            row = ring.tensor[x, ring.dual[x]]
-            s = int(sum(row[g] for g in range(ring.rank) if is_invertible(ring, g)))
-            r = int(sum(row[y] for y in noninv))
+            row = ring.rows[x][ring.dual[x]]
+            s = sum(row[g] for g in range(ring.rank) if is_invertible(ring, g))
+            r = sum(row[y] for y in noninv)
             # d solves d^2 = r d + s, so it is quadratic and the Perron
             # promotion must have produced an exact Quadratic
             if not isinstance(d0, Quadratic):
@@ -427,7 +461,7 @@ class TwoOrbitData:
 
 def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[int, ...]:
     """theta_x on coset positions: g' x = x g defines theta_x(coset g) = coset g'."""
-    t = ring.tensor
+    t = ring.rows
     coset_of = {}
     for pos, coset in enumerate(cosets):
         for g in coset:
@@ -435,14 +469,13 @@ def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[
     theta = [None] * len(cosets)
     for pos, coset in enumerate(cosets):
         g = coset[0]
-        xg_row = t[x, g]
-        nz = np.flatnonzero(xg_row)
+        nz = [k for k, c in enumerate(t[x][g]) if c]
         if len(nz) != 1:
             raise InternalInvariantError("noninvertible times invertible is not a basis element")
-        xg = int(nz[0])
+        xg = nz[0]
         gprime = None
         for h in inv.indices:
-            if t[h, x, xg] == 1:
+            if t[h][x][xg] == 1:
                 gprime = h
                 break
         if gprime is None:
@@ -495,11 +528,11 @@ def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
         kappas = set()
         ok = True
         for x in noninv_orbit:
-            row = ring.tensor[x, ring.dual[x]]
+            row = ring.rows[x][ring.dual[x]]
             for g in inv.indices:
                 if row[g] != (1 if g in stab else 0):
                     ok = False
-            vals = {int(row[y]) for y in noninv_orbit}
+            vals = {row[y] for y in noninv_orbit}
             if len(vals) != 1:
                 ok = False
             else:
@@ -531,5 +564,6 @@ def noninvertible_indices(ring: FusionRing) -> list[int]:
 
 
 def is_commutative(ring: FusionRing) -> bool:
-    t = ring.tensor
-    return bool(np.array_equal(t, t.transpose(1, 0, 2)))
+    t = ring.rows
+    return all(t[i][j] == t[j][i] for i in range(ring.rank) for j in range(i))
+

@@ -32,7 +32,7 @@ def ring_to_dict(ring: FusionRing) -> dict:
         "rank": ring.rank,
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "tensor": ring.tensor.tolist(),
+        "tensor": [[list(row) for row in mat] for mat in ring.rows],
     }
 
 

@@ -9,8 +9,10 @@ pseudo-remainders and common denominators), numeric eigenvalues via numpy,
 prime-scan hits by testing every m (the library solves Pell equations),
 characters of commutative rings as certified numeric joint eigenvectors (the
 library builds exact matrix models), totients and square-free flags by
-sieving (the library factors), and admissible square-free parts by a
-totient per candidate (the library carries phi along its search).
+sieving (the library factors), admissible square-free parts by a
+totient per candidate (the library carries phi along its search), and the
+fusion-ring axioms on a numpy tensor with einsum associativity (the library
+compares packed integer rows).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from fusionring import intpoly
 from fusionring.errors import CertificationError, HypothesisError
 from fusionring.groups import FiniteGroup
 from fusionring.numtheory import is_prime, totient
+from fusionring.ring import Violation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -376,6 +379,77 @@ def brute_force_associator_violations(ring) -> list[tuple]:
         if left != right:
             bad.append((i, j, k))
     return bad
+
+
+def verify_axioms_oracle(ring) -> list[Violation]:
+    """The axiom check on a numpy int64 tensor, with argwhere witnesses and
+    einsum associativity over two rank^4 arrays (the library packs rows into
+    integers instead); same axioms, order, witnesses and details."""
+    t = ring.tensor
+    n = ring.rank
+    out: list[Violation] = []
+
+    neg = np.argwhere(t < 0)
+    for i, j, k in neg[:20]:
+        out.append(Violation("nonnegativity", (int(i), int(j), int(k)), f"c={int(t[i, j, k])}"))
+
+    eye = np.eye(n, dtype=np.int64)
+    bad = np.argwhere(t[0] != eye)
+    for j, k in bad[:20]:
+        out.append(Violation("unit-left", (0, int(j), int(k)), f"c={int(t[0, j, k])}"))
+    bad = np.argwhere(t[:, 0, :] != eye)
+    for i, k in bad[:20]:
+        out.append(Violation("unit-right", (int(i), 0, int(k)), f"c={int(t[i, 0, k])}"))
+
+    d = ring.dual
+    if sorted(d) != list(range(n)):
+        out.append(Violation("dual-permutation", tuple(d), "not a permutation"))
+        return out  # the remaining checks need a valid involution
+    for i in range(n):
+        if d[d[i]] != i:
+            out.append(Violation("dual-involution", (i,), f"dual(dual({i}))={d[d[i]]}"))
+    if d[0] != 0:
+        out.append(Violation("dual-fixes-unit", (0,), f"dual(0)={d[0]}"))
+
+    # pairing c[i,j,0] = 1 iff j = dual(i)
+    expected = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        expected[i, d[i]] = 1
+    bad = np.argwhere(t[:, :, 0] != expected)
+    for i, j in bad[:20]:
+        out.append(
+            Violation("duality-pairing", (int(i), int(j), 0), f"c={int(t[i, j, 0])}")
+        )
+
+    # anti-involution c[i,j,k] = c[dual(j),dual(i),dual(k)]
+    dd = np.asarray(d)
+    star = t[np.ix_(dd, dd, dd)].transpose(1, 0, 2)
+    bad = np.argwhere(t != star)
+    for i, j, k in bad[:20]:
+        out.append(
+            Violation(
+                "anti-involution",
+                (int(i), int(j), int(k)),
+                f"c={int(t[i, j, k])} vs dual {int(star[i, j, k])}",
+            )
+        )
+
+    # guard against int64 overflow on adversarial inputs: fall back to exact
+    # Python integers when products could exceed the dtype
+    if int(np.abs(t).max(initial=0)) ** 2 * n >= 2**62:
+        t = t.astype(object)
+    left = np.einsum("ijm,mkl->ijkl", t, t)
+    right = np.einsum("jkm,iml->ijkl", t, t)
+    bad = np.argwhere(left != right)
+    for i, j, k, l in bad[:20]:
+        out.append(
+            Violation(
+                "associativity",
+                (int(i), int(j), int(k), int(l)),
+                f"{int(left[i, j, k, l])} != {int(right[i, j, k, l])}",
+            )
+        )
+    return out
 
 
 # -- corpora ---------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_6_codegree_oracle_equivalence(small_corpus):
     for name, ring in small_corpus.items():
         assert ring.rank <= 8, name
         m = global_multiplication_matrix(ring)
-        oracle = charpoly_oracle(m.tolist())
+        oracle = charpoly_oracle(m)
         spectrum = fr.codegree_spectrum(ring)
         assert sum(e.eigen_multiplicity for e in spectrum) == ring.rank, name
         # every spectrum value is a root of the oracle's polynomial with the

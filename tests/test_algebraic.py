@@ -182,6 +182,33 @@ def test_alg_cmp_isolated_root_against_close_rational():
         assert alg_cmp(other, largest_real_root((-2, 0, 0, 1))) == -1
 
 
+def test_isolated_roots_of_products_compare_exactly():
+    # IsolatedRoots built directly on (x^2 - 2)(x^3 - x - 1) and
+    # (x^2 - 2)(x^2 - 5), so nothing is promoted: sqrt 2 appears as a root of
+    # both, next to the plastic number 1.3247... and sqrt 5
+    p = intpoly.poly_mul((-2, 0, 1), (-1, -1, 0, 1))
+    q = intpoly.poly_mul((-2, 0, 1), (-5, 0, 1))
+    sqrt2_p = IsolatedRoot(p, Fraction(7, 5), Fraction(3, 2))
+    plastic = IsolatedRoot(p, Fraction(13, 10), Fraction(7, 5))
+    sqrt2_q = IsolatedRoot(q, Fraction(1), Fraction(2))
+    sqrt5_q = IsolatedRoot(q, Fraction(2), Fraction(3))
+    sqrt2, sqrt5 = Quadratic(0, 1, 2), Quadratic(0, 1, 5)
+    # IsolatedRoot against IsolatedRoot: a common factor with a root in the overlap
+    assert alg_cmp(sqrt2_p, sqrt2_q) == 0 and alg_cmp(sqrt2_q, sqrt2_p) == 0
+    assert sqrt2_p == sqrt2_q and hash(sqrt2_p) == hash(sqrt2_q)
+    assert alg_cmp(plastic, sqrt2_q) == -1 and alg_cmp(sqrt5_q, sqrt2_p) == 1
+    assert alg_cmp(plastic, sqrt5_q) == -1 and alg_cmp(sqrt2_q, plastic) == 1
+    # IsolatedRoot against Quadratic
+    for root in (sqrt2_p, sqrt2_q):
+        assert alg_cmp(root, sqrt2) == 0 and alg_cmp(sqrt2, root) == 0
+        assert alg_cmp(root, sqrt5) == -1 and alg_cmp(sqrt5, root) == 1
+        assert alg_cmp(root, Fraction(99, 70)) == -1 and alg_cmp(root, Fraction(140, 99)) == 1
+    assert alg_cmp(sqrt5_q, sqrt5) == 0 and alg_cmp(sqrt5_q, sqrt2) == 1
+    # sqrt(17)/3 = 1.374... lies in the plastic number's interval but is no root of p
+    assert alg_cmp(plastic, Quadratic(0, Fraction(1, 3), 17)) == -1
+    assert alg_cmp(Quadratic(0, Fraction(1, 3), 17), plastic) == 1
+
+
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21]
 
 

@@ -92,6 +92,22 @@ def test_loader_rejects_malformed_documents(doc, tmp_path, capsys):
     assert code == 2
 
 
+def test_entries_beyond_the_limit_exit_2(tmp_path, capsys):
+    # structure constants are limited to |c| < 2^63; a near-group file whose
+    # rho^2 coefficient is 2^70, and that level given to build, exit 2
+    doc = json.loads(dumps_ring(fr.near_group((2,), 1)))
+    doc["tensor"][2][2][2] = 2**70
+    path = tmp_path / "huge.ring"
+    path.write_text(json.dumps(doc))
+    for command in (["verify"], ["fpdim"], ["obstruct", "--json"]):
+        code, out, err = run_cli([command[0], str(path), *command[1:]], capsys)
+        assert code == 2 and "2^63" in err and out == "", command
+    code, out, err = run_cli(["build", "neargroup", "--group", "2", "--level", str(2**70)], capsys)
+    assert code == 2 and "2^63" in err and out == ""
+    code, out, err = run_cli(["build", "neargroup", "--group", "2", "--level", str(2**63 - 1)], capsys)
+    assert code == 0 and loads_ring(out).rows[2][2][2] == 2**63 - 1
+
+
 def test_obstruct_exit_codes(tmp_path, capsys):
     ok = tmp_path / "ok.ring"
     ok.write_text(dumps_ring(fr.near_group((2, 2), 4)))
@@ -286,19 +302,28 @@ def test_elementary2_m_above_limit_exits_2(capsys):
 
 
 def test_runtime_does_not_load_mpmath(tmp_path):
-    # mpmath is a test dependency only: importing the package and running an
-    # obstruction battery must not pull it in
+    # mpmath is a test dependency only, and numpy serves only the
+    # FusionRing.tensor view: importing the package and running one command
+    # of each subcommand, an obstruction battery included, must pull in neither
     path = tmp_path / "ng.ring"
     path.write_text(dumps_ring(fr.near_group((2, 2), 8)))
     script = (
         "import io, sys, contextlib\n"
         "import fusionring\n"
         "from fusionring.cli import main\n"
+        "ring = sys.argv[1]\n"
+        "for argv in (['build', 'haagerup-izumi', '--group', '3'], ['verify', ring],\n"
+        "             ['fpdim', ring, '--json'], ['codegrees', ring, '--json'],\n"
+        "             ['irreps', ring, '--json'], ['classify', 'generic', ring, '--csv'],\n"
+        "             ['classify', 'elementary2', '--m', '3', '--json'],\n"
+        "             ['classify', 'prime', '--p', '7', '--kmax', '100', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) in (0, 10), argv\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "    code = main(['obstruct', sys.argv[1], '--json'])\n"
+        "    code = main(['obstruct', ring, '--json'])\n"
         "assert code == 10 and out.getvalue().startswith('{'), code\n"
-        "print('mpmath' in sys.modules)\n"
+        "print('mpmath' in sys.modules, 'numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
+    assert proc.stdout == b"False False\n"

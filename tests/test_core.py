@@ -1,10 +1,18 @@
 import ast
+import random
 
 import numpy as np
 import pytest
 
 import fusionring as fr
-from conftest import REPO_ROOT, brute_force_associator_violations, s3_group
+from conftest import (
+    REPO_ROOT,
+    brute_force_associator_violations,
+    cubic_chain_ring,
+    s3_group,
+    su2_ring,
+    verify_axioms_oracle,
+)
 from fusionring import Quadratic, alg_cmp
 from fusionring.errors import (
     MalformedRingError,
@@ -43,11 +51,82 @@ def test_malformed_rejected_before_checking():
         fr.FusionRing(["a"], [0], np.full((1, 1, 1), 0.5))
 
 
+def test_structure_constants_checked_on_construction():
+    rows = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    c2 = fr.FusionRing(["e", "g"], [0, 1], rows)
+    assert c2.rows == rows and c2.same_fusion_rules(fr.group_ring((2,)))
+    # numpy arrays and integral floats convert to the same exact rows
+    assert fr.FusionRing(["e", "g"], [0, 1], np.array(rows)).rows == rows
+    assert fr.FusionRing(["e", "g"], [0, 1], np.array(rows, dtype=float)).rows == rows
+    assert type(c2.rows[1][1][0]) is int
+    edge = fr.FusionRing(["a"], [0], [[[2**63 - 1]]])
+    assert edge.rows == (((2**63 - 1,),),)
+    for value in (2**63, -(2**63), 2**70):
+        with pytest.raises(MalformedRingError, match=r"2\^63"):
+            fr.FusionRing(["a"], [0], [[[value]]])
+    for value in (True, "1", 0.5, float("nan"), float("inf"), None):
+        with pytest.raises(MalformedRingError, match="not an integer"):
+            fr.FusionRing(["a"], [0], [[[value]]])
+    for tensor in ([[[1, 0], [0, 1]], [[0, 1], [1]]], [[[1, 0], [0, 1]]], [[1, 0], [0, 1]], 7, "ab"):
+        with pytest.raises(MalformedRingError, match=r"\(2, 2, 2\)"):
+            fr.FusionRing(["e", "g"], [0, 1], tensor)
+    # the numpy view equals the rows and cannot be written through
+    view = c2.tensor
+    assert view.tolist() == [[list(r) for r in m] for m in rows] and not view.flags.writeable
+
+
+def test_verify_axioms_matches_oracle_on_families(small_corpus, two_orbit_corpus):
+    rings = [*small_corpus.values(), *two_orbit_corpus.values(), cubic_chain_ring()]
+    rings += [su2_ring(k) for k in (2, 5, 9)] + [fr.near_group((2,), 2**40)]
+    for ring in rings:
+        assert fr.verify_axioms(ring) == verify_axioms_oracle(ring) == [], ring
+
+
+def test_verify_axioms_matches_oracle_on_mutated_rings(small_corpus, two_orbit_corpus):
+    # 1-3 entries changed, and two dual entries swapped in about 15% of cases;
+    # the 2^40-level near-group takes the oracle's exact object-dtype path
+    bases = [*small_corpus.values(), *two_orbit_corpus.values(), su2_ring(6), fr.near_group((2,), 2**40)]
+    rng = random.Random(2024)
+    for trial in range(400):
+        ring = bases[rng.randrange(len(bases))]
+        t = [[list(row) for row in mat] for mat in ring.rows]
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = (rng.randrange(ring.rank) for _ in range(3))
+            t[i][j][k] += rng.choice((-2, -1, 1, 2, 5))
+        dual = list(ring.dual)
+        if rng.random() < 0.15:
+            a, b = rng.randrange(ring.rank), rng.randrange(ring.rank)
+            dual[a], dual[b] = dual[b], dual[a]
+        broken = fr.FusionRing(ring.labels, dual, t)
+        assert fr.verify_axioms(broken) == verify_axioms_oracle(broken), (trial, ring)
+
+
+def test_verify_axioms_caps_witnesses_in_index_order():
+    ring = fr.group_ring((8,))
+    t = [[list(row) for row in mat] for mat in ring.rows]
+    t[1][1][2] += 1  # g * g = 2 g^2: associativity fails at 24 triples (i, j, k)
+    broken = fr.FusionRing(ring.labels, ring.dual, t)
+    assert len(brute_force_associator_violations(broken)) > 20
+    got = fr.verify_axioms(broken)
+    assert got == verify_axioms_oracle(broken)
+    assoc = [v.indices for v in got if v.axiom == "associativity"]
+    assert len(assoc) == 20 and assoc == sorted(assoc)
+
+
+def test_verify_axioms_stops_at_a_non_permutation_dual():
+    ring = fr.near_group((3,), 3)
+    broken = fr.FusionRing(ring.labels, [0, 2, 2, 3], ring.rows)
+    got = fr.verify_axioms(broken)
+    assert got == verify_axioms_oracle(broken)
+    assert got[-1].axiom == "dual-permutation"
+    assert not any(v.axiom in ("duality-pairing", "anti-involution", "associativity") for v in got)
+
+
 def test_fusion_matrix_examples():
     c2 = fr.group_ring((2,))
-    assert c2.fusion_matrix(1).tolist() == [[0, 1], [1, 0]]
+    assert c2.fusion_matrix(1) == ((0, 1), (1, 0))
     ng = fr.near_group((2,), 1)
-    assert ng.fusion_matrix(2).tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 1]]
+    assert ng.fusion_matrix(2) == ((0, 0, 1), (0, 0, 1), (1, 1, 1))
     for ring in (c2, ng):
         assert np.array_equal(ring.fusion_matrix(0), np.eye(ring.rank, dtype=int))
     with pytest.raises(IndexError):

@@ -58,7 +58,7 @@ def test_narrow_fpdim_reuses_cache_without_narrowing_it():
         alone, narrow_first = ring_of(), ring_of()
         for i in range(narrow_first.rank):
             d = fr.fpdim_basis(narrow_first, i, width=width)
-            direct = largest_real_root(intpoly.charpoly(narrow_first.fusion_matrix(i).tolist()), width)
+            direct = largest_real_root(intpoly.charpoly(narrow_first.fusion_matrix(i)), width)
             assert alg_to_dict(d) == alg_to_dict(direct), i
         fr.fpdim_total(narrow_first, width=width)
         docs = [
@@ -74,7 +74,7 @@ def test_cubic_total_and_codegrees_against_oracle():
     assert isinstance(total, IsolatedRoot)
     assert abs(float(total) - 9.2958969432) < 1e-9
     m = global_multiplication_matrix(ring)
-    assert charpoly_oracle(m.tolist()) == fr.intpoly.charpoly(m.tolist())
+    assert charpoly_oracle(m) == fr.intpoly.charpoly(m)
     spectrum = fr.codegree_spectrum(ring)
     approx = sorted(float(e.value) for e in spectrum for _ in range(e.eigen_multiplicity))
     assert np.allclose(approx, numeric_eigs(m), atol=1e-9)

@@ -114,8 +114,8 @@ def test_charpoly_matches_oracle_random_up_to_12():
 def test_charpoly_matches_oracle_su2_fusion_matrices():
     for k in range(1, 11):
         ring = su2_ring(k)
-        mats = [ring.fusion_matrix(i).tolist() for i in range(ring.rank)]
-        mats.append(global_multiplication_matrix(ring).tolist())
+        mats = [ring.fusion_matrix(i) for i in range(ring.rank)]
+        mats.append(global_multiplication_matrix(ring))
         for m in mats:
             assert intpoly.charpoly(m) == charpoly_oracle(m), k
 
