@@ -270,20 +270,23 @@ def character_ring(table: CharacterTable) -> FusionRing:
         if len(matches) != 1:
             raise MalformedRingError(f"conjugate of character {i} missing from table")
         dual.append(matches[0])
+    # <chi_i chi_j, chi_l> = sum_c chi_i(c) chi_j(c) w_l(c) / |G| with the
+    # class sizes folded into w_l = size * conj(chi_l); the ring is
+    # commutative and Cyc products are exact, so (j, i) equals (i, j)
+    weighted = [tuple(v * size for v, size in zip(row, table.class_sizes)) for row in conj_rows]
     for i in range(k):
-        for j in range(k):
+        for j in range(i, k):
+            prod = [a * b for a, b in zip(table.values[i], table.values[j])]
             for l in range(k):
                 ip = Cyc.zero(table.root_order)
-                for c in range(k):
-                    ip = ip + (
-                        table.values[i][c] * table.values[j][c] * conj_rows[l][c] * table.class_sizes[c]
-                    )
+                for p, w in zip(prod, weighted[l]):
+                    ip = ip + p * w
                 if not ip.is_rational:
                     raise MalformedRingError(f"non-rational multiplicity at ({i},{j},{l})")
                 mult = ip.as_fraction() / n
                 if mult.denominator != 1 or mult < 0:
                     raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{l})")
-                tensor[i][j][l] = int(mult)
+                tensor[i][j][l] = tensor[j][i][l] = int(mult)
     labels = [f"chi{i}" for i in range(k)]
     ring = FusionRing(labels, dual, tensor)
     ring.require_verified()

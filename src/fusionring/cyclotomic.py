@@ -8,6 +8,7 @@ so structural equality is field equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,6 +81,15 @@ class Cyc:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _reduced(cls, N: int, coeffs: tuple) -> "Cyc":
+        """The element with these coefficients, which must already be
+        reduced and of full length, as every Cyc's are."""
+        out = object.__new__(cls)
+        out.N = N
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls, N: int) -> "Cyc":
         return cls(N, ())
 
@@ -110,17 +120,17 @@ class Cyc:
             raise ValueError(f"mixed cyclotomic orders {self.N} and {other.N}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(self.N, other)
         if not isinstance(other, Cyc):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyc.rational(self.N, other)
         self._check(other)
-        return Cyc(self.N, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyc._reduced(self.N, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.N, tuple(-a for a in self.coeffs))
+        return Cyc._reduced(self.N, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -133,14 +143,20 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _norm_num(other)
-            return Cyc(self.N, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, Cyc):
+        if isinstance(other, Cyc):
+            self._check(other)
+            phi = cyclotomic_poly(self.N)
+            prod = [0] * (2 * len(phi) - 3)  # both factors have deg Phi_N coefficients
+            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in nonzero:
+                        prod[i + j] += a * b
+            return Cyc._reduced(self.N, tuple(_reduce_mod(prod, phi)))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check(other)
-        prod = intpoly.poly_mul(self.coeffs, other.coeffs)
-        return Cyc(self.N, prod)
+        other = _norm_num(other)
+        return Cyc._reduced(self.N, tuple(a * other for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -177,11 +193,11 @@ class Cyc:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, Cyc):
+            return self.N == other.N and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self.is_rational and self.as_fraction() == other
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self.N == other.N and self.coeffs == other.coeffs
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.N, self.coeffs))

@@ -223,6 +223,43 @@ def _associativity_witnesses(t: tuple):
                 yield (i, j, k, l), f"{left} != {right}"
 
 
+def algebra_generators(ring: FusionRing) -> tuple[int, ...]:
+    """Basis indices S such that b_0 and S generate the ring as a Q-algebra.
+
+    Greedy, certified by peeling.  Let K ("known") start as {0}.  Whenever
+    b_s b_a, with s in S and a in K, has exactly one basis term b_k with k
+    not in K, then b_k = (b_s b_a - sum of its known terms) / c_sak lies in
+    the algebra that {b_0} and S generate, since b_s, b_a and every known
+    term do; so k joins K.  When no product peels, the least index outside
+    K joins S (and K).  Every element of K is thus in that algebra, and the
+    loop ends with K the whole basis.  Only integer supports are read."""
+    ring.require_verified()
+    if "generators" in ring._cache:
+        return ring._cache["generators"]
+    n = ring.rank
+    support = [[[k for k, c in enumerate(row) if c] for row in mat] for mat in ring.rows]
+    known = [True] + [False] * (n - 1)
+    order = [0]  # the known indices, in the order they became known
+    gens: list[int] = []
+    while len(order) < n:
+        s = known.index(False)
+        gens.append(s)
+        known[s] = True
+        order.append(s)
+        peeled = True
+        while peeled:
+            peeled = False
+            for g in gens:
+                for a in order:  # grows while it is scanned, which is intended
+                    unknown = [k for k in support[g][a] if not known[k]]
+                    if len(unknown) == 1:
+                        known[unknown[0]] = True
+                        order.append(unknown[0])
+                        peeled = True
+    ring._cache["generators"] = tuple(gens)
+    return ring._cache["generators"]
+
+
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
     """Frobenius-Perron dimension of basis element i: the largest real
     eigenvalue of N_i, exact (Quadratic when its minimal polynomial has

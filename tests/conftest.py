@@ -30,6 +30,7 @@ import pytest
 
 import fusionring as fr
 from fusionring import intpoly
+from fusionring.cyclotomic import Cyc
 from fusionring.errors import CertificationError, HypothesisError
 from fusionring.groups import FiniteGroup
 from fusionring.numtheory import is_prime, totient
@@ -452,6 +453,85 @@ def verify_axioms_oracle(ring) -> list[Violation]:
     return out
 
 
+def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
+    """All-pairs homomorphism check: every (i, j) with psi(i) psi(j) !=
+    sum_k c[i,j,k] psi(k), in index order, by plain matrix loops (the
+    library checks {0} + algebra_generators first).  `lefts` restricts i."""
+    mats = model.matrices
+    zero = mats[0][0][0] * 0
+    d = model.dim
+
+    def mul(a, b):
+        return tuple(tuple(sum((a[r][t] * b[t][c] for t in range(d)), start=zero) for c in range(d)) for r in range(d))
+
+    failures = []
+    for i in range(ring.rank) if lefts is None else lefts:
+        for j in range(ring.rank):
+            terms = [(k, ck) for k, ck in enumerate(ring.rows[i][j]) if ck]
+            rhs = tuple(tuple(sum((mats[k][r][c] * ck for k, ck in terms), start=zero) for c in range(d)) for r in range(d))
+            if mul(mats[i], mats[j]) != rhs:
+                failures.append((i, j))
+    return failures
+
+
+def generated_span_rank(ring, gens) -> int:
+    """Dimension of the Q-span of {b_0} + {b_s : s in gens} closed under left
+    multiplication by every b_s, by exact Fraction row reduction: the
+    dimension of the algebra that b_0 and gens generate."""
+    n = ring.rank
+    basis: dict[int, list] = {}  # pivot -> row with a 1 at the pivot
+
+    def insert(vec) -> list | None:
+        vec = [Fraction(x) for x in vec]
+        for pivot, row in basis.items():
+            if vec[pivot]:
+                f = vec[pivot]
+                vec = [a - f * b for a, b in zip(vec, row)]
+        pivot = next((k for k, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return None
+        vec = [x / vec[pivot] for x in vec]
+        for p, row in basis.items():
+            if row[pivot]:
+                f = row[pivot]
+                basis[p] = [a - f * b for a, b in zip(row, vec)]
+        basis[pivot] = vec
+        return vec
+
+    queue = [v for v in ([int(k == s) for k in range(n)] for s in (0, *gens)) if insert(v)]
+    while queue:
+        vec = queue.pop()
+        for s in gens:
+            prod = [sum(vec[a] * ring.rows[s][a][k] for a in range(n) if vec[a]) for k in range(n)]
+            new = insert(prod)
+            if new is not None:
+                queue.append(new)
+    return len(basis)
+
+
+def character_ring_oracle(table) -> tuple[tuple, tuple]:
+    """(rows, dual) of a character ring by the definitional triple loop:
+    <chi_i chi_j, chi_l> summed over classes for every ordered (i, j, l)."""
+    k = len(table.class_sizes)
+    conj = [tuple(v.conjugate() for v in row) for row in table.values]
+    dual = tuple(next(j for j in range(k) if table.values[j] == conj[i]) for i in range(k))
+    rows = []
+    for i in range(k):
+        mat = []
+        for j in range(k):
+            row = []
+            for l in range(k):
+                ip = Cyc.zero(table.root_order)
+                for c in range(k):
+                    ip = ip + table.values[i][c] * table.values[j][c] * conj[l][c] * table.class_sizes[c]
+                mult = ip.as_fraction() / table.group_order
+                assert mult.denominator == 1 and mult >= 0
+                row.append(int(mult))
+            mat.append(tuple(row))
+        rows.append(tuple(mat))
+    return tuple(rows), dual
+
+
 # -- corpora ---------------------------------------------------------------
 
 ABELIAN_LE8 = [
@@ -574,3 +654,48 @@ def two_orbit_corpus():
     rings["U(C6,C3,inv,2)"] = fr.uniform_two_orbit((6,), [2], "inversion", 2)
     rings["U(S3,C3)"] = s3_two_orbit_ring()
     return rings
+
+
+# the inputs of the benchmark's spectra workload, every seed
+SPECTRA_UNIFORM = [
+    ("near_group", ((24,), 24)),
+    ("near_group", ((24,), 48)),
+    ("near_group", ((2, 12), 24)),
+    ("near_group", ((2, 12), 48)),
+    ("near_group", ((2, 2, 6), 48)),
+    ("near_group", ((2, 2, 2, 2), 0)),
+    ("near_group", ((2, 2, 2, 2), 16)),
+    ("haagerup_izumi", ((8,),)),
+    ("haagerup_izumi", ((2, 4),)),
+    ("uniform_two_orbit", ((12,), [6], "inversion", 1)),
+    ("uniform_two_orbit", ((12,), [6], "inversion", 2)),
+]
+
+
+@pytest.fixture(scope="session")
+def spectra_uniform_corpus():
+    """The uniform two-orbit rings of the benchmark's spectra workload."""
+    return {f"{family}{params}": getattr(fr, family)(*params) for family, params in SPECTRA_UNIFORM}
+
+
+@pytest.fixture(scope="session")
+def spectra_corpus(spectra_uniform_corpus):
+    """Every ring of the benchmark's spectra workload (rank 12 to 36)."""
+    rings = dict(spectra_uniform_corpus)
+    rings["chD18"] = fr.dihedral_character_ring(18)
+    rings["Z[C36]"] = fr.group_ring((36,))
+    return rings
+
+
+def crosscheck_uniform_rings() -> list:
+    """The uniform rings whose models test_crosschecks.py compares with
+    spectra and certified characters."""
+    return [
+        fr.near_group((2,), 1),
+        fr.near_group((2,), 2),
+        fr.near_group((3,), 3),
+        fr.near_group((2, 2), 4),
+        fr.near_group((4,), 8),
+        fr.haagerup_izumi((2,)),
+        fr.haagerup_izumi((3,)),
+    ]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
-from conftest import ABELIAN_LE16, s3_group
+from conftest import ABELIAN_LE16, character_ring_oracle, s3_group
 from fusionring import Quadratic
 from fusionring.construct import CharacterTable, as_group
 from fusionring.cyclotomic import Cyc
@@ -230,6 +230,14 @@ def test_extraspecial_character_ring_via_generic_ingestion():
     # single orbit of noninvertibles, stabilized by every linear character
     data = fr.two_orbit_data(ring)
     assert len(data.stabilizer) == 4
+
+
+def test_character_ring_matches_triple_loop_oracle():
+    # one product per unordered pair against <chi_i chi_j, chi_l> for every
+    # ordered triple
+    for table in (fr.dihedral_character_table(n) for n in range(3, 21)):
+        ring = fr.character_ring(table)
+        assert (ring.rows, ring.dual) == character_ring_oracle(table), table.group_order
 
 
 def test_near_group_accepts_nonabelian():

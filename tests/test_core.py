@@ -9,6 +9,7 @@ from conftest import (
     REPO_ROOT,
     brute_force_associator_violations,
     cubic_chain_ring,
+    generated_span_rank,
     s3_group,
     su2_ring,
     verify_axioms_oracle,
@@ -19,7 +20,7 @@ from fusionring.errors import (
     NotAFusionRingError,
     NotTwoOrbitError,
 )
-from fusionring.ring import is_invertible, noninvertible_indices
+from fusionring.ring import algebra_generators, is_invertible, noninvertible_indices
 
 
 def test_group_ring_axioms_clean():
@@ -277,6 +278,28 @@ def test_two_orbit_uniform_k_divisibility():
     d = fr.two_orbit_data(fr.near_group((3,), 4))
     assert d.uniform_coeff == 4
     assert d.uniform_k is None
+
+
+def test_algebra_generators_generate(small_corpus, two_orbit_corpus, spectra_corpus):
+    # the Q-span of b_0 and S, closed under left multiplication by S, is the
+    # whole ring: checked by exact elimination, independently of the peeling
+    rings = {**small_corpus, **two_orbit_corpus, **spectra_corpus}
+    rings.update({f"SU(2)_{k}": su2_ring(k) for k in range(1, 15)})
+    for name, ring in rings.items():
+        gens = algebra_generators(ring)
+        assert 0 not in gens and list(gens) == sorted(set(gens)), name
+        assert generated_span_rank(ring, gens) == ring.rank, name
+
+
+def test_algebra_generators_examples():
+    assert algebra_generators(fr.group_ring(())) == ()
+    assert algebra_generators(fr.haagerup_izumi((8,))) == (1, 8)
+    assert algebra_generators(fr.near_group((2, 2, 2, 2), 16)) == (1, 2, 4, 8, 16)
+    assert algebra_generators(su2_ring(9)) == (1,)
+    # in a near-group, rho alone spans only {1, rho, sum g}
+    ring = fr.near_group((4,), 4)
+    assert generated_span_rank(ring, (4,)) == 3
+    assert generated_span_rank(ring, algebra_generators(ring)) == 5
 
 
 def test_rank_one_ring_accepted():

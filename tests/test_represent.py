@@ -1,21 +1,30 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fusionring as fr
-from conftest import characters_commutative, charpoly_oracle, numeric_eigs
-from fusionring import Quadratic, alg_cmp
-from fusionring.cyclotomic import Cyc
-from fusionring.errors import HypothesisError
+from conftest import (
+    characters_commutative,
+    charpoly_oracle,
+    crosscheck_uniform_rings,
+    numeric_eigs,
+    verify_irrep_oracle,
+)
+from fusionring import Quadratic, alg_cmp, represent
+from fusionring.cyclotomic import Cyc, CycSqrt
+from fusionring.errors import HypothesisError, InternalInvariantError
 from fusionring.represent import (
     SOURCE_D_MINUS,
     SOURCE_D_PLUS,
     SOURCE_IRR_H,
     SOURCE_SEMIDIRECT,
+    IrrepModel,
     abelian_characters,
 )
-from fusionring.ring import global_multiplication_matrix
+from fusionring.ring import algebra_generators, global_multiplication_matrix
 
 
 def test_codegrees_group_ring():
@@ -179,6 +188,86 @@ def test_uniform_irreps_refuses_nonuniform():
     ring = fr.dihedral_character_ring(9)
     with pytest.raises(Exception):
         fr.uniform_irreps(ring)  # not even two-orbit
+
+
+def _with_matrix(model: IrrepModel, b: int, mat) -> IrrepModel:
+    return replace(model, matrices=(*model.matrices[:b], mat, *model.matrices[b + 1 :]))
+
+
+def _nudged(model: IrrepModel, b: int, r: int, c: int) -> IrrepModel:
+    """The model with entry (r, c) of psi(b) raised by 1."""
+    mat = [list(row) for row in model.matrices[b]]
+    mat[r][c] = mat[r][c] + CycSqrt.of(model.root_order, model.radicand, u=1)
+    return _with_matrix(model, b, tuple(tuple(row) for row in mat))
+
+
+def _non_unital(model: IrrepModel) -> IrrepModel:
+    """The model with psi(1) doubled."""
+    return _with_matrix(model, 0, tuple(tuple(e * 2 for e in row) for row in model.matrices[0]))
+
+
+def _by_source(models):
+    """The first model of each source tag."""
+    return list({m.source_tag: m for m in reversed(models)}.values())
+
+
+def _assert_agrees(ring, model, failing: bool) -> None:
+    got = fr.verify_irrep(ring, model)
+    assert got == verify_irrep_oracle(ring, model)
+    assert bool(got) == failing
+
+
+def test_verify_irrep_matches_oracle_on_crosscheck_rings():
+    # every model, every model with one entry changed, and every model with
+    # psi(1) doubled: the same failing pairs as the all-pairs scan
+    rng = random.Random(7)
+    for ring in crosscheck_uniform_rings():
+        for model in fr.uniform_irreps(ring):
+            _assert_agrees(ring, model, failing=False)
+            b, r, c = rng.randrange(ring.rank), rng.randrange(model.dim), rng.randrange(model.dim)
+            _assert_agrees(ring, _nudged(model, b, r, c), failing=True)
+            _assert_agrees(ring, _non_unital(model), failing=True)
+
+
+def test_verify_irrep_matches_oracle_on_spectra_rings(spectra_uniform_corpus):
+    # every model of the benchmark's uniform rings; the changed and
+    # non-unital variants for one model of each source, so that each ring
+    # costs a few full scans rather than one per model
+    rng = random.Random(11)
+    for name, ring in spectra_uniform_corpus.items():
+        models = fr.uniform_irreps(ring)
+        for model in models:
+            assert fr.verify_irrep(ring, model) == verify_irrep_oracle(ring, model) == [], name
+        for model in _by_source(models):
+            b, r, c = rng.randrange(ring.rank), rng.randrange(model.dim), rng.randrange(model.dim)
+            _assert_agrees(ring, _nudged(model, b, r, c), failing=True)
+            _assert_agrees(ring, _non_unital(model), failing=True)
+
+
+def test_verify_irrep_needs_a_generating_set():
+    # near-group C4: rho alone generates only span{1, rho, sum g}, so a
+    # check over {0, rho} accepts this non-homomorphism
+    ring = fr.near_group((4,), 4)
+    rho = 4
+    assert ring.rows[1][1][2] == 1  # g2 = g1^2
+    one, minus = CycSqrt.of(1, 1, u=1), CycSqrt.of(1, 1, u=-1)
+    values = [one, one, minus, minus, CycSqrt.of(1, 1)]
+    model = IrrepModel(1, tuple(((v,),) for v in values), "test", 1, 1)
+    assert verify_irrep_oracle(ring, model, lefts=(0, rho)) == []
+    assert algebra_generators(ring) == (1, rho)
+    failures = fr.verify_irrep(ring, model)
+    assert (1, 1) in failures
+    assert failures == verify_irrep_oracle(ring, model)
+
+
+def test_uniform_irreps_checks_every_model(monkeypatch):
+    ring = fr.near_group((2,), 2)
+    checked = []
+    monkeypatch.setattr(represent, "verify_irrep", lambda r, m: checked.append(m) or [])
+    assert represent.uniform_irreps(ring) == checked
+    monkeypatch.setattr(represent, "verify_irrep", lambda r, m: [(0, 0)])
+    with pytest.raises(InternalInvariantError, match="not a homomorphism"):
+        represent.uniform_irreps(ring)
 
 
 def test_characters_commutative_group_ring():
