@@ -211,10 +211,17 @@ class Cyc:
 class CycSqrt:
     """u + v*sqrt(D) with u, v in Q(zeta_N), D a nonnegative integer.
 
-    Equality is componentwise.  That is sound (componentwise equal implies
-    equal) and sufficient here: every identity we verify arises from formulas
-    whose sqrt(D)-parts match term by term, never through an accidental
-    identity sqrt(D) in Q(zeta_N).
+    Equality is componentwise.  That is sound: componentwise equal numbers
+    are equal.  It is complete exactly when sqrt(D) is not in Q(zeta_N),
+    for then 1 and sqrt(D) are linearly independent over Q(zeta_N).  That
+    is so when D is not a square and the conductor of Q(sqrt(D)) does not
+    divide N; the conductor is d if d = 1 mod 4 and 4d otherwise, where d
+    is the square-free part of D.  Otherwise a number has many forms
+    (sqrt(2) = zeta_8 + zeta_8^-1, for instance), and a check through ==
+    can reject a true identity but never accept a false one.  Irrep models
+    fall in both classes: N = 24, D = 24 for near-groups over C24 and
+    D = |H| = 16 over C2^4 are incomplete, and those models still pass
+    every check componentwise.
     """
 
     u: Cyc
@@ -250,8 +257,16 @@ class CycSqrt:
         if not isinstance(other, CycSqrt):
             return NotImplemented
         self._check(other)
-        u = self.u * other.u + (self.v * other.v) * self.D
-        v = self.u * other.v + self.v * other.u
+        # most entries have v = 0, so skip the products of a zero sqrt(D) part
+        u = self.u * other.u
+        v = self.v
+        if any(other.v.coeffs):
+            v = self.u * other.v
+            if any(self.v.coeffs):
+                u = u + (self.v * other.v) * self.D
+                v = v + self.v * other.u
+        elif any(self.v.coeffs):
+            v = self.v * other.u
         return CycSqrt(u, v, self.D)
 
     __rmul__ = __mul__

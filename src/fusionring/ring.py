@@ -154,7 +154,19 @@ def _entry(c, at: tuple) -> int:
 
 def verify_axioms(ring: FusionRing) -> list[Violation]:
     """Every violated fusion-ring axiom, with witnesses; empty iff valid.
-    Witnesses come in index order, at most 20 per axiom."""
+    Witnesses come in index order, at most 20 per axiom.
+
+    Associativity is checked at first only for left factors i in {0} + S,
+    with S the generating set that peeling certifies (`_generators`), and
+    that is exactly as strong as checking every i.  Let A = {a : (a b) c =
+    a (b c) for all b, c}.  A is a subspace, and it is closed under
+    products: for a, a' in A, ((a a') b) c = (a (a' b)) c = a ((a' b) c) =
+    a (a' (b c)) = (a a') (b c), using a in A three times and a' in A
+    once.  The first pass puts b_0 and every generator in A, so A holds the
+    algebra they generate, which is the whole ring.  Neither associativity,
+    commutativity nor a unit axiom is assumed: b_0 is itself a checked left
+    factor.  Only when that pass finds a failure are all rank^2 pairs (i, j)
+    scanned, so the witnesses are the same as the full scan's."""
     t = ring.rows
     n = ring.rank
     d = ring.dual
@@ -189,51 +201,61 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
             if t[i][j][k] != t[d[j]][d[i]][d[k]]
         ),
     )
-    report("associativity", _associativity_witnesses(t))
+    if next(_associativity_witnesses(t, (0, *_generators(ring))), None) is not None:
+        report("associativity", _associativity_witnesses(t, range(n)))
     return out
 
 
-def _associativity_witnesses(t: tuple):
+def _associativity_witnesses(t: tuple, lefts):
     """((i, j, k, l), detail) wherever (b_i b_j) b_k and b_i (b_j b_k) differ
-    at b_l, in index order.
+    at b_l, for i in lefts, in index order.
 
-    With digits of B bits, pack each row as P[i][m] = sum_l c[i,m,l] 2^(B l)
-    and each N_m as W[m] = sum_{k,l} c[m,k,l] 2^(B (rank k + l)).  Digit
-    (k, l) of sum_m c[i,j,m] W[m] is the coefficient of b_l in (b_i b_j) b_k,
-    and of sum_{k,m} c[j,k,m] P[i][m] 2^(B rank k) the one in b_i (b_j b_k).
-    Both are at most rank * cmax^2 in size, so with B = bit_length(2 rank
+    With digits of B bits, pack each row of a left factor i as
+    P[i][m] = sum_l c[i,m,l] 2^(B l) and each N_m as
+    W[m] = sum_{k,l} c[m,k,l] 2^(B (rank k + l)).  Digit (k, l) of
+    sum_m c[i,j,m] W[m] is the coefficient of b_l in (b_i b_j) b_k, and of
+    sum_{k,m} c[j,k,m] P[i][m] 2^(B rank k) the one in b_i (b_j b_k).  Both
+    are at most rank * cmax^2 in size, so with B = bit_length(2 rank
     cmax^2 + 1) the digits of the difference lie below 2^B in size: the two
     integers are equal exactly when every coefficient is.  Only a failing
     (i, j) is expanded coefficient by coefficient."""
     n = len(t)
     cmax = max(abs(c) for mat in t for row in mat for c in row)
     bits = (2 * n * cmax * cmax + 1).bit_length()
-    packed = [[sum(c << (bits * l) for l, c in enumerate(row) if c) for row in mat] for mat in t]
-    wide = [sum(p << (bits * n * k) for k, p in enumerate(rows)) for rows in packed]
+    wide = [sum(c << (bits * (n * k + l)) for k, row in enumerate(mat) for l, c in enumerate(row) if c) for mat in t]
     nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in mat] for mat in t]
     terms = [[(bits * n * k, m, c) for k, jk in enumerate(mat) for m, c in jk] for mat in nonzero]
-    for i, j in product(range(n), repeat=2):
-        ij = nonzero[i][j]
-        if sum(c * wide[m] for m, c in ij) == sum(c * packed[i][m] << s for s, m, c in terms[j]):
-            continue
-        for k, l in product(range(n), repeat=2):
-            left = sum(c * t[m][k][l] for m, c in ij)
-            right = sum(c * t[i][m][l] for m, c in nonzero[j][k])
-            if left != right:
-                yield (i, j, k, l), f"{left} != {right}"
+    for i in lefts:
+        packed = [sum(c << (bits * l) for l, c in enumerate(row) if c) for row in t[i]]
+        for j in range(n):
+            ij = nonzero[i][j]
+            if sum(c * wide[m] for m, c in ij) == sum(c * packed[m] << s for s, m, c in terms[j]):
+                continue
+            for k, l in product(range(n), repeat=2):
+                left = sum(c * t[m][k][l] for m, c in ij)
+                right = sum(c * t[i][m][l] for m, c in nonzero[j][k])
+                if left != right:
+                    yield (i, j, k, l), f"{left} != {right}"
 
 
 def algebra_generators(ring: FusionRing) -> tuple[int, ...]:
-    """Basis indices S such that b_0 and S generate the ring as a Q-algebra.
-
-    Greedy, certified by peeling.  Let K ("known") start as {0}.  Whenever
-    b_s b_a, with s in S and a in K, has exactly one basis term b_k with k
-    not in K, then b_k = (b_s b_a - sum of its known terms) / c_sak lies in
-    the algebra that {b_0} and S generate, since b_s, b_a and every known
-    term do; so k joins K.  When no product peels, the least index outside
-    K joins S (and K).  Every element of K is thus in that algebra, and the
-    loop ends with K the whole basis.  Only integer supports are read."""
+    """Basis indices S such that b_0 and S generate the ring as a Q-algebra
+    (see `_generators`)."""
     ring.require_verified()
+    return _generators(ring)
+
+
+def _generators(ring: FusionRing) -> tuple[int, ...]:
+    """Greedy generating set, certified by peeling, of any ring whose
+    product is bilinear: no axiom is assumed, so `verify_axioms` can use it.
+
+    Let K ("known") start as {0}.  Whenever b_s b_a, with s in S and a in
+    K, has exactly one basis term b_k with k not in K, then b_k = (b_s b_a -
+    sum of its known terms) / c_sak lies in the algebra that {b_0} and S
+    generate, since b_s, b_a and every known term do; so k joins K.  When no
+    product peels, the least index outside K joins S (and K).  Every element
+    of K is thus in that algebra, and the loop ends with K the whole basis.
+    Only integer supports are read; the result is kept in ring._cache."""
     if "generators" in ring._cache:
         return ring._cache["generators"]
     n = ring.rank

@@ -30,7 +30,7 @@ import pytest
 
 import fusionring as fr
 from fusionring import intpoly
-from fusionring.cyclotomic import Cyc
+from fusionring.cyclotomic import Cyc, CycSqrt
 from fusionring.errors import CertificationError, HypothesisError
 from fusionring.groups import FiniteGroup
 from fusionring.numtheory import is_prime, totient
@@ -472,6 +472,17 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
             if mul(mats[i], mats[j]) != rhs:
                 failures.append((i, j))
     return failures
+
+
+def cycsqrt_mul_oracle(a: CycSqrt, b) -> CycSqrt:
+    """(u + v sqrt(D)) (u' + v' sqrt(D)) by the four-product formula,
+    whether or not a sqrt(D) part is zero (the library skips those); an
+    int, Fraction or Cyc b is taken as u' with v' = 0."""
+    N = a.u.N
+    if not isinstance(b, CycSqrt):
+        b = CycSqrt(b if isinstance(b, Cyc) else Cyc.rational(N, b), Cyc.zero(N), a.D)
+    a._check(b)
+    return CycSqrt(a.u * b.u + (a.v * b.v) * a.D, a.u * b.v + a.v * b.u, a.D)
 
 
 def generated_span_rank(ring, gens) -> int:

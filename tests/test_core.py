@@ -102,6 +102,48 @@ def test_verify_axioms_matches_oracle_on_mutated_rings(small_corpus, two_orbit_c
         assert fr.verify_axioms(broken) == verify_axioms_oracle(broken), (trial, ring)
 
 
+def test_verify_axioms_matches_oracle_on_unit_preserving_mutations():
+    # only c_ijk with i, j >= 1 change, so the unit axioms hold and every
+    # failure must show up among the left factors {0} + generating set
+    bases = [
+        fr.group_ring((8,)),
+        fr.group_ring(s3_group()),
+        fr.near_group((2, 2, 2, 2), 16),
+        fr.haagerup_izumi((3,)),
+        su2_ring(6),
+    ]
+    rng = random.Random(2026)
+    failing = 0
+    for trial in range(400):
+        ring = bases[trial % len(bases)]
+        t = [[list(row) for row in mat] for mat in ring.rows]
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = rng.randrange(1, ring.rank), rng.randrange(1, ring.rank), rng.randrange(ring.rank)
+            t[i][j][k] += rng.choice((-2, -1, 1, 2, 5))
+        broken = fr.FusionRing(ring.labels, ring.dual, t)
+        got = fr.verify_axioms(broken)
+        assert got == verify_axioms_oracle(broken), (trial, ring)
+        assert not any(v.axiom.startswith("unit") for v in got)
+        failing += any(v.axiom == "associativity" for v in got)
+    assert failing > 300
+
+
+def test_verify_axioms_with_a_broken_unit_matches_oracle():
+    # b_0 b_1 = b_1 + b_2 breaks unit-left, and associativity fails only for
+    # the left factor b_0, so b_0 must be among the factors checked first
+    rows = [
+        [[1, 0, 0], [0, 1, 1], [0, 0, 1]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+    ]
+    broken = fr.FusionRing(["a", "b", "c"], [0, 1, 2], rows)
+    got = fr.verify_axioms(broken)
+    assert got == verify_axioms_oracle(broken)
+    assert [v.indices for v in got if v.axiom == "unit-left"] == [(0, 1, 2)]
+    assoc = [v.indices for v in got if v.axiom == "associativity"]
+    assert assoc and all(idx[0] == 0 for idx in assoc)
+
+
 def test_verify_axioms_caps_witnesses_in_index_order():
     ring = fr.group_ring((8,))
     t = [[list(row) for row in mat] for mat in ring.rows]

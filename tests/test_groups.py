@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import s3_group
+from conftest import cycsqrt_mul_oracle, s3_group
 from fusionring.cyclotomic import Cyc, CycSqrt, cyclotomic_poly
 from fusionring.groups import (
     FiniteGroup,
@@ -129,3 +130,25 @@ def test_cycsqrt():
     z = CycSqrt.of(4, 2, u=0, v=1)  # sqrt(2) over Q(i)
     assert (z * z).u.as_fraction() == 2
     assert (z * z).v.is_zero
+
+
+def test_cycsqrt_mul_matches_four_product_formula():
+    rng = random.Random(17)
+
+    def cyc(N: int, nonzero: bool) -> Cyc:
+        if not nonzero:
+            return Cyc.zero(N)
+        deg = len(cyclotomic_poly(N)) - 1
+        coeffs = [rng.choice((0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3))) for _ in range(deg)]
+        coeffs[rng.randrange(deg)] = rng.choice((1, -2, Fraction(3, 4)))
+        return Cyc(N, coeffs)
+
+    for N in (1, 3, 4, 8, 12, 24):
+        for D in (1, 2, 5, 8, 12, 16, 17):
+            for pattern in range(16):  # u, v, u', v' each zero or not
+                a = CycSqrt(cyc(N, pattern & 1), cyc(N, pattern & 2), D)
+                b = CycSqrt(cyc(N, pattern & 4), cyc(N, pattern & 8), D)
+                assert a * b == cycsqrt_mul_oracle(a, b), (N, D, pattern)
+            a = CycSqrt(cyc(N, True), cyc(N, True), D)
+            for r in (0, 3, Fraction(-2, 7), Cyc.zero(N), cyc(N, True)):
+                assert a * r == r * a == cycsqrt_mul_oracle(a, r), (N, D, r)

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -258,6 +259,57 @@ def test_verify_irrep_needs_a_generating_set():
     failures = fr.verify_irrep(ring, model)
     assert (1, 1) in failures
     assert failures == verify_irrep_oracle(ring, model)
+
+
+def _sqrt_in_cyclotomic(N: int, D: int) -> bool:
+    """Whether sqrt(D) lies in Q(zeta_N): D is a square, or the conductor of
+    Q(sqrt(d)), d the square-free part of D, divides N."""
+    if math.isqrt(D) ** 2 == D:
+        return True
+    d = D
+    for p in range(2, math.isqrt(D) + 1):
+        while d % (p * p) == 0:
+            d //= p * p
+    return N % (d if d % 4 == 1 else 4 * d) == 0
+
+
+def test_sqrt_in_cyclotomic_examples():
+    z8, z12, z5 = Cyc.root(8, 1), Cyc.root(12, 1), Cyc.root(5, 1)
+    sqrt2 = z8 + z8.conjugate()
+    sqrt3 = z12 + z12.conjugate()
+    sqrt5 = 1 + 2 * (z5 + z5.conjugate())
+    sqrt24 = 2 * sqrt2.lift(24) * sqrt3.lift(24)
+    for N, D, root in ((8, 2, sqrt2), (12, 3, sqrt3), (5, 5, sqrt5), (24, 24, sqrt24)):
+        assert root * root == D and _sqrt_in_cyclotomic(N, D)
+        # two forms of one number that CycSqrt == tells apart
+        assert CycSqrt(root, Cyc.zero(N), D) != CycSqrt(Cyc.zero(N), Cyc.one(N), D)
+    for N, D in ((4, 2), (24, 5), (8, 3), (3, 3), (1, 17), (12, 24)):
+        assert not _sqrt_in_cyclotomic(N, D)
+
+
+def test_irrep_fields_where_cycsqrt_equality_is_incomplete(spectra_uniform_corpus, two_orbit_corpus):
+    # every (root_order, radicand) of a uniform_irreps model; in the pairs
+    # with sqrt(D) in Q(zeta_N), CycSqrt == is sound but not complete, so a
+    # new model in that class shows up here
+    rings = {**spectra_uniform_corpus, **two_orbit_corpus}
+    fields: dict[tuple[int, int], set[str]] = {}
+    for name, ring in rings.items():
+        try:
+            models = fr.uniform_irreps(ring)
+        except HypothesisError:
+            continue
+        for model in models:
+            fields.setdefault((model.root_order, model.radicand), set()).add(name)
+    complete = sorted(f for f in fields if not _sqrt_in_cyclotomic(*f))
+    incomplete = sorted(f for f in fields if _sqrt_in_cyclotomic(*f))
+    assert complete == [
+        *((1, D) for D in (2, 3, 5, 6, 7, 10, 11, 13, 17, 19, 21, 29, 38, 39, 42, 146)),
+        (2, 2), (2, 3), (3, 3), (4, 2), (6, 2), (6, 3), (6, 24), (12, 2), (12, 24),
+    ]
+    assert incomplete == [(1, 1), (2, 1), (2, 4), (2, 16), (4, 1), (4, 4), (6, 1), (8, 1), (10, 1), (24, 24)]
+    # the only non-square radicand among them: sqrt(24) = 2 sqrt(2) sqrt(3)
+    assert sorted(fields[(24, 24)]) == ["near_group((24,), 24)", "near_group((24,), 48)"]
+    assert sorted(fields[(2, 16)]) == ["near_group((2, 2, 2, 2), 0)", "near_group((2, 2, 2, 2), 16)"]
 
 
 def test_uniform_irreps_checks_every_model(monkeypatch):
