@@ -21,7 +21,6 @@ from .construct import (
     uniform_two_orbit,
 )
 from .errors import (
-    CertificationError,
     FusionRingError,
     HypothesisError,
     InternalInvariantError,
@@ -32,8 +31,6 @@ from .errors import (
 )
 from .numtheory import (
     SquareFreeDecomposition,
-    min_roots_of_unity,
-    phi_ratio_cmp,
     quad_sign,
     squarefree_part,
     totient,
@@ -77,6 +74,6 @@ from .ring import (
     two_orbit_data,
     verify_axioms,
 )
-from .ringfile import dumps_ring, load_ring, loads_ring, save_ring
+from .ringfile import dumps_ring, load_ring, loads_ring
 
 __version__ = "0.1.0"

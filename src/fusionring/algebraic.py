@@ -264,8 +264,10 @@ class IsolatedRoot:
 
     def min_poly(self) -> Poly:
         """Defining polynomial: the square-free integer polynomial the root
-        was isolated from (for a Perron root, the square-free part of the
-        charpoly), not always minimal."""
+        was isolated from, not always minimal (it may be reducible).  For a
+        Perron root it is the square-free part of the Krylov minimal
+        polynomial of N_i or M, which has the roots of the charpoly and so
+        the same square-free part (proof in ring.fpdim_basis)."""
         return self.poly
 
     def sign(self) -> int:
@@ -422,12 +424,13 @@ def _promote_quadratic(
     """Find a monic quadratic factor x^2 - t*x - u of poly owning the root in
     (lo, hi), and return that root exactly.
 
-    Only applies to monic poly (characteristic polynomials), where quadratic
-    algebraic numbers are quadratic algebraic integers.  The conjugate root
-    is itself a root of poly, so the trace candidates t come from pairing the
-    target with each other isolated real root (`intervals`, the isolating
-    intervals of poly's irrational real roots, isolated here when None); that
-    keeps the search linear in the degree instead of in the coefficient size.
+    Only applies to monic poly (minimal polynomials of integer matrices),
+    where quadratic algebraic numbers are quadratic algebraic integers.  The
+    conjugate root is itself a root of poly, so the trace candidates t come
+    from pairing the target with each other isolated real root (`intervals`,
+    the isolating intervals of poly's irrational real roots, isolated here
+    when None); that keeps the search linear in the degree instead of in the
+    coefficient size.
     """
     if poly[-1] != 1:
         return None

@@ -43,6 +43,10 @@ EXIT_ELIMINATED = 10
 # classify elementary2 lists all 2^m + 1 levels: m = 20 --json takes about 24 s and 1.6 GB
 ELEMENTARY2_MAX_M = 20
 
+# fpdim bisects each non-quadratic root to 2^-N: on SU(2)_9, N = 1024 takes 0.45 s,
+# 4096 takes 11 s and 8192 takes 59 s
+FPDIM_MAX_WIDTH_BITS = 4096
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fusionring", description=__doc__)
@@ -92,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--width-bits",
         type=int,
         default=64,
-        help="isolating-interval width 2^-N for non-quadratic roots (default 64)",
+        help=f"isolating-interval width 2^-N for non-quadratic roots (default 64, at most {FPDIM_MAX_WIDTH_BITS})",
     )
     p.add_argument("--json", action="store_true")
 
@@ -190,6 +194,8 @@ def _cmd_fpdim(args) -> int:
 
     if args.width_bits < 1:
         raise ValueError("--width-bits must be positive")
+    if args.width_bits > FPDIM_MAX_WIDTH_BITS:
+        raise ValueError(f"--width-bits {args.width_bits} is above the limit {FPDIM_MAX_WIDTH_BITS}")
     width = Fraction(1, 2**args.width_bits)
     ring = load_ring(args.ring)
     indices = [args.basis] if args.basis is not None else list(range(ring.rank))

@@ -39,10 +39,6 @@ class HypothesisError(FusionRingError):
     message names the failed hypothesis."""
 
 
-class CertificationError(FusionRingError):
-    """Numeric certification could not reach the requested width."""
-
-
 class InternalInvariantError(FusionRingError):
     """A consistency check that should be unconditionally true failed; always
     a bug in this library."""

@@ -1,10 +1,10 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Polynomials are tuples of coefficients, lowest degree first.  The routines
-here supply everything the algebraic-number layer needs: Berkowitz
-characteristic polynomials, Yun square-free decomposition, Sturm chains on
-pseudo-remainders, and bisection-based real-root isolation with integer sign
-tests.  No floating point anywhere.
+here supply everything the algebraic-number layer needs: Krylov minimal
+polynomials of integer matrices, square-free parts and gcds on integer
+pseudo-remainders, Sturm chains, and bisection-based real-root isolation
+with integer sign tests.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -35,29 +35,8 @@ def poly_eval(p: Poly, x):
     return acc
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def poly_neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
-
-
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return poly_add(p, poly_neg(q))
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def poly_derivative(p: Poly) -> Poly:
@@ -155,34 +134,6 @@ def squarefree_part(p: Poly) -> Poly:
     return primitive(poly_divexact(p, g))
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: returns [(f_i, i)] with p ~ prod f_i^i, f_i square-free,
-    pairwise coprime, primitive with positive leading coefficients."""
-    p = primitive(p)
-    if degree(p) < 1:
-        return []
-    dp = poly_derivative(p)
-    a = poly_gcd(p, dp)
-    if degree(a) == 0:
-        return [(p, 1)]
-    b = poly_divexact(p, a)
-    c = poly_divexact(dp, a)
-    d = poly_sub(c, poly_derivative(b))
-    out: list[tuple[Poly, int]] = []
-    i = 1
-    while degree(b) > 0:
-        g = poly_gcd(b, d)
-        if degree(g) > 0:
-            out.append((primitive(g), i))
-        if degree(g) == 0:
-            g = (1,)
-        b = poly_divexact(b, g)
-        c = poly_divexact(d, g)
-        d = poly_sub(c, poly_derivative(b))
-        i += 1
-    return out
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of a square-free integer polynomial, kept primitive.
 
@@ -231,18 +182,6 @@ def sign_variations_at(chain: list[Poly], a: int, b: int) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def sign_variations_at_inf(chain: list[Poly], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        if not p:
-            continue
-        s = _sign(p[-1])
-        if not positive and degree(p) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def count_real_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in the open interval (lo, hi).
 
@@ -251,11 +190,6 @@ def count_real_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
     return sign_variations_at(chain, lo.numerator, lo.denominator) - sign_variations_at(
         chain, hi.numerator, hi.denominator
     )
-
-
-def count_all_real_roots(p: Poly) -> int:
-    chain = sturm_chain(squarefree_part(p))
-    return sign_variations_at_inf(chain, False) - sign_variations_at_inf(chain, True)
 
 
 def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
@@ -379,23 +313,40 @@ def refine_interval(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
     return Fraction(a, d), Fraction(b, d)
 
 
-def charpoly(matrix) -> Poly:
-    """Characteristic polynomial det(xI - A) of an integer matrix, monic.
+def krylov(matrix) -> tuple[Poly, list[list[int]]]:
+    """Minimal polynomial of e_0 under an n x n integer matrix A (n >= 1),
+    and the vectors e_0, e_0 A, ..., e_0 A^(d-1) below its degree d.
 
-    Berkowitz's division-free algorithm (Inf. Process. Lett. 18 (1984)
-    147-150), in integers and O(n^4): the descending coefficients of the
-    leading block [[A, C], [R, d]] are those of A times the lower-triangular
-    Toeplitz matrix with first column (1, -d, -RC, -RAC, -RA^2C, ...).
+    Each vector e_0 A^k is reduced against the earlier ones by fraction-free
+    elimination, carrying the polynomial in A that it stands for, and each
+    reduced row is divided by its content.  The first power that reduces to
+    zero yields the relation p(A) of least degree with e_0 p(A) = 0; made
+    primitive, p is monic: it divides the monic integer charpoly, so by
+    Gauss's lemma its monic multiple has integer coefficients.  O(d^2 n)
+    integer operations plus d vector-matrix products.
     """
-    a = [[int(x) for x in row] for row in matrix]
-    c = [1]
-    for r in range(len(a)):
-        rows = [[(j, x) for j, x in enumerate(row[:r]) if x] for row in a[:r]]
-        bottom = [(j, x) for j, x in enumerate(a[r][:r]) if x]
-        col = [row[r] for row in a[:r]]
-        t = [1, -a[r][r]]
-        for _ in range(r):
-            t.append(-sum(x * col[j] for j, x in bottom))
-            col = [sum(x * col[j] for j, x in row) for row in rows]
-        c = [sum(t[i - j] * c[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return tuple(reversed(c))
+    n = len(matrix)
+    sparse = [[(t, x) for t, x in enumerate(row) if x] for row in matrix]
+    v = [1] + [0] * (n - 1)
+    powers: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot, row): row[:n] a vector, row[n:] its polynomial
+    while True:
+        k = len(powers)
+        row = v + [0] * k + [1] + [0] * (n - k)
+        for p, e in echelon:
+            if row[p]:
+                g = math.gcd(row[p], e[p])
+                a, b = e[p] // g, row[p] // g
+                row = [a * x - b * y for x, y in zip(row, e)]
+        pivot = next((j for j in range(n) if row[j]), None)
+        if pivot is None:
+            return primitive(trim(row[n:])), powers
+        g = math.gcd(*row)
+        echelon.append((pivot, [x // g for x in row]))
+        powers.append(v)
+        w = [0] * n
+        for j, c in enumerate(v):
+            if c:
+                for t, x in sparse[j]:
+                    w[t] += c * x
+        v = w

@@ -52,26 +52,48 @@ class Codegree:
 def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     """Exact eigenvalue multiset of M = sum_x N_x N_x^T, largest first.
 
-    Multiplicities come from the square-free decomposition of the
-    characteristic polynomial; M is symmetric, so every root is real and
-    algebraic equals geometric multiplicity.
+    M is left multiplication by R = sum_x x x* (global_multiplication_matrix)
+    and symmetric, so every root is real, algebraic equals geometric
+    multiplicity, and the Krylov polynomial mp of e_0 (degree d) is the
+    minimal polynomial of M, square-free, with the roots of the charpoly
+    (see fpdim_basis).  Multiplicities come from traces instead of the
+    charpoly.  The returned vectors e_0 M^k are R^k, and M^k multiplies by
+    R^k, so s_k = tr(M^k) = sum_y (R^k)_y tr(N_y).  Since
+    sum_k s_k x^(-k-1) = sum_l m_l / (x - l) over the eigenvalues l with
+    multiplicities m_l, the polynomial N of degree < d with
+    N/mp = sum_k s_k x^(-k-1), built from s_0 ... s_(d-1), has
+    N(l) = m_l mp'(l).  So the product of the x - l with m_l = m is
+    gcd(mp, N - m mp'), primitive with positive leading coefficient: the
+    factor of multiplicity m in the square-free decomposition of the
+    charpoly.  The loop stops once the multiplicities account for the rank;
+    the count and trace checks stay.
     """
     ring.require_verified()
     if "codegrees" in ring._cache:
         return ring._cache["codegrees"]
     m = global_multiplication_matrix(ring)
-    cp = intpoly.charpoly(m)
+    mp, powers = intpoly.krylov(m)
+    d = intpoly.degree(mp)
+    traces = [sum(mat[j][j] for j in range(ring.rank)) for mat in ring.rows]
+    s = [sum(c * t for c, t in zip(r, traces)) for r in powers]
+    num = [sum(mp[i] * s[i - j - 1] for i in range(j + 1, d + 1)) for j in range(d)]
+    dmp = intpoly.poly_derivative(mp)
     commutative = is_commutative(ring)
     order = invertibles(ring).order
     entries: list[Codegree] = []
     counted = 0
     root_sum = Fraction(0)
-    for factor, mult in intpoly.squarefree_decomposition(cp):
+    for mult in range(1, ring.rank + 1):
+        if counted == ring.rank:
+            break
+        factor = intpoly.poly_gcd(mp, intpoly.trim([a - mult * b for a, b in zip(num, dmp)]))
+        if intpoly.degree(factor) < 1:
+            continue
         roots = all_real_roots(factor)
         if len(roots) != intpoly.degree(factor):
             raise InternalInvariantError("symmetric M produced non-real eigenvalues")
         counted += mult * len(roots)
-        root_sum += mult * Fraction(-factor[-2], factor[-1]) if intpoly.degree(factor) >= 1 else 0
+        root_sum += mult * Fraction(-factor[-2], factor[-1])
         for root in roots:
             entries.append(Codegree(root, mult, 1 if commutative else None))
     if counted != ring.rank:

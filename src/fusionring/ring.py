@@ -97,9 +97,6 @@ class FusionRing:
             raise IndexError(f"basis index {i} out of range")
         return self.rows[i]
 
-    def same_fusion_rules(self, other: "FusionRing") -> bool:
-        return self.rank == other.rank and self.dual == other.dual and self.rows == other.rows
-
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
@@ -283,16 +280,27 @@ def _generators(ring: FusionRing) -> tuple[int, ...]:
 
 
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
-    """Frobenius-Perron dimension of basis element i: the largest real
-    eigenvalue of N_i, exact (Quadratic when its minimal polynomial has
-    degree <= 2, IsolatedRoot otherwise, whose defining polynomial is the
-    square-free part of the charpoly, not always minimal)."""
+    """Frobenius-Perron dimension of basis element i, 0 <= i < rank: the
+    largest real eigenvalue of N_i, exact (Quadratic when its minimal
+    polynomial has degree <= 2, IsolatedRoot otherwise).
+
+    It is the largest root of the Krylov polynomial p of e_0 under N_i.  Row
+    j of N_i is the product b_i b_j, so e_0 N_i^k is b_i^k and p is the least
+    polynomial with p(b_i) = 0.  require_verified guarantees a unit and
+    associativity, so p(L_x) = L_{p(x)} for left multiplication L_x, and
+    p(b_i) = 0 exactly when p(L_{b_i}) = 0 (apply it to b_0): p is the
+    minimal polynomial of N_i.  It has the same roots as the charpoly, so
+    the square-free part, which is all that largest_real_root reads, and
+    the printed value are those of the charpoly.  The defining polynomial
+    of an IsolatedRoot is that square-free part, not always minimal."""
+    if not 0 <= i < ring.rank:
+        raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
     ring.require_verified()
 
     def compute(w: Fraction) -> AlgebraicReal:
         if is_invertible(ring, i):
             return Quadratic(1)
-        result = largest_real_root(intpoly.charpoly(ring.rows[i]), w)
+        result = largest_real_root(intpoly.krylov(ring.rows[i])[0], w)
         if alg_cmp(result, 1) < 0:
             raise InternalInvariantError("FP dimension below 1")
         return result
@@ -306,11 +314,16 @@ def fpdim_all(ring: FusionRing) -> list[AlgebraicReal]:
 
 def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
     """Sum of squared FP dimensions, computed exactly as the largest
-    eigenvalue of M = sum_i N_i N_i^T (the global FP character value)."""
+    eigenvalue of M = sum_i N_i N_i^T (the global FP character value).
+
+    M is symmetric, hence diagonalizable, so its minimal polynomial is the
+    square-free part of its charpoly; that is the Krylov polynomial of e_0
+    (see fpdim_basis), since M is left multiplication by R = sum_x x x*
+    (see global_multiplication_matrix)."""
     ring.require_verified()
 
     def compute(w: Fraction) -> AlgebraicReal:
-        return largest_real_root(intpoly.charpoly(global_multiplication_matrix(ring)), w)
+        return largest_real_root(intpoly.krylov(global_multiplication_matrix(ring))[0], w)
 
     return _cached_root(ring, "fpdim_total", compute, width)
 
@@ -335,9 +348,13 @@ def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicRe
 
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
-    """Matrix of multiplication by sum_x x x* (symmetric, PSD):
+    """Matrix of multiplication by R = sum_x x x* (symmetric, PSD):
     M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l], summed over the nonzeros of each
-    column l of each N_x."""
+    column l of each N_x.
+
+    Row j is the product R b_j on a verified ring: its b_k coefficient is
+    sum_{x,l} c[x*,j,l] c[x,l,k], and Frobenius reciprocity c[x,l,k] =
+    c[x*,k,l] with x -> x* turns that into M[j][k]."""
     n = ring.rank
     m = [[0] * n for _ in range(n)]
     for mat in ring.rows:

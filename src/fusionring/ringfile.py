@@ -61,11 +61,6 @@ def loads_ring(text: str) -> FusionRing:
     return ring_from_dict(doc)
 
 
-def save_ring(ring: FusionRing, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_ring(ring))
-
-
 def load_ring(path: str) -> FusionRing:
     with open(path) as fh:
         return loads_ring(fh.read())

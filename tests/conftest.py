@@ -2,9 +2,10 @@
 
 The oracles here are deliberately implemented by different algorithms than
 the library paths they check: characteristic polynomials via the
-Faddeev-LeVerrier trace recursion (the library runs Berkowitz's
-division-free recursion), polynomial gcds, Sturm chains and interval
-bisection over Fraction (the library stays in integers, with
+Faddeev-LeVerrier trace recursion (the library computes Krylov minimal
+polynomials), square-free decompositions by Yun's algorithm (the library
+reads codegree multiplicities from traces), polynomial gcds, Sturm chains
+and interval bisection over Fraction (the library stays in integers, with
 pseudo-remainders and common denominators), numeric eigenvalues via numpy,
 prime-scan hits by testing every m (the library solves Pell equations),
 characters of commutative rings as certified numeric joint eigenvectors (the
@@ -31,12 +32,20 @@ import pytest
 import fusionring as fr
 from fusionring import intpoly
 from fusionring.cyclotomic import Cyc, CycSqrt
-from fusionring.errors import CertificationError, HypothesisError
+from fusionring.errors import FusionRingError, HypothesisError
 from fusionring.groups import FiniteGroup
-from fusionring.numtheory import is_prime, totient
-from fusionring.ring import Violation
+from fusionring.numtheory import factorize, is_prime, totient
+from fusionring.ring import Violation, global_multiplication_matrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+class CertificationError(FusionRingError):
+    """Numeric certification could not reach the requested width."""
+
+
+def same_fusion_rules(a: fr.FusionRing, b: fr.FusionRing) -> bool:
+    return a.rank == b.rank and a.dual == b.dual and a.rows == b.rows
 
 
 def cli_env() -> dict[str, str]:
@@ -113,20 +122,103 @@ def q8_group() -> FiniteGroup:
 
 def charpoly_oracle(matrix) -> tuple:
     """det(xI - A) by the Faddeev-LeVerrier recursion, ascending integer
-    coefficients; independent of the library's Berkowitz recursion."""
-    a = [[Fraction(int(x)) for x in row] for row in matrix]
-    n = len(a)
-    coeffs_desc = [Fraction(1)]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    coefficients; independent of the library's Krylov elimination.  Each
+    step forms A M_k over the nonzero entries of A, in integers: the
+    division by k is exact for an integer matrix, and checked."""
+    n = len(matrix)
+    rows = [[(t, int(x)) for t, x in enumerate(row) if x] for row in matrix]
+    coeffs_desc = [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         # M_k = A * (M_{k-1} + c_{k-1} I); here mk already includes the shift
-        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        ck = -sum(am[i][i] for i in range(n)) / k
+        am = []
+        for row in rows:
+            acc = [0] * n
+            for t, x in row:
+                acc = [u + x * v for u, v in zip(acc, mk[t])]
+            am.append(acc)
+        ck, rem = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert rem == 0
         coeffs_desc.append(ck)
         mk = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    asc = list(reversed(coeffs_desc))
-    assert all(c.denominator == 1 for c in asc)
-    return tuple(int(c) for c in asc)
+    return tuple(reversed(coeffs_desc))
+
+
+def poly_mul(p, q) -> tuple:
+    """Product of coefficient tuples, lowest degree first."""
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return intpoly.trim(out)
+
+
+def squarefree_decomposition_oracle(p) -> list:
+    """Yun's algorithm: [(f_i, i)] with p ~ prod f_i^i, f_i square-free,
+    pairwise coprime, primitive with positive leading coefficients."""
+
+    def sub(a, b):
+        n = max(len(a), len(b))
+        return intpoly.trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+    p = intpoly.primitive(p)
+    if intpoly.degree(p) < 1:
+        return []
+    dp = intpoly.poly_derivative(p)
+    a = intpoly.poly_gcd(p, dp)
+    if intpoly.degree(a) == 0:
+        return [(p, 1)]
+    b = intpoly.poly_divexact(p, a)
+    c = intpoly.poly_divexact(dp, a)
+    d = sub(c, intpoly.poly_derivative(b))
+    out = []
+    i = 1
+    while intpoly.degree(b) > 0:
+        g = intpoly.poly_gcd(b, d)
+        if intpoly.degree(g) > 0:
+            out.append((intpoly.primitive(g), i))
+        if intpoly.degree(g) == 0:
+            g = (1,)
+        b = intpoly.poly_divexact(b, g)
+        c = intpoly.poly_divexact(d, g)
+        d = sub(c, intpoly.poly_derivative(b))
+        i += 1
+    return out
+
+
+def oracle_multiplicity(value, oracle_factors) -> int:
+    """The multiplicity of the factor that has `value` as a root, among
+    pairwise coprime factors [(f, m)] such as Yun's decomposition gives."""
+    for factor, mult in oracle_factors:
+        if isinstance(value, fr.Quadratic):
+            acc = fr.Quadratic(0, 0, value.D)
+            for coef in reversed(factor):
+                acc = acc * value + fr.Quadratic(coef)
+            if acc.sign() == 0:
+                return mult
+        else:
+            assert isinstance(value, fr.IsolatedRoot)
+            g = intpoly.poly_gcd(factor, value.poly)
+            if intpoly.degree(g) >= 1:
+                lo, hi = value.interval(Fraction(1, 2**20))
+                if intpoly.poly_eval(g, lo) * intpoly.poly_eval(g, hi) < 0:
+                    return mult
+    raise AssertionError(f"{value!r} is not an oracle eigenvalue")
+
+
+def assert_codegrees_match_yun_oracle(ring) -> None:
+    """codegree_spectrum(ring) has, for each factor (f, m) of Yun's
+    decomposition of the oracle charpoly of M, exactly deg f eigenvalues of
+    multiplicity m, each a root of f, and no other multiplicities."""
+    factors = squarefree_decomposition_oracle(charpoly_oracle(global_multiplication_matrix(ring)))
+    spectrum = fr.codegree_spectrum(ring)
+    assert sorted(m for _, m in factors) == sorted({e.eigen_multiplicity for e in spectrum})
+    for f, m in factors:
+        values = [e.value for e in spectrum if e.eigen_multiplicity == m]
+        assert len(values) == intpoly.degree(f), (f, m)
+        assert all(oracle_multiplicity(v, factors) == m for v in values), (f, m)
 
 
 def poly_gcd_oracle(p, q) -> tuple:
@@ -166,6 +258,38 @@ def refine_interval_oracle(p, lo: Fraction, hi: Fraction, width: Fraction) -> tu
         else:
             hi = mid
     return lo, hi
+
+
+def is_squarefree(n: int) -> bool:
+    if n < 1:
+        raise ValueError("is_squarefree expects n >= 1")
+    return all(e == 1 for e in factorize(n).values())
+
+
+def min_roots_of_unity(b: int, c: int) -> int:
+    """Lower bound |b|*phi(2c) on the number of roots of unity needed to
+    express a + b*sqrt(c), for square-free c >= 2."""
+    if c < 2 or not is_squarefree(c):
+        raise ValueError("c must be square-free and >= 2")
+    return abs(b) * totient(2 * c)
+
+
+def phi_ratio_cmp(c: int, coeff: Fraction | int, surd: int) -> int:
+    """Compare phi(2c)/sqrt(c) against coeff*sqrt(surd), exactly.
+
+    Returns -1, 0, or +1.  Both sides are positive, so the comparison is
+    decided by squaring.  c must be square-free and >= 2.
+    """
+    if c < 2 or not is_squarefree(c):
+        raise ValueError("c must be square-free and >= 2")
+    if surd < 0:
+        raise ValueError("surd must be nonnegative")
+    coeff = Fraction(coeff)
+    if coeff <= 0:
+        return 1
+    lhs = Fraction(totient(2 * c) ** 2, c)
+    rhs = coeff * coeff * surd
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def admissible_squarefree_parts_oracle(p: int) -> list[int]:

@@ -14,9 +14,17 @@ from fractions import Fraction
 import numpy as np
 
 import fusionring as fr
-from conftest import charpoly_oracle, cli_env, numeric_eigs, squarefree_sieve, totient_sieve
-from fusionring import Quadratic, alg_cmp, intpoly
-from fusionring.algebraic import IsolatedRoot
+from conftest import (
+    charpoly_oracle,
+    cli_env,
+    numeric_eigs,
+    oracle_multiplicity,
+    phi_ratio_cmp,
+    squarefree_decomposition_oracle,
+    squarefree_sieve,
+    totient_sieve,
+)
+from fusionring import alg_cmp
 from fusionring.classify import STATUS_CANDIDATE, STATUS_KNOWN
 from fusionring.obstruct import quartic_coeffs, quartic_f
 from fusionring.represent import SOURCE_D_MINUS, SOURCE_D_PLUS
@@ -127,7 +135,7 @@ def test_criterion_5_totient_ratio_bound():
     rng = random.Random(3)
     sf_cs = c[mask].tolist()
     for cc in rng.sample(sf_cs, 300):
-        sign = fr.phi_ratio_cmp(int(cc), Fraction(2, 3), 3)
+        sign = phi_ratio_cmp(int(cc), Fraction(2, 3), 3)
         assert sign >= 0
         assert (sign == 0) == (cc == 3)
     _pass(5, f"phi(2c)/sqrt(c) >= 2/sqrt(3) for square-free c <= 1e6 in {elapsed:.1f}s")
@@ -144,9 +152,9 @@ def test_criterion_6_codegree_oracle_equivalence(small_corpus):
         # every spectrum value is a root of the oracle's polynomial with the
         # oracle's multiplicity (factors of the square-free decomposition are
         # pairwise coprime, so the containing factor is unique)
-        oracle_factors = intpoly.squarefree_decomposition(oracle)
+        oracle_factors = squarefree_decomposition_oracle(oracle)
         for e in spectrum:
-            mult = _oracle_multiplicity(e.value, oracle_factors)
+            mult = oracle_multiplicity(e.value, oracle_factors)
             assert mult == e.eigen_multiplicity, (name, e)
         # numeric multiset cross-check (second independent route)
         approx = sorted(
@@ -160,24 +168,6 @@ def test_criterion_6_codegree_oracle_equivalence(small_corpus):
         checked += 1
     assert checked >= 90
     _pass(6, f"codegree spectra of {checked} corpus rings match the independent oracle")
-
-
-def _oracle_multiplicity(value, oracle_factors) -> int:
-    for factor, mult in oracle_factors:
-        if isinstance(value, Quadratic):
-            acc = Quadratic(0, 0, value.D)
-            for coef in reversed(factor):
-                acc = acc * value + Quadratic(coef)
-            if acc.sign() == 0:
-                return mult
-        else:
-            assert isinstance(value, IsolatedRoot)
-            g = intpoly.poly_gcd(factor, value.poly)
-            if intpoly.degree(g) >= 1:
-                lo, hi = value.interval(Fraction(1, 2**20))
-                if intpoly.poly_eval(g, lo) * intpoly.poly_eval(g, hi) < 0:
-                    return mult
-    raise AssertionError(f"{value!r} is not an oracle eigenvalue")
 
 
 def test_criterion_7_uniform_irrep_suite():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_mul
 from fusionring import intpoly
 from fusionring.algebraic import (
     IsolatedRoot,
@@ -75,7 +76,7 @@ def test_isolated_root_validation():
     with pytest.raises(ValueError):
         IsolatedRoot((-2, 0, 1), Fraction(-2), Fraction(2))  # two roots
     with pytest.raises(ValueError):
-        IsolatedRoot(intpoly.poly_mul((-1, 1), (-1, 1)), Fraction(0), Fraction(2))  # not square-free
+        IsolatedRoot(poly_mul((-1, 1), (-1, 1)), Fraction(0), Fraction(2))  # not square-free
     r = IsolatedRoot((-2, 0, 1), Fraction(1), Fraction(2))
     lo, hi = r.interval(Fraction(1, 2**70))
     assert hi - lo <= Fraction(1, 2**70)
@@ -97,7 +98,7 @@ def test_algebraic_root_promotions():
     # integer root
     assert algebraic_root((-8, 0, 0, 1), Fraction(1), Fraction(3)) == Quadratic(2)
     # quadratic root of x^2 - 2x - 2 inside a cubic times linear
-    p = intpoly.poly_mul((-2, -2, 1), (-5, 1))
+    p = poly_mul((-2, -2, 1), (-5, 1))
     root = algebraic_root(p, Fraction(2), Fraction(3))
     assert root == Quadratic(1, 1, 3)
     # genuinely cubic root stays isolated: x^3 - x - 1 (plastic number)
@@ -108,14 +109,14 @@ def test_algebraic_root_promotions():
 
 def test_largest_real_root():
     # (x^2 - 2)(x - 5): largest is 5
-    p = intpoly.poly_mul((-2, 0, 1), (-5, 1))
+    p = poly_mul((-2, 0, 1), (-5, 1))
     assert largest_real_root(p) == Quadratic(5)
     # x^2 - 2x - 2: largest is 1 + sqrt(3)
     assert largest_real_root((-2, -2, 1)) == Quadratic(1, 1, 3)
 
 
 def test_all_real_roots_sorted():
-    p = intpoly.poly_mul((-2, 0, 1), (-3, 1))  # sqrt2, -sqrt2, 3
+    p = poly_mul((-2, 0, 1), (-3, 1))  # sqrt2, -sqrt2, 3
     roots = all_real_roots(p)
     assert len(roots) == 3
     assert [float(r) for r in roots] == sorted(float(r) for r in roots)
@@ -186,8 +187,8 @@ def test_isolated_roots_of_products_compare_exactly():
     # IsolatedRoots built directly on (x^2 - 2)(x^3 - x - 1) and
     # (x^2 - 2)(x^2 - 5), so nothing is promoted: sqrt 2 appears as a root of
     # both, next to the plastic number 1.3247... and sqrt 5
-    p = intpoly.poly_mul((-2, 0, 1), (-1, -1, 0, 1))
-    q = intpoly.poly_mul((-2, 0, 1), (-5, 0, 1))
+    p = poly_mul((-2, 0, 1), (-1, -1, 0, 1))
+    q = poly_mul((-2, 0, 1), (-5, 0, 1))
     sqrt2_p = IsolatedRoot(p, Fraction(7, 5), Fraction(3, 2))
     plastic = IsolatedRoot(p, Fraction(13, 10), Fraction(7, 5))
     sqrt2_q = IsolatedRoot(q, Fraction(1), Fraction(2))

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import fusionring as fr
-from conftest import cli_env
+from conftest import cli_env, same_fusion_rules
 from fusionring.cli import main
 from fusionring.ringfile import dumps_ring, load_ring, loads_ring
 
@@ -22,7 +22,7 @@ def test_build_and_verify_roundtrip(tmp_path, capsys):
     code, out, err = run_cli(["build", "neargroup", "--group", "2,2", "--level", "4", "--out", str(path)], capsys)
     assert code == 0
     ring = load_ring(str(path))
-    assert ring.same_fusion_rules(fr.near_group((2, 2), 4))
+    assert same_fusion_rules(ring, fr.near_group((2, 2), 4))
     code, out, err = run_cli(["verify", str(path)], capsys)
     assert code == 0 and "ok" in out
 
@@ -38,7 +38,7 @@ def test_build_group_and_haagerup(tmp_path, capsys):
     ):
         code, out, err = run_cli(args, capsys)
         assert code == 0
-        assert loads_ring(out).same_fusion_rules(expect)
+        assert same_fusion_rules(loads_ring(out), expect)
 
 
 def test_build_charring(tmp_path, capsys):
@@ -299,6 +299,29 @@ def test_elementary2_m_above_limit_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "limit 20" in err
+
+
+@pytest.mark.parametrize("index", [3, 99, -1, -4])
+def test_fpdim_basis_out_of_range_exits_2(index, tmp_path, capsys):
+    path = tmp_path / "r.ring"
+    path.write_text(dumps_ring(fr.near_group((2,), 2)))  # rank 3
+    code, out, err = run_cli(["fpdim", str(path), "--basis", str(index), "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "outside [0, 3)" in err
+
+
+def test_fpdim_width_bits_above_limit_exits_2(tmp_path, capsys):
+    from fusionring.cli import FPDIM_MAX_WIDTH_BITS
+
+    path = tmp_path / "r.ring"
+    path.write_text(dumps_ring(fr.near_group((2,), 2)))
+    code, out, err = run_cli(["fpdim", str(path), "--width-bits", str(FPDIM_MAX_WIDTH_BITS + 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"limit {FPDIM_MAX_WIDTH_BITS}" in err
+    code, out, err = run_cli(["fpdim", str(path), "--width-bits", str(FPDIM_MAX_WIDTH_BITS), "--json"], capsys)
+    assert code == 0
 
 
 def test_runtime_does_not_load_mpmath(tmp_path):

@@ -8,10 +8,10 @@ per-basis sums.
 """
 
 import fusionring as fr
-from conftest import characters_commutative, linear_scan_hits
+from conftest import characters_commutative, is_squarefree, linear_scan_hits
 from fusionring import Quadratic, alg_cmp
 from fusionring.classify import _pell_hits, admissible_squarefree_parts, scan_prime_levels
-from fusionring.numtheory import is_squarefree, squarefree_part, totient
+from fusionring.numtheory import squarefree_part, totient
 from fusionring.represent import SOURCE_IRR_H
 
 

@@ -6,10 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionring as fr
 from conftest import (
     charpoly_oracle,
     poly_gcd_oracle,
+    poly_mul,
     refine_interval_oracle,
+    squarefree_decomposition_oracle,
     sturm_chain_oracle,
     su2_ring,
 )
@@ -20,7 +23,7 @@ from fusionring.ring import global_multiplication_matrix
 def test_poly_basics():
     p = (1, 2, 3)  # 3x^2 + 2x + 1
     assert intpoly.poly_eval(p, 2) == 17
-    assert intpoly.poly_mul((1, 1), (-1, 1)) == (-1, 0, 1)
+    assert poly_mul((1, 1), (-1, 1)) == (-1, 0, 1)
     assert intpoly.poly_derivative(p) == (2, 6)
     q, r = intpoly.poly_divmod((-1, 0, 1), (1, 1))
     assert q == (Fraction(-1), Fraction(1)) and r == ()
@@ -28,10 +31,10 @@ def test_poly_basics():
 
 def test_gcd_and_squarefree():
     # (x-1)^2 (x+2)
-    p = intpoly.poly_mul(intpoly.poly_mul((-1, 1), (-1, 1)), (2, 1))
+    p = poly_mul(poly_mul((-1, 1), (-1, 1)), (2, 1))
     g = intpoly.poly_gcd(p, intpoly.poly_derivative(p))
     assert g == (-1, 1)
-    assert intpoly.squarefree_part(p) == intpoly.primitive(intpoly.poly_mul((-1, 1), (2, 1)))
+    assert intpoly.squarefree_part(p) == intpoly.primitive(poly_mul((-1, 1), (2, 1)))
 
 
 def test_yun_decomposition():
@@ -39,14 +42,14 @@ def test_yun_decomposition():
     f1, f2, f3 = (-1, 1), (-2, 1), (-3, 1)
     p = f1
     for _ in range(2):
-        p = intpoly.poly_mul(p, f2)
-    p = intpoly.poly_mul(p, f1)  # make it (x-1)^2 (x-2)^2
-    p = intpoly.poly_mul(p, intpoly.poly_mul(f3, intpoly.poly_mul(f3, f3)))
-    dec = intpoly.squarefree_decomposition(p)
+        p = poly_mul(p, f2)
+    p = poly_mul(p, f1)  # make it (x-1)^2 (x-2)^2
+    p = poly_mul(p, poly_mul(f3, poly_mul(f3, f3)))
+    dec = squarefree_decomposition_oracle(p)
     rebuilt = (1,)
     for f, m in dec:
         for _ in range(m):
-            rebuilt = intpoly.poly_mul(rebuilt, f)
+            rebuilt = poly_mul(rebuilt, f)
     assert intpoly.primitive(rebuilt) == intpoly.primitive(p)
     assert {m for _, m in dec} == {2, 3}
 
@@ -57,14 +60,15 @@ def test_sturm_root_counts():
     chain = intpoly.sturm_chain(p)
     assert intpoly.count_real_roots(chain, Fraction(-3), Fraction(3)) == 3
     assert intpoly.count_real_roots(chain, Fraction(1), Fraction(3)) == 1
-    assert intpoly.count_all_real_roots(p) == 3
+    assert sum(map(len, intpoly.isolate_real_roots(p))) == 3
     # x^2 + 1 has no real roots
-    assert intpoly.count_all_real_roots((1, 0, 1)) == 0
+    assert intpoly.count_real_roots(intpoly.sturm_chain((1, 0, 1)), Fraction(-3), Fraction(3)) == 0
+    assert intpoly.isolate_real_roots((1, 0, 1)) == ([], [])
 
 
 def test_isolate_mixed_rational_irrational():
     # x (x^2 - 2) (x - 2): rational roots 0, 2; irrational +-sqrt(2)
-    p = intpoly.poly_mul((0, 1), intpoly.poly_mul((-2, 0, 1), (-2, 1)))
+    p = poly_mul((0, 1), poly_mul((-2, 0, 1), (-2, 1)))
     rational, intervals = intpoly.isolate_real_roots(p)
     assert rational == [Fraction(0), Fraction(2)]
     assert len(intervals) == 2
@@ -74,7 +78,7 @@ def test_isolate_mixed_rational_irrational():
 
 def test_isolate_non_monic_rational_roots():
     # (2x - 1)(3x + 2)(x^2 - 3)
-    p = intpoly.poly_mul(intpoly.poly_mul((-1, 2), (2, 3)), (-3, 0, 1))
+    p = poly_mul(poly_mul((-1, 2), (2, 3)), (-3, 0, 1))
     rational, intervals = intpoly.isolate_real_roots(p)
     assert rational == [Fraction(-2, 3), Fraction(1, 2)]
     assert len(intervals) == 2
@@ -86,52 +90,133 @@ def test_refine_interval():
     assert lo < Fraction(1414213562, 10**9) < hi
 
 
+def _vec_mat(v, a):
+    return [sum(v[j] * a[j][t] for j in range(len(v))) for t in range(len(a))]
+
+
+def _rank(vectors) -> int:
+    """Rank by Gaussian elimination over Fraction."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_krylov(m):
+    """krylov(m) against first principles: the powers are e_0 m^k, of full
+    rank, and p of degree len(powers) is monic with e_0 p(m) = 0, so p is
+    the least such polynomial; p divides the oracle's charpoly."""
+    p, powers = intpoly.krylov(m)
+    n = len(m)
+    d = intpoly.degree(p)
+    assert p[-1] == 1 and d == len(powers) >= 1
+    v = [1] + [0] * (n - 1)
+    relation = [0] * n
+    for k in range(d + 1):
+        if k < d:
+            assert powers[k] == v
+        relation = [r + p[k] * x for r, x in zip(relation, v)]
+        v = _vec_mat(v, m)
+    assert relation == [0] * n
+    assert _rank(powers) == d
+    cp = charpoly_oracle(m)
+    assert intpoly.poly_divmod(cp, p)[1] == ()
+    return p, cp
+
+
 def test_charpoly_constant_term_is_det():
     rng = random.Random(11)
     for n in (1, 2, 3, 5, 7):
         for _ in range(10):
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             want = round(float(np.linalg.det(np.array(m, dtype=float))))
-            assert (-1) ** n * intpoly.charpoly(m)[0] == want
+            assert (-1) ** n * charpoly_oracle(m)[0] == want
+            p, _ = intpoly.krylov(m)
+            if intpoly.degree(p) == n:
+                assert (-1) ** n * p[0] == want
 
 
 def test_charpoly_matches_oracle():
+    # e_0 is cyclic for most random matrices: then the Krylov polynomial is
+    # the charpoly itself
     rng = random.Random(5)
+    cyclic = 0
     for n in (1, 2, 3, 6, 9):
         for _ in range(6):
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            assert intpoly.charpoly(m) == charpoly_oracle(m)
+            p, cp = _check_krylov(m)
+            if intpoly.degree(p) == n:
+                assert p == cp
+                cyclic += 1
+    assert cyclic >= 20
 
 
 def test_charpoly_matches_oracle_random_up_to_12():
+    # dense matrices, sparse 0/1 matrices (where e_0 often spans a proper
+    # invariant subspace) and block matrices with repeated eigenvalues
     rng = random.Random(7)
+    short = 0
     for n in range(1, 13):
         for _ in range(3):
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert intpoly.charpoly(m) == charpoly_oracle(m), n
+            dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            sparse = [[int(rng.random() < 0.2) for _ in range(n)] for _ in range(n)]
+            c = rng.randint(-3, 3)
+            block = [[c * (i == j) + (j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]
+            for m in (dense, sparse, block):
+                p, _ = _check_krylov(m)
+                short += intpoly.degree(p) < n
+    assert short >= 20
 
 
 def test_charpoly_matches_oracle_su2_fusion_matrices():
-    for k in range(1, 11):
+    for k in range(1, 20):
         ring = su2_ring(k)
-        mats = [ring.fusion_matrix(i) for i in range(ring.rank)]
-        mats.append(global_multiplication_matrix(ring))
-        for m in mats:
-            assert intpoly.charpoly(m) == charpoly_oracle(m), k
+        for m in [ring.fusion_matrix(i) for i in range(ring.rank)]:
+            p, cp = _check_krylov(m)
+            assert intpoly.squarefree_part(p) == intpoly.squarefree_part(cp), k
+        m = global_multiplication_matrix(ring)
+        p, cp = _check_krylov(m)
+        assert p == intpoly.squarefree_part(cp), k  # M is symmetric
+
+
+def test_krylov_squarefree_part_matches_oracle_on_corpora(small_corpus, two_orbit_corpus, spectra_corpus):
+    # every N_i and M: the square-free part, all that the root finders read,
+    # is the charpoly's; for the symmetric M the Krylov polynomial is it
+    cases = [(r, range(r.rank)) for r in (*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values())]
+    # Haagerup-Izumi C32 (rank 64): every N_g, and N_x(g) for one g of each
+    # order, since the automorphisms g -> g^u of C32 permute the other x(g)
+    # into these, with permutation-similar N
+    cases.append((fr.haagerup_izumi((32,)), [*range(32), *(32 + g for g in (0, 1, 2, 4, 8, 16))]))
+    for ring, indices in cases:
+        for i in indices:
+            m = ring.fusion_matrix(i)
+            p = intpoly.krylov(m)[0]
+            assert intpoly.squarefree_part(p) == intpoly.squarefree_part(charpoly_oracle(m)), (ring, i)
+        m = global_multiplication_matrix(ring)
+        assert intpoly.krylov(m)[0] == intpoly.squarefree_part(charpoly_oracle(m)), ring
 
 
 # products of small integer factors: repeated, non-monic and negative-leading
 # factors make common roots, multiple roots and sign flips
 _factor = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
 _product = st.lists(_factor, min_size=1, max_size=4).map(
-    lambda fs: reduce(intpoly.poly_mul, map(tuple, fs), (1,))
+    lambda fs: reduce(poly_mul, map(tuple, fs), (1,))
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_product, _product, _product)
 def test_poly_gcd_matches_fraction_euclid(f, g, h):
-    p, q = intpoly.poly_mul(f, h), intpoly.poly_mul(g, h)
+    p, q = poly_mul(f, h), poly_mul(g, h)
     assert intpoly.poly_gcd(p, q) == poly_gcd_oracle(p, q)
     assert intpoly.poly_gcd(p, intpoly.poly_derivative(p)) == poly_gcd_oracle(p, intpoly.poly_derivative(p))
 
@@ -161,5 +246,7 @@ def test_refine_interval_matches_fraction_bisection(f, bits):
 
 
 def test_charpoly_identity():
-    assert intpoly.charpoly([[1, 0], [0, 1]]) == (1, -2, 1)
-    assert intpoly.charpoly([]) == (1,)
+    assert charpoly_oracle([[1, 0], [0, 1]]) == (1, -2, 1)
+    assert charpoly_oracle([]) == (1,)
+    assert intpoly.krylov([[1, 0], [0, 1]]) == ((-1, 1), [[1, 0]])
+    assert intpoly.krylov([[1, 1], [0, 1]]) == ((1, -2, 1), [[1, 0], [1, 1]])

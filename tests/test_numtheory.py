@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import squarefree_sieve, totient_sieve
+from conftest import is_squarefree, min_roots_of_unity, phi_ratio_cmp, squarefree_sieve, totient_sieve
 
 from fusionring.numtheory import (
     SquareFreeDecomposition,
     factorize,
     is_prime,
     is_square,
-    is_squarefree,
-    min_roots_of_unity,
-    phi_ratio_cmp,
     quad_sign,
     squarefree_part,
     totient,
@@ -55,6 +52,28 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial(n)
     assert is_prime(10**12 + 39)
     assert not is_prime(10**12 + 37)
+
+
+def test_is_prime_matches_trial_division_on_seeded_ranges():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    rng = random.Random(12)
+    for _ in range(3):
+        start = rng.randrange(10**7, 10**8)
+        for n in range(start, start + 1000):
+            assert is_prime(n) == trial(n), n
+
+
+def test_psi12_is_composite():
+    # psi_12, the least strong pseudoprime to the prime bases 2 ... 37
+    # (Sorenson-Webster 2017), is caught by base 41
+    psi12 = 318665857834031151167461
+    p, q = 399165290221, 798330580441
+    assert p * q == psi12 and is_prime(p) and is_prime(q)
+    assert not is_prime(psi12)
+    assert factorize(psi12) == {p: 1, q: 1}
+    assert totient(psi12) == (p - 1) * (q - 1) == 318665857832833655296800
 
 
 def test_squarefree_part_values():

@@ -8,13 +8,15 @@ import pytest
 
 import fusionring as fr
 from conftest import (
+    assert_codegrees_match_yun_oracle,
     characters_commutative,
     charpoly_oracle,
     crosscheck_uniform_rings,
     numeric_eigs,
+    su2_ring,
     verify_irrep_oracle,
 )
-from fusionring import Quadratic, alg_cmp, represent
+from fusionring import Quadratic, alg_cmp, intpoly, represent
 from fusionring.cyclotomic import Cyc, CycSqrt
 from fusionring.errors import HypothesisError, InternalInvariantError
 from fusionring.represent import (
@@ -404,8 +406,15 @@ def test_spectrum_against_oracle_small():
     for build in (lambda: fr.near_group((3,), 2), lambda: fr.haagerup_izumi((2,))):
         ring = build()
         m = global_multiplication_matrix(ring)
-        assert charpoly_oracle(m) == tuple(
-            int(c) for c in __import__("fusionring.intpoly", fromlist=["charpoly"]).charpoly(m)
-        )
+        assert intpoly.krylov(m)[0] == intpoly.squarefree_part(charpoly_oracle(m))
+        assert_codegrees_match_yun_oracle(ring)
         approx = sorted(float(e.value) for e in fr.codegree_spectrum(ring) for _ in range(e.eigen_multiplicity))
         assert np.allclose(approx, numeric_eigs(m), atol=1e-8)
+
+
+def test_codegree_factors_match_yun_oracle(small_corpus, two_orbit_corpus, spectra_corpus):
+    rings = [*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values()]
+    rings += [su2_ring(k) for k in range(1, 20)]
+    rings.append(fr.haagerup_izumi((32,)))
+    for ring in rings:
+        assert_codegrees_match_yun_oracle(ring)
