@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -191,16 +192,25 @@ def test_charpoly_matches_oracle_su2_fusion_matrices():
 def test_krylov_squarefree_part_matches_oracle_on_corpora(small_corpus, two_orbit_corpus, spectra_corpus):
     # every N_i and M: the square-free part, all that the root finders read,
     # is the charpoly's; for the symmetric M the Krylov polynomial is it
-    cases = [(r, range(r.rank)) for r in (*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values())]
-    # Haagerup-Izumi C32 (rank 64): every N_g, and N_x(g) for one g of each
-    # order, since the automorphisms g -> g^u of C32 permute the other x(g)
-    # into these, with permutation-similar N
-    cases.append((fr.haagerup_izumi((32,)), [*range(32), *(32 + g for g in (0, 1, 2, 4, 8, 16))]))
-    for ring, indices in cases:
-        for i in indices:
-            m = ring.fusion_matrix(i)
-            p = intpoly.krylov(m)[0]
-            assert intpoly.squarefree_part(p) == intpoly.squarefree_part(charpoly_oracle(m)), (ring, i)
+    cases = [(r, lambda i: i) for r in (*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values())]
+    # Haagerup-Izumi C32 (rank 64, x(g) at index 32 + g): the automorphisms
+    # g -> ug of C32, generated by u = -1 and u = 5, preserve the rules
+    # (checked here), so N_x(g) is permutation-similar to N_x(gcd(g, 32)),
+    # whose oracle charpoly then serves it
+    hi = fr.haagerup_izumi((32,))
+    n = hi.rank
+    for u in (-1, 5):
+        perm = [u * g % 32 for g in range(32)] + [32 + u * g % 32 for g in range(32)]
+        t = hi.rows
+        assert all(t[perm[i]][perm[j]][perm[k]] == t[i][j][k] for i in range(n) for j in range(n) for k in range(n))
+    cases.append((hi, lambda i: i if i < 32 else 32 + math.gcd(i - 32, 32) % 32))
+    for ring, ref in cases:
+        oracle = {}
+        for i in range(ring.rank):
+            if ref(i) not in oracle:
+                oracle[ref(i)] = intpoly.squarefree_part(charpoly_oracle(ring.fusion_matrix(ref(i))))
+            p = intpoly.krylov(ring.fusion_matrix(i))[0]
+            assert intpoly.squarefree_part(p) == oracle[ref(i)], (ring, i)
         m = global_multiplication_matrix(ring)
         assert intpoly.krylov(m)[0] == intpoly.squarefree_part(charpoly_oracle(m)), ring
 
