@@ -10,7 +10,6 @@ from .classify import (
     scan_prime_levels,
 )
 from .construct import (
-    AbelianGroupSpec,
     CharacterTable,
     character_ring,
     dihedral_character_ring,

@@ -7,8 +7,9 @@ Two representations cover everything downstream:
   and b != 0 forces D >= 2 square-free, so structural equality is semantic
   equality.
 * ``IsolatedRoot``: the unique real root of a square-free integer polynomial
-  inside a rational interval with a sign change.  Construction verifies the
-  Sturm count is exactly one.
+  inside a rational interval with a sign change, irrational.  The public
+  constructor verifies this; the library's own roots come from intervals
+  that ``intpoly.isolate_real_roots`` certified, and are not checked again.
 
 Comparisons of Quadratics, also across different D, are sign tests in
 integer arithmetic.  Comparisons involving an IsolatedRoot are decided
@@ -228,7 +229,13 @@ class Quadratic:
 
 
 class IsolatedRoot:
-    """Unique real root of a square-free integer polynomial in (lo, hi)."""
+    """Unique real root of a square-free integer polynomial in (lo, hi).
+
+    The value never changes, but the interval is narrowed in place whenever
+    a comparison or a caller asks for a narrower one.  The constructor
+    checks every fact the class relies on; the library itself builds its
+    roots with _certified, from intervals that isolate_real_roots certified.
+    """
 
     __slots__ = ("poly", "_lo", "_hi")
 
@@ -252,6 +259,15 @@ class IsolatedRoot:
         self.poly = poly
         self._lo = lo
         self._hi = hi
+
+    @classmethod
+    def _certified(cls, poly: Poly, lo: Fraction, hi: Fraction) -> "IsolatedRoot":
+        """The root in (lo, hi), one of the intervals that
+        isolate_real_roots returned with poly, its square-free part: that
+        call certified everything the constructor would check again."""
+        out = object.__new__(cls)
+        out.poly, out._lo, out._hi = poly, lo, hi
+        return out
 
     def interval(self, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
         # refinement only tightens; redundant concurrent work is harmless
@@ -386,59 +402,38 @@ def _cmp_across_fields(x: Quadratic, y: Quadratic) -> int:
     return s_sign * (s * s - y.b * y.b * y.D).sign()
 
 
-def algebraic_root(
-    poly: Poly,
-    lo: Fraction,
-    hi: Fraction,
-    width: Fraction = DEFAULT_WIDTH,
-    intervals: list[tuple[Fraction, Fraction]] | None = None,
+def _exact_root(
+    sf: Poly, interval: tuple[Fraction, Fraction], intervals: list[tuple[Fraction, Fraction]], width: Fraction
 ) -> AlgebraicReal:
-    """The unique root of square-free integer poly in (lo, hi), promoted to a
-    Quadratic when its minimal polynomial has degree <= 2.
-
-    For higher-degree roots an IsolatedRoot refined below `width` is returned.
-    `intervals`, when given, are the isolating intervals of all irrational
-    real roots of poly, as isolate_real_roots(poly) returns them.
-    """
-    poly = intpoly.primitive(poly)
-    if intpoly.degree(poly) == 1:
-        return Quadratic(Fraction(-poly[0], poly[1]))
-    lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 16))
-    if lo == hi:
-        return Quadratic(lo)
-    # degree-1 factor: a rational root in the interval
-    r = intpoly._rational_root_in(poly, lo, hi)
-    if r is not None:
-        return Quadratic(r)
-    q = _promote_quadratic(poly, lo, hi, intervals)
+    """The root of sf in `interval`, one of the `intervals` that
+    isolate_real_roots returned with sf, which certified them: a Quadratic
+    when a monic quadratic factor of sf owns it, else an IsolatedRoot
+    refined below `width`."""
+    q = _promote_quadratic(sf, *interval, intervals)
     if q is not None:
         return q
-    root = IsolatedRoot(poly, lo, hi)
+    root = IsolatedRoot._certified(sf, *interval)
     root.interval(width)
     return root
 
 
 def _promote_quadratic(
-    poly: Poly, lo: Fraction, hi: Fraction, intervals: list[tuple[Fraction, Fraction]] | None
+    poly: Poly, lo: Fraction, hi: Fraction, intervals: list[tuple[Fraction, Fraction]]
 ) -> Quadratic | None:
-    """Find a monic quadratic factor x^2 - t*x - u of poly owning the root in
-    (lo, hi), and return that root exactly.
+    """Find a monic quadratic factor x^2 - t*x - u of poly owning the
+    irrational root in (lo, hi), and return that root exactly.
 
     Only applies to monic poly (minimal polynomials of integer matrices),
     where quadratic algebraic numbers are quadratic algebraic integers.  The
     conjugate root is itself a root of poly, so the trace candidates t come
     from pairing the target with each other isolated real root (`intervals`,
-    the isolating intervals of poly's irrational real roots, isolated here
-    when None); that keeps the search linear in the degree instead of in the
-    coefficient size.
+    the isolating intervals of poly's irrational real roots, as
+    isolate_real_roots returns them); that keeps the search linear in the
+    degree instead of in the coefficient size.
     """
     if poly[-1] != 1:
         return None
-    if intervals is None:
-        _, intervals = intpoly.isolate_real_roots(poly)
     lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 2**20))
-    if lo == hi:
-        return Quadratic(lo)
     for other in intervals:
         olo, ohi = other
         # narrow both roots until the trace pins down at most one integer
@@ -475,16 +470,14 @@ def _quad_in_open_interval(q: Quadratic, lo: Fraction, hi: Fraction) -> bool:
 
 def largest_real_root(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
     """Largest real root of an integer polynomial (square-free part is taken)."""
-    sf = intpoly.squarefree_part(poly)
-    rational, intervals = intpoly.isolate_real_roots(sf)
+    sf, rational, intervals = intpoly.isolate_real_roots(poly)
     if not rational and not intervals:
         raise ValueError("polynomial has no real roots")
     best: AlgebraicReal | None = None
     if rational:
         best = Quadratic(rational[-1])
     if intervals:
-        lo, hi = intervals[-1]
-        cand = algebraic_root(sf, lo, hi, width, intervals)
+        cand = _exact_root(sf, intervals[-1], intervals, width)
         if best is None or alg_cmp(cand, best) > 0:
             best = cand
     return best
@@ -492,9 +485,8 @@ def largest_real_root(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
 
 def all_real_roots(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> list[AlgebraicReal]:
     """All distinct real roots of an integer polynomial, ascending."""
-    sf = intpoly.squarefree_part(poly)
-    rational, intervals = intpoly.isolate_real_roots(sf)
+    sf, rational, intervals = intpoly.isolate_real_roots(poly)
     roots: list[AlgebraicReal] = [Quadratic(r) for r in rational]
-    roots.extend(algebraic_root(sf, lo, hi, width, intervals) for lo, hi in intervals)
+    roots.extend(_exact_root(sf, interval, intervals, width) for interval in intervals)
     roots.sort(key=cmp_to_key(alg_cmp))
     return roots

@@ -113,13 +113,11 @@ def coarse_cutoff(n: int) -> tuple[int, dict]:
     coeffs = tuple(reversed(quartic_coeffs(n)))  # ascending for the poly layer
     if coeffs[-1] >= 0:
         raise InternalInvariantError("coarse quartic must have a negative leading coefficient")
-    rational, intervals = intpoly.isolate_real_roots(coeffs)
+    sf, rational, intervals = intpoly.isolate_real_roots(coeffs)
     candidates: list[Fraction] = list(rational)
     root_repr: dict = {}
     if intervals:
-        lo, hi = intpoly.refine_interval(
-            intpoly.squarefree_part(coeffs), *intervals[-1], Fraction(1, 64)
-        )
+        lo, hi = intpoly.refine_interval(sf, *intervals[-1], Fraction(1, 64))
         candidates.append(hi)
         root_repr = {"lo": str(lo), "hi": str(hi)}
     if rational and (not root_repr or rational[-1] > candidates[-1]):
@@ -259,13 +257,16 @@ def admissible_squarefree_parts(p: int) -> list[int]:
     return sorted(out)
 
 
-def _pell_unit(n: int) -> tuple[int, int]:
+def _pell_unit(n: int, bound: int) -> tuple[int, int] | None:
     """Fundamental solution (u, v) of u^2 - n v^2 = 1 for a non-square n > 1,
-    the first convergent of the continued fraction of sqrt(n) that solves it."""
+    the first convergent of the continued fraction of sqrt(n) that solves it;
+    None when u > bound, found as soon as an unsolved convergent passes it."""
     a0 = math.isqrt(n)
     b, d, a = 0, 1, a0
     h0, h1, k0, k1 = 1, a0, 0, 1
     while h1 * h1 - n * k1 * k1 != 1:
+        if h1 > bound:
+            return None
         b = d * a - b
         d = (n - b * b) // d
         a = (a0 + b) // d
@@ -284,12 +285,17 @@ def _pell_hits(p: int, m_max: int, xs) -> list[tuple[int, int, int]]:
     solution a = y sqrt(x) + m sqrt(p) satisfies a^2 = u + v sqrt(px)
     (D. T. Walker, Amer. Math. Monthly 74 (1967) 504-513), so
     y^2 = (u+1)/(2x), m^2 = (u-1)/(2p), and the other solutions are a times
-    the powers of the unit.  Only integers are used, and the cost grows with
-    log(m_max), not with m_max.
+    the powers of the unit.  So a hit with m <= m_max needs
+    u <= 2 p m_max^2 + 1, and the expansion of each continued fraction stops
+    there.  Only integers are used, and the cost grows with p and with the
+    digits of m_max.
     """
     hits = []
     for x in xs:
-        u, v = _pell_unit(p * x)
+        unit = _pell_unit(p * x, 2 * p * m_max * m_max + 1)
+        if unit is None:
+            continue  # every hit of this x has m > m_max
+        u, v = unit
         if x == 1:
             y, m = u, v
         else:

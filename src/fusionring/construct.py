@@ -10,7 +10,6 @@ fusion ring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,31 +20,9 @@ from .groups import FiniteGroup, abelian_group, is_automorphism
 from .ring import FusionRing
 
 
-@dataclass(frozen=True)
-class AbelianGroupSpec:
-    """Finite abelian group as a product of cyclic factors (mixed-radix
-    element encoding); an empty factor list is the trivial group."""
-
-    cyclic_factors: tuple[int, ...]
-
-    def __init__(self, cyclic_factors: Sequence[int]):
-        object.__setattr__(self, "cyclic_factors", tuple(int(f) for f in cyclic_factors))
-        if any(f < 2 for f in self.cyclic_factors):
-            raise ValueError("cyclic factors must be >= 2")
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.cyclic_factors) if self.cyclic_factors else 1
-
-    def group(self) -> FiniteGroup:
-        return abelian_group(self.cyclic_factors)
-
-
 def as_group(spec) -> FiniteGroup:
     if isinstance(spec, FiniteGroup):
         return spec
-    if isinstance(spec, AbelianGroupSpec):
-        return spec.group()
     return abelian_group(tuple(spec))
 
 
@@ -57,8 +34,8 @@ def _zeros(n: int) -> list:
 def group_ring(spec) -> FusionRing:
     """Integral group ring of a finite group (pointed fusion ring).
 
-    Accepts an abelian spec, a FiniteGroup, a factor list, or an explicit
-    Cayley table (identity located automatically).
+    Accepts a FiniteGroup, a list of cyclic factors of an abelian group, or
+    an explicit Cayley table (identity located automatically).
     """
     if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], (list, tuple)):
         g = FiniteGroup.from_table(spec)
@@ -294,40 +271,40 @@ def character_ring(table: CharacterTable) -> FusionRing:
 
 
 def dihedral_character_table(n: int) -> CharacterTable:
-    """Closed-form character table of the dihedral group of order 2n."""
+    """Closed-form character table of the dihedral group of order 2n, over
+    Q(zeta_n): the characters need only zeta_n and the rational -1."""
     if n < 3:
         raise ValueError("need n >= 3")
-    N = n if n % 2 else n  # zeta_n suffices; -1 is rational
-    one = Cyc.one(N)
+    one = Cyc.one(n)
 
     def rot(m: int, j: int) -> Cyc:
-        return Cyc.root(N, m * j) + Cyc.root(N, -m * j)
+        return Cyc.root(n, m * j) + Cyc.root(n, -m * j)
 
     rows: list[tuple[Cyc, ...]] = []
     if n % 2:
         sizes = [1] + [2] * ((n - 1) // 2) + [n]
         rows.append(tuple(one for _ in sizes))
-        rows.append(tuple([one] * (1 + (n - 1) // 2) + [Cyc.rational(N, -1)]))
+        rows.append(tuple([one] * (1 + (n - 1) // 2) + [Cyc.rational(n, -1)]))
         for m in range(1, (n - 1) // 2 + 1):
-            row = [Cyc.rational(N, 2)]
+            row = [Cyc.rational(n, 2)]
             row += [rot(m, j) for j in range(1, (n - 1) // 2 + 1)]
-            row.append(Cyc.zero(N))
+            row.append(Cyc.zero(n))
             rows.append(tuple(row))
     else:
         half = n // 2
         sizes = [1, 1] + [2] * (half - 1) + [half, half]
         # classes: e, r^half, r^j (j=1..half-1), reflections (even), reflections (odd)
         for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            row = [Cyc.rational(N, 1), Cyc.rational(N, a**half)]
-            row += [Cyc.rational(N, a**j) for j in range(1, half)]
-            row += [Cyc.rational(N, b), Cyc.rational(N, a * b)]
+            row = [Cyc.rational(n, 1), Cyc.rational(n, a**half)]
+            row += [Cyc.rational(n, a**j) for j in range(1, half)]
+            row += [Cyc.rational(n, b), Cyc.rational(n, a * b)]
             rows.append(tuple(row))
         for m in range(1, half):
-            row = [Cyc.rational(N, 2), Cyc.rational(N, 2 * (-1) ** m)]
+            row = [Cyc.rational(n, 2), Cyc.rational(n, 2 * (-1) ** m)]
             row += [rot(m, j) for j in range(1, half)]
-            row += [Cyc.zero(N), Cyc.zero(N)]
+            row += [Cyc.zero(n), Cyc.zero(n)]
             rows.append(tuple(row))
-    return CharacterTable(2 * n, N, tuple(sizes), tuple(rows))
+    return CharacterTable(2 * n, n, tuple(sizes), tuple(rows))
 
 
 def dihedral_character_ring(n: int) -> FusionRing:

@@ -26,7 +26,7 @@ def cyclotomic_poly(N: int) -> Poly:
     for d in range(1, N):
         if N % d == 0:
             p = intpoly.poly_divexact(p, cyclotomic_poly(d))
-    return tuple(int(c) for c in p)
+    return p
 
 
 def _norm_num(c):

@@ -1,10 +1,12 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
 Polynomials are tuples of coefficients, lowest degree first.  The routines
 here supply everything the algebraic-number layer needs: Krylov minimal
-polynomials of integer matrices, square-free parts and gcds on integer
-pseudo-remainders, Sturm chains, and bisection-based real-root isolation
-with integer sign tests.  No floating point anywhere.
+polynomials of integer matrices, exact division over Z, square-free parts
+and gcds on integer pseudo-remainders, Sturm chains, and bisection-based
+real-root isolation with integer sign tests.  Rationals enter only as
+interval endpoints and roots, and as coefficients that primitive() clears.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -43,33 +45,25 @@ def poly_derivative(p: Poly) -> Poly:
     return trim([i * p[i] for i in range(1, len(p))])
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division over Q (exact Fraction arithmetic)."""
+def poly_divexact(p: Poly, q: Poly) -> Poly:
+    """The quotient p / q of integer polynomials, which must be an integer
+    polynomial: ValueError when q does not divide p over Z."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
-    dq = degree(q)
-    lead = Fraction(q[-1])
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * Fraction(c)
-        rem.pop()
-    return trim(quo), trim(rem)
-
-
-def poly_divexact(p: Poly, q: Poly) -> Poly:
-    quo, rem = poly_divmod(p, q)
-    if rem:
+    rem = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(len(p) - dq, 0)
+    while len(rem) > dq:
+        c, r = divmod(rem.pop(), q[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
+        shift = len(rem) - dq
+        quo[shift] = c
+        for i in range(dq):
+            rem[shift + i] -= c * q[i]
+    if any(rem):
         raise ValueError("inexact polynomial division")
-    return quo
+    return trim(quo)
 
 
 def primitive(p: Poly) -> Poly:
@@ -124,14 +118,16 @@ def _prem(p: Poly, q: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
+    """p / gcd(p, p'), primitive with positive leading coefficient: the
+    quotient of the primitive p by its primitive gcd is an integer
+    polynomial, and primitive, by Gauss's lemma."""
     p = primitive(p)
     if degree(p) <= 0:
         return p
     g = poly_gcd(p, poly_derivative(p))
     if degree(g) == 0:
         return p
-    return primitive(poly_divexact(p, g))
+    return poly_divexact(p, g)
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -192,13 +188,16 @@ def count_real_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
     )
 
 
-def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]]]:
-    """Isolate the real roots of a square-free polynomial.
+def isolate_real_roots(p: Poly) -> tuple[Poly, list[Fraction], list[tuple[Fraction, Fraction]]]:
+    """Isolate the real roots of a nonzero integer polynomial.
 
-    Returns (rational_roots, intervals): exact rational roots, plus open
-    intervals (lo, hi) each containing exactly one irrational root, with a
-    guaranteed sign change and non-root endpoints.  Results are sorted
-    ascending across both lists combined.
+    Returns (sf, rational_roots, intervals): sf is squarefree_part(p), with
+    the same roots as p; rational_roots are its exact rational roots; each
+    interval (lo, hi) holds exactly one root of sf by Sturm count, with a
+    sign change of sf and non-root endpoints, and that root is irrational.
+    This is the one place those facts are certified: the rest of the library
+    builds roots on these intervals without checking them again.  Both lists
+    are sorted ascending, and together they hold every real root.
 
     Bisection starts from (-B, B), B = 2 + max|c_i|/|c_n| (beyond the Cauchy
     bound), in integers: a stack entry (a, b, d, va, vb) is the interval
@@ -206,7 +205,7 @@ def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fr
     """
     p = squarefree_part(p)
     if degree(p) < 1:
-        return [], []
+        return p, [], []
     chain = sturm_chain(p)
     d = abs(p[-1])
     b = 2 * d + max(abs(c) for c in p[:-1])
@@ -239,7 +238,7 @@ def isolate_real_roots(p: Poly) -> tuple[list[Fraction], list[tuple[Fraction, Fr
             stack.append((m, b, d, vm, vb))
     rational.sort()
     intervals.sort()
-    return rational, intervals
+    return p, rational, intervals
 
 
 def _root_free_radius(p: Poly, chain: list[Poly], m: int, d: int, e: int) -> tuple[int, int, int]:

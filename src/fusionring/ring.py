@@ -30,7 +30,6 @@ from . import intpoly
 from .algebraic import (
     DEFAULT_WIDTH,
     AlgebraicReal,
-    IsolatedRoot,
     Quadratic,
     alg_cmp,
     largest_real_root,
@@ -329,22 +328,18 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
 
 
 def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicReal:
-    """The root compute(DEFAULT_WIDTH), kept in ring._cache[key], at `width`.
+    """The root compute(DEFAULT_WIDTH), kept in ring._cache[key], or
+    compute(width) afresh for any other width.
 
-    A narrower width refines a fresh IsolatedRoot built from the cached
-    interval, never the cached object, whose interval reports print:
-    bisection goes on along the same path, so it ends on the interval that
-    compute(width) would give.  A wider width is computed afresh."""
-    if width > DEFAULT_WIDTH:
+    The cached root is not refined to a narrower width, since reports print
+    its interval.  A fresh root bisects the same isolating interval along
+    the same path, so it ends on the interval that refining a copy of the
+    cached root would give."""
+    if width != DEFAULT_WIDTH:
         return compute(width)
     if key not in ring._cache:
         ring._cache[key] = compute(DEFAULT_WIDTH)
-    root = ring._cache[key]
-    if width == DEFAULT_WIDTH or isinstance(root, Quadratic):
-        return root
-    fresh = IsolatedRoot(root.poly, *root.interval())
-    fresh.interval(width)
-    return fresh
+    return ring._cache[key]
 
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:

@@ -4,16 +4,17 @@ The oracles here are deliberately implemented by different algorithms than
 the library paths they check: characteristic polynomials via the
 Faddeev-LeVerrier trace recursion (the library computes Krylov minimal
 polynomials), square-free decompositions by Yun's algorithm (the library
-reads codegree multiplicities from traces), polynomial gcds, Sturm chains
-and interval bisection over Fraction (the library stays in integers, with
-pseudo-remainders and common denominators), numeric eigenvalues via numpy,
-prime-scan hits by testing every m (the library solves Pell equations),
-characters of commutative rings as certified numeric joint eigenvectors (the
-library builds exact matrix models), totients and square-free flags by
-sieving (the library factors), admissible square-free parts by a
-totient per candidate (the library carries phi along its search), and the
-fusion-ring axioms on a numpy tensor with einsum associativity (the library
-compares packed integer rows).
+reads codegree multiplicities from traces), polynomial long division,
+gcds, Sturm chains and interval bisection over Fraction (the library stays
+in integers, with exact division over Z, pseudo-remainders and common
+denominators), numeric eigenvalues via numpy, prime-scan hits by testing
+every m (the library solves Pell equations), characters of commutative
+rings as certified numeric joint eigenvectors (the library builds exact
+matrix models), totients and square-free flags by sieving (the library
+factors), admissible square-free parts by a totient per candidate (the
+library carries phi along its search), and the fusion-ring axioms on a
+numpy tensor with einsum associativity (the library compares packed integer
+rows).
 """
 
 from __future__ import annotations
@@ -155,6 +156,36 @@ def poly_mul(p, q) -> tuple:
     return intpoly.trim(out)
 
 
+def poly_divmod_oracle(p, q) -> tuple:
+    """Euclidean division over Q by long division in Fraction arithmetic:
+    (quotient, remainder), both trimmed."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    dq = intpoly.degree(q)
+    lead = Fraction(q[-1])
+    while len(rem) - 1 >= dq and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        shift = len(rem) - 1 - dq
+        factor = rem[-1] / lead
+        quo[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * Fraction(c)
+        rem.pop()
+    return intpoly.trim(quo), intpoly.trim(rem)
+
+
+def poly_divexact_oracle(p, q) -> tuple:
+    """p / q over Q; the remainder must be zero."""
+    quo, rem = poly_divmod_oracle(p, q)
+    assert not rem, (p, q)
+    return quo
+
+
 def squarefree_decomposition_oracle(p) -> list:
     """Yun's algorithm: [(f_i, i)] with p ~ prod f_i^i, f_i square-free,
     pairwise coprime, primitive with positive leading coefficients."""
@@ -170,8 +201,8 @@ def squarefree_decomposition_oracle(p) -> list:
     a = intpoly.poly_gcd(p, dp)
     if intpoly.degree(a) == 0:
         return [(p, 1)]
-    b = intpoly.poly_divexact(p, a)
-    c = intpoly.poly_divexact(dp, a)
+    b = poly_divexact_oracle(p, a)
+    c = poly_divexact_oracle(dp, a)
     d = sub(c, intpoly.poly_derivative(b))
     out = []
     i = 1
@@ -181,8 +212,8 @@ def squarefree_decomposition_oracle(p) -> list:
             out.append((intpoly.primitive(g), i))
         if intpoly.degree(g) == 0:
             g = (1,)
-        b = intpoly.poly_divexact(b, g)
-        c = intpoly.poly_divexact(d, g)
+        b = poly_divexact_oracle(b, g)
+        c = poly_divexact_oracle(d, g)
         d = sub(c, intpoly.poly_derivative(b))
         i += 1
     return out
@@ -225,7 +256,7 @@ def poly_gcd_oracle(p, q) -> tuple:
     """Primitive gcd by monic Euclid over Q (Fraction remainders)."""
     a, b = intpoly.trim(p), intpoly.trim(q)
     while b:
-        _, r = intpoly.poly_divmod(a, b)
+        _, r = poly_divmod_oracle(a, b)
         a, b = b, intpoly.trim(r)
     return intpoly.primitive(a)
 
@@ -238,7 +269,7 @@ def sturm_chain_oracle(p) -> list:
     if p1:
         chain.append(p1)
     while intpoly.degree(chain[-1]) > 0:
-        _, r = intpoly.poly_divmod(chain[-2], chain[-1])
+        _, r = poly_divmod_oracle(chain[-2], chain[-1])
         if not r:
             break
         chain.append(intpoly.primitive_signed(intpoly.poly_neg(r)))

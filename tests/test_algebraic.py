@@ -12,7 +12,6 @@ from fusionring.algebraic import (
     IsolatedRoot,
     Quadratic,
     alg_cmp,
-    algebraic_root,
     all_real_roots,
     largest_real_root,
 )
@@ -95,16 +94,19 @@ def test_cross_representation_equality():
 
 
 def test_algebraic_root_promotions():
-    # integer root
-    assert algebraic_root((-8, 0, 0, 1), Fraction(1), Fraction(3)) == Quadratic(2)
-    # quadratic root of x^2 - 2x - 2 inside a cubic times linear
+    # integer root: x^3 - 8 = (x - 2)(x^2 + 2x + 4)
+    assert largest_real_root((-8, 0, 0, 1)) == Quadratic(2)
+    assert all_real_roots((-8, 0, 0, 1)) == [Quadratic(2)]
+    # quadratic roots of x^2 - 2x - 2 inside a quadratic times linear
     p = poly_mul((-2, -2, 1), (-5, 1))
-    root = algebraic_root(p, Fraction(2), Fraction(3))
-    assert root == Quadratic(1, 1, 3)
+    roots = all_real_roots(p)
+    assert all(isinstance(r, Quadratic) for r in roots)
+    assert roots == [Quadratic(1, -1, 3), Quadratic(1, 1, 3), Quadratic(5)]
     # genuinely cubic root stays isolated: x^3 - x - 1 (plastic number)
-    root = algebraic_root((-1, -1, 0, 1), Fraction(1), Fraction(2))
+    root = largest_real_root((-1, -1, 0, 1))
     assert isinstance(root, IsolatedRoot)
     assert abs(float(root) - 1.324717957) < 1e-8
+    assert all_real_roots((-1, -1, 0, 1)) == [root]
 
 
 def test_largest_real_root():
@@ -136,7 +138,7 @@ def test_alg_cmp_fuzz_cross_representation():
         pools.append(Quadratic(a, b, D))
     # cubic roots from a couple of fixed polynomials
     for poly in ((-1, -1, 0, 1), (1, -2, -1, 1), (-3, 0, -1, 1)):
-        for lo, hi in intpoly.isolate_real_roots(poly)[1]:
+        for lo, hi in intpoly.isolate_real_roots(poly)[2]:
             pools.append(IsolatedRoot(poly, lo, hi))
     for x in pools:
         for y in pools:

@@ -46,6 +46,22 @@ def test_pell_hits_match_linear_scan():
         assert all(x * y * y == m * m * p + 1 for m, x, y in pell), p
 
 
+def test_pell_hits_match_squarefree_parts_of_each_m():
+    # the continued fractions stop once the unit is out of reach of m_max;
+    # every hit up to m_max, including m = m_max itself, must remain, with
+    # x and y read off the factorization of m^2 p + 1
+    for p, m_max in ((7, 60), (1019, 30), (4099, 10)):
+        xs = admissible_squarefree_parts(p)
+        admissible = set(xs)
+        brute = []
+        for m in range(1, m_max + 1):
+            dec = squarefree_part(m * m * p + 1)
+            if dec.x in admissible:
+                brute.append((m, dec.x, dec.y))
+        for top in range(m_max + 1):
+            assert _pell_hits(p, top, xs) == [h for h in brute if h[0] <= top], (p, top)
+
+
 def test_admissible_set_matches_brute_force():
     for p in (7, 11):
         xs = set(admissible_squarefree_parts(p))

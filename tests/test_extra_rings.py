@@ -52,9 +52,10 @@ def test_cubic_fpdim_respects_requested_width():
 
 
 def test_narrow_fpdim_reuses_cache_without_narrowing_it():
-    # a 2^-256 call refines a copy of the cached Perron root: its interval is
-    # the one a direct computation at that width gives, and the cached value
-    # (and so the `fpdim --json` bytes) is what fpdim_all alone gives
+    # a 2^-256 call computes the Perron root afresh, never narrowing the
+    # cached one: its interval is the one a direct computation at that width
+    # gives, and the cached value (and so the `fpdim --json` bytes) is what
+    # fpdim_all alone gives
     width = Fraction(1, 2**256)
     for ring_of in (cubic_chain_ring, lambda: su2_ring(9)):
         alone, narrow_first = ring_of(), ring_of()

@@ -4,12 +4,15 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
 from conftest import (
     charpoly_oracle,
+    poly_divexact_oracle,
+    poly_divmod_oracle,
     poly_gcd_oracle,
     poly_mul,
     refine_interval_oracle,
@@ -26,8 +29,7 @@ def test_poly_basics():
     assert intpoly.poly_eval(p, 2) == 17
     assert poly_mul((1, 1), (-1, 1)) == (-1, 0, 1)
     assert intpoly.poly_derivative(p) == (2, 6)
-    q, r = intpoly.poly_divmod((-1, 0, 1), (1, 1))
-    assert q == (Fraction(-1), Fraction(1)) and r == ()
+    assert intpoly.poly_divexact((-1, 0, 1), (1, 1)) == (-1, 1)
 
 
 def test_gcd_and_squarefree():
@@ -61,16 +63,19 @@ def test_sturm_root_counts():
     chain = intpoly.sturm_chain(p)
     assert intpoly.count_real_roots(chain, Fraction(-3), Fraction(3)) == 3
     assert intpoly.count_real_roots(chain, Fraction(1), Fraction(3)) == 1
-    assert sum(map(len, intpoly.isolate_real_roots(p))) == 3
+    sf, rational, intervals = intpoly.isolate_real_roots(p)
+    assert sf == p and len(rational) + len(intervals) == 3
     # x^2 + 1 has no real roots
     assert intpoly.count_real_roots(intpoly.sturm_chain((1, 0, 1)), Fraction(-3), Fraction(3)) == 0
-    assert intpoly.isolate_real_roots((1, 0, 1)) == ([], [])
+    assert intpoly.isolate_real_roots((1, 0, 1)) == ((1, 0, 1), [], [])
 
 
 def test_isolate_mixed_rational_irrational():
-    # x (x^2 - 2) (x - 2): rational roots 0, 2; irrational +-sqrt(2)
+    # x (x^2 - 2) (x - 2), given with x - 2 squared: rational roots 0, 2;
+    # irrational +-sqrt(2)
     p = poly_mul((0, 1), poly_mul((-2, 0, 1), (-2, 1)))
-    rational, intervals = intpoly.isolate_real_roots(p)
+    sf, rational, intervals = intpoly.isolate_real_roots(poly_mul(p, (-2, 1)))
+    assert sf == p
     assert rational == [Fraction(0), Fraction(2)]
     assert len(intervals) == 2
     for lo, hi in intervals:
@@ -80,7 +85,7 @@ def test_isolate_mixed_rational_irrational():
 def test_isolate_non_monic_rational_roots():
     # (2x - 1)(3x + 2)(x^2 - 3)
     p = poly_mul(poly_mul((-1, 2), (2, 3)), (-3, 0, 1))
-    rational, intervals = intpoly.isolate_real_roots(p)
+    _, rational, intervals = intpoly.isolate_real_roots(p)
     assert rational == [Fraction(-2, 3), Fraction(1, 2)]
     assert len(intervals) == 2
 
@@ -130,7 +135,7 @@ def _check_krylov(m):
     assert relation == [0] * n
     assert _rank(powers) == d
     cp = charpoly_oracle(m)
-    assert intpoly.poly_divmod(cp, p)[1] == ()
+    assert poly_divmod_oracle(cp, p)[1] == ()
     return p, cp
 
 
@@ -238,6 +243,57 @@ def test_sturm_chain_matches_fraction_euclid(f):
     assert intpoly.sturm_chain(p) == sturm_chain_oracle(p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_product, _product)
+def test_poly_divexact_matches_fraction_division_on_exact_products(f, g):
+    assert intpoly.poly_divexact(poly_mul(f, g), g) == poly_divexact_oracle(poly_mul(f, g), g) == f
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product, _product)
+def test_poly_divexact_rejects_inexact_division(p, q):
+    # inexact over Z: a remainder over Q, or a quotient over Q that is not
+    # integral, such as p / (2 q) for primitive p = q
+    quo, rem = poly_divmod_oracle(p, q)
+    if rem or any(c.denominator != 1 for c in quo):
+        with pytest.raises(ValueError):
+            intpoly.poly_divexact(p, q)
+    else:
+        assert intpoly.poly_divexact(p, q) == quo
+    with pytest.raises(ValueError):
+        intpoly.poly_divexact(p, poly_mul(p, (2,)))  # 1/2
+
+
+def _assert_public_constructor_accepts(p) -> int:
+    """Every interval isolate_real_roots(p) returns passes the checking
+    IsolatedRoot constructor on the square-free part it returns, so the
+    library's unchecked construction builds only what that would accept."""
+    sf, rational, intervals = intpoly.isolate_real_roots(p)
+    assert sf == intpoly.squarefree_part(p)
+    for lo, hi in intervals:
+        root = fr.IsolatedRoot(sf, lo, hi)
+        assert root.poly == sf and root.interval(hi - lo) == (lo, hi)
+    return len(intervals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product)
+def test_isolated_intervals_pass_the_public_constructor(f):
+    _assert_public_constructor_accepts(f)
+
+
+def test_isolated_intervals_pass_the_public_constructor_on_krylov_polynomials(
+    small_corpus, two_orbit_corpus, spectra_corpus
+):
+    rings = [*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values()]
+    rings += [su2_ring(k) for k in range(1, 20)]
+    polys = set()
+    for ring in rings:
+        polys.update(intpoly.krylov(ring.fusion_matrix(i))[0] for i in range(ring.rank))
+        polys.add(intpoly.krylov(global_multiplication_matrix(ring))[0])
+    assert sum(map(_assert_public_constructor_accepts, polys)) > 0
+
+
 @settings(max_examples=500, deadline=None)
 @given(_product, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 def test_sign_at_matches_fraction_eval(p, a, b):
@@ -248,8 +304,8 @@ def test_sign_at_matches_fraction_eval(p, a, b):
 @settings(max_examples=200, deadline=None)
 @given(_product, st.integers(1, 30))
 def test_refine_interval_matches_fraction_bisection(f, bits):
-    p = intpoly.squarefree_part(f)
-    _, intervals = intpoly.isolate_real_roots(p)
+    p, _, intervals = intpoly.isolate_real_roots(f)
+    assert p == intpoly.squarefree_part(f)
     width = Fraction(1, 2**bits)
     for lo, hi in intervals:  # endpoints are non-dyadic when p is not monic
         assert intpoly.refine_interval(p, lo, hi, width) == refine_interval_oracle(p, lo, hi, width)
