@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Sequence
 
 from .cyclotomic import Cyc
@@ -192,7 +193,9 @@ class CharacterTable:
     """Exact character table: rows are characters, columns conjugacy classes.
 
     Values live in Q(zeta_N) with N = root_order.  The identity class comes
-    first (size 1) and the trivial character is row 0.
+    first (size 1) and the trivial character is row 0.  Orthogonality takes
+    one `Cyc.dot` per unordered pair of rows, the ring one per unordered
+    triple (see `character_ring`).
     """
 
     group_order: int
@@ -220,11 +223,10 @@ class CharacterTable:
             dims.append(int(d.as_fraction()))
         if sum(d * d for d in dims) != self.group_order:
             raise MalformedRingError("sum of squared degrees must equal the group order")
+        weighted = [tuple(v.conjugate() * size for v, size in zip(row, self.class_sizes)) for row in self.values]
         for i in range(k):
             for j in range(i, k):
-                ip = Cyc.zero(self.root_order)
-                for c in range(k):
-                    ip = ip + self.values[i][c] * self.values[j][c].conjugate() * self.class_sizes[c]
+                ip = Cyc.dot(self.values[i], weighted[j])
                 want = Fraction(self.group_order if i == j else 0)
                 if not ip.is_rational or ip.as_fraction() != want:
                     raise MalformedRingError(f"orthogonality fails for rows ({i},{j})")
@@ -235,7 +237,15 @@ class CharacterTable:
 
 def character_ring(table: CharacterTable) -> FusionRing:
     """Fusion ring of a character table: structure constants are the inner
-    products <chi_i chi_j, chi_k>, which must land in nonnegative integers."""
+    products <chi_i chi_j, chi_k>, which must land in nonnegative integers.
+
+    T(i, j, l) = (1/|G|) sum_c |c| chi_i(c) chi_j(c) chi_l(c) is symmetric
+    in i, j and l, and conj(chi_l) = chi_dual(l), so
+    c_{i,j,dual(l)} = <chi_i chi_j, chi_dual(l)> = T(i, j, l) for every
+    order of the three indices.  One inner product per unordered triple
+    i <= j <= l, a single `Cyc.dot` of the pairwise product chi_i chi_j
+    against the weighted row |c| chi_l(c), fills the entries of all six
+    orders: k^3/6 sums, each reduced once."""
     table.validate()
     k = len(table.class_sizes)
     n = table.group_order
@@ -247,23 +257,19 @@ def character_ring(table: CharacterTable) -> FusionRing:
         if len(matches) != 1:
             raise MalformedRingError(f"conjugate of character {i} missing from table")
         dual.append(matches[0])
-    # <chi_i chi_j, chi_l> = sum_c chi_i(c) chi_j(c) w_l(c) / |G| with the
-    # class sizes folded into w_l = size * conj(chi_l); the ring is
-    # commutative and Cyc products are exact, so (j, i) equals (i, j)
-    weighted = [tuple(v * size for v, size in zip(row, table.class_sizes)) for row in conj_rows]
+    weighted = [tuple(v * size for v, size in zip(row, table.class_sizes)) for row in table.values]
     for i in range(k):
         for j in range(i, k):
             prod = [a * b for a, b in zip(table.values[i], table.values[j])]
-            for l in range(k):
-                ip = Cyc.zero(table.root_order)
-                for p, w in zip(prod, weighted[l]):
-                    ip = ip + p * w
+            for l in range(j, k):
+                ip = Cyc.dot(prod, weighted[l])
                 if not ip.is_rational:
-                    raise MalformedRingError(f"non-rational multiplicity at ({i},{j},{l})")
+                    raise MalformedRingError(f"non-rational multiplicity at ({i},{j},{dual[l]})")
                 mult = ip.as_fraction() / n
                 if mult.denominator != 1 or mult < 0:
-                    raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{l})")
-                tensor[i][j][l] = tensor[j][i][l] = int(mult)
+                    raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{dual[l]})")
+                for a, b, c in permutations((i, j, l)):
+                    tensor[a][b][dual[c]] = int(mult)
     labels = [f"chi{i}" for i in range(k)]
     ring = FusionRing(labels, dual, tensor)
     ring.require_verified()

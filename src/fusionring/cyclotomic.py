@@ -4,6 +4,12 @@ real square root.
 Elements are coefficient vectors in the power basis 1, zeta, ...,
 zeta^(deg Phi_N - 1), always reduced modulo the N-th cyclotomic polynomial,
 so structural equality is field equality.
+
+There is one product kernel, `_mul_acc`.  `Cyc.dot` and `CycSqrt.dot` add
+the unreduced convolutions of a whole sum x_1 y_1 + ... + x_m y_m and
+reduce modulo Phi_N once; a single product is the sum with one term.
+Conjugation and the embedding into Q(zeta_M) are linear maps, applied
+through cached images of the power basis.
 """
 
 from __future__ import annotations
@@ -37,33 +43,49 @@ def _norm_num(c):
     return f.numerator if f.denominator == 1 else f
 
 
-def _reduce_mod(cs: list, phi) -> list:
-    """Remainder modulo the monic integer polynomial phi (no divisions)."""
-    cs = list(cs)
-    dp = len(phi) - 1
-    while len(cs) > dp:
-        f = cs[-1]
+@lru_cache(maxsize=None)
+def _reducer(N: int) -> tuple:
+    """deg Phi_N and the nonzero terms (i, c) of Phi_N below its leading one."""
+    phi = cyclotomic_poly(N)
+    return len(phi) - 1, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce(cs: list, N: int) -> tuple:
+    """cs modulo Phi_N (monic, so no divisions) as a coefficient tuple of
+    length deg Phi_N; cs is overwritten."""
+    deg, low = _reducer(N)
+    for top in range(len(cs) - 1, deg - 1, -1):
+        f = cs[top]
         if f:
-            shift = len(cs) - 1 - dp
-            for i in range(dp):
-                cs[shift + i] -= f * phi[i]
-        cs.pop()
-    return cs
+            for i, c in low:
+                cs[top - deg + i] -= f * c
+    return tuple(cs[:deg]) + (0,) * (deg - len(cs))
+
+
+def _mul_acc(acc: list, a: tuple, b: tuple) -> None:
+    """acc += a * b as polynomials, unreduced: the one product kernel."""
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    if nonzero:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    acc[i + j] += x * y
 
 
 @lru_cache(maxsize=None)
 def _reduced_power(N: int, k: int) -> tuple:
     """zeta_N^k reduced mod Phi_N as a coefficient tuple."""
-    k %= N
-    phi = cyclotomic_poly(N)
-    deg = intpoly.degree(phi)
-    if k < deg:
-        coeffs = [0] * deg
-        coeffs[k] = 1
-        return tuple(coeffs)
-    out = _reduce_mod([0] * k + [1], phi)
-    out += [0] * (deg - len(out))
-    return tuple(out)
+    return _reduce([0] * (k % N) + [1], N)
+
+
+@lru_cache(maxsize=None)
+def _basis_images(N: int, M: int, step: int) -> tuple:
+    """The images of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) in Q(zeta_M)
+    under zeta_N -> zeta_M^step, as their nonzero (index, coefficient)s."""
+    return tuple(
+        tuple((r, c) for r, c in enumerate(_reduced_power(M, i * step)) if c)
+        for i in range(_reducer(N)[0])
+    )
 
 
 class Cyc:
@@ -72,13 +94,9 @@ class Cyc:
     __slots__ = ("N", "coeffs")
 
     def __init__(self, N: int, coeffs):
-        deg = intpoly.degree(cyclotomic_poly(N))
-        cs = [_norm_num(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = [_norm_num(c) for c in _reduce_mod(cs, cyclotomic_poly(N))]
-        cs += [0] * (deg - len(cs))
+        """The element sum_i coeffs[i] zeta_N^i; any number of coefficients."""
         self.N = N
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(map(_norm_num, _reduce([_norm_num(c) for c in coeffs], N)))
 
     @classmethod
     def _reduced(cls, N: int, coeffs: tuple) -> "Cyc":
@@ -104,16 +122,7 @@ class Cyc:
     @classmethod
     def root(cls, N: int, k: int) -> "Cyc":
         """zeta_N^k."""
-        return cls(N, _reduced_power(N, k))
-
-    @classmethod
-    def from_vector(cls, N: int, vec) -> "Cyc":
-        """Sum of a_i * zeta_N^i for a coefficient vector of length <= N."""
-        out = cls.zero(N)
-        for i, a in enumerate(vec):
-            if a:
-                out = out + cls.root(N, i) * Fraction(a)
-        return out
+        return cls._reduced(N, _reduced_power(N, k))
 
     def _check(self, other: "Cyc"):
         if self.N != other.N:
@@ -142,17 +151,21 @@ class Cyc:
     def __rsub__(self, other):
         return (-self) + other
 
+    @staticmethod
+    def dot(xs, ys) -> "Cyc":
+        """x_1 y_1 + ... + x_m y_m for equally long, nonempty sequences of
+        elements of one Q(zeta_N), reduced once."""
+        N = xs[0].N
+        acc = [0] * (2 * _reducer(N)[0] - 1)
+        for x, y in zip(xs, ys, strict=True):
+            if x.N != N or y.N != N:
+                raise ValueError(f"mixed cyclotomic orders {N}, {x.N} and {y.N}")
+            _mul_acc(acc, x.coeffs, y.coeffs)
+        return Cyc._reduced(N, _reduce(acc, N))
+
     def __mul__(self, other):
         if isinstance(other, Cyc):
-            self._check(other)
-            phi = cyclotomic_poly(self.N)
-            prod = [0] * (2 * len(phi) - 3)  # both factors have deg Phi_N coefficients
-            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in nonzero:
-                        prod[i + j] += a * b
-            return Cyc._reduced(self.N, tuple(_reduce_mod(prod, phi)))
+            return Cyc.dot((self,), (other,))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         other = _norm_num(other)
@@ -160,37 +173,37 @@ class Cyc:
 
     __rmul__ = __mul__
 
+    def _substitute(self, M: int, step: int) -> "Cyc":
+        """The image in Q(zeta_M) under zeta_N -> zeta_M^step."""
+        out = [0] * _reducer(M)[0]
+        for a, image in zip(self.coeffs, _basis_images(self.N, M, step)):
+            if a:
+                for r, c in image:
+                    out[r] += a * c
+        return Cyc._reduced(M, tuple(out))
+
     def conjugate(self) -> "Cyc":
         """Complex conjugation zeta -> zeta^{-1}."""
-        out = Cyc.zero(self.N)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + Cyc.root(self.N, -i) * a
-        return out
+        return self._substitute(self.N, -1)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0])
 
     def lift(self, M: int) -> "Cyc":
         """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N)."""
         if M % self.N:
             raise ValueError("target order must be a multiple")
-        step = M // self.N
-        out = Cyc.zero(M)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + Cyc.root(M, i * step) * a
-        return out
+        return self._substitute(M, M // self.N)
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
@@ -200,7 +213,8 @@ class Cyc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        # a rational element equals its Fraction, so it hashes like one
+        return hash(self.coeffs[0]) if self.is_rational else hash((self.N, self.coeffs))
 
     def __repr__(self):
         terms = [f"{c}*z{self.N}^{i}" for i, c in enumerate(self.coeffs) if c]
@@ -234,40 +248,60 @@ class CycSqrt:
         vv = v if isinstance(v, Cyc) else Cyc.rational(N, v)
         return cls(uu, vv, D)
 
+    @classmethod
+    def _make(cls, u: Cyc, v: Cyc, D: int) -> "CycSqrt":
+        """cls(u, v, D) without the frozen-dataclass __init__."""
+        out = object.__new__(cls)
+        out.__dict__.update(u=u, v=v, D=D)
+        return out
+
     def _check(self, other: "CycSqrt"):
         if self.D != other.D or self.u.N != other.u.N:
             raise ValueError("mixed CycSqrt fields")
 
     def __add__(self, other: "CycSqrt") -> "CycSqrt":
         self._check(other)
-        return CycSqrt(self.u + other.u, self.v + other.v, self.D)
+        return CycSqrt._make(self.u + other.u, self.v + other.v, self.D)
 
     def __sub__(self, other: "CycSqrt") -> "CycSqrt":
         self._check(other)
-        return CycSqrt(self.u - other.u, self.v - other.v, self.D)
+        return CycSqrt._make(self.u - other.u, self.v - other.v, self.D)
 
     def __neg__(self) -> "CycSqrt":
-        return CycSqrt(-self.u, -self.v, self.D)
+        return CycSqrt._make(-self.u, -self.v, self.D)
+
+    @staticmethod
+    def dot(xs, ys) -> "CycSqrt":
+        """x_1 y_1 + ... + x_m y_m for equally long, nonempty sequences of
+        elements of one Q(zeta_N, sqrt(D)), where a y may also be an int or
+        a Fraction.  Both parts of the sum are reduced once, and products
+        with a zero part, which most entries have, are skipped."""
+        N, D = xs[0].u.N, xs[0].D
+        size = 2 * _reducer(N)[0] - 1
+        u, vv, v = [0] * size, [0] * size, [0] * size
+        for x, y in zip(xs, ys, strict=True):
+            yu, yv, yD, yN = (y.u.coeffs, y.v.coeffs, y.D, y.u.N) if isinstance(y, CycSqrt) else ((y,), (), D, N)
+            if x.D != D or x.u.N != N or yD != D or yN != N:
+                raise ValueError("mixed CycSqrt fields")
+            xu, xv = x.u.coeffs, x.v.coeffs
+            if any(xu):
+                _mul_acc(u, xu, yu)
+                if any(yv):
+                    _mul_acc(v, xu, yv)
+            if any(xv):
+                _mul_acc(v, xv, yu)
+                if any(yv):
+                    _mul_acc(vv, xv, yv)
+        if any(vv):
+            u = [a + D * b for a, b in zip(u, vv)]
+        return CycSqrt._make(Cyc._reduced(N, _reduce(u, N)), Cyc._reduced(N, _reduce(v, N)), D)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycSqrt(self.u * other, self.v * other, self.D)
         if isinstance(other, Cyc):
-            return CycSqrt(self.u * other, self.v * other, self.D)
-        if not isinstance(other, CycSqrt):
+            return CycSqrt._make(self.u * other, self.v * other, self.D)
+        if not isinstance(other, (int, Fraction, CycSqrt)):
             return NotImplemented
-        self._check(other)
-        # most entries have v = 0, so skip the products of a zero sqrt(D) part
-        u = self.u * other.u
-        v = self.v
-        if any(other.v.coeffs):
-            v = self.u * other.v
-            if any(self.v.coeffs):
-                u = u + (self.v * other.v) * self.D
-                v = v + self.v * other.u
-        elif any(self.v.coeffs):
-            v = self.v * other.u
-        return CycSqrt(u, v, self.D)
+        return CycSqrt.dot((self,), (other,))
 
     __rmul__ = __mul__
 

@@ -244,20 +244,8 @@ SOURCE_D_PLUS = "one_dimensional_d_plus"
 SOURCE_D_MINUS = "one_dimensional_d_minus"
 
 
-def _mat_mul(a, b, zero):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(m)), start=zero) for j in range(p))
-        for i in range(n)
-    )
-
-
 def _mat_scale(a, c):
     return tuple(tuple(x * c for x in row) for row in a)
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
@@ -385,16 +373,18 @@ def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
 
 def _product_failures(ring: FusionRing, model: IrrepModel, lefts):
     """The pairs (i, j), i in lefts, where psi(i) psi(j) and
-    sum_k c[i,j,k] psi(k) differ, in index order."""
+    sum_k c[i,j,k] psi(k) differ, in index order.  Each entry of their
+    difference is one `CycSqrt.dot`, reduced once, and it is zero exactly
+    when the two entries are equal componentwise."""
     mats = model.matrices
-    zero = mats[0][0][0] * 0
-    zero_mat = tuple(tuple(zero for _ in range(model.dim)) for _ in range(model.dim))
+    cells = [(r, s) for r in range(model.dim) for s in range(model.dim)]
     for i in lefts:
         for j in range(ring.rank):
-            rhs = None
-            for k, c in enumerate(ring.rows[i][j]):
-                if c:
-                    term = mats[k] if c == 1 else _mat_scale(mats[k], c)
-                    rhs = term if rhs is None else _mat_add(rhs, term)
-            if _mat_mul(mats[i], mats[j], zero) != (zero_mat if rhs is None else rhs):
-                yield (i, j)
+            ks = [k for k, c in enumerate(ring.rows[i][j]) if c]
+            minus_cs = [-ring.rows[i][j][k] for k in ks]
+            for r, s in cells:
+                xs = [*mats[i][r], *(mats[k][r][s] for k in ks)]
+                ys = [*(row[s] for row in mats[j]), *minus_cs]
+                if not CycSqrt.dot(xs, ys).is_zero:
+                    yield (i, j)
+                    break

@@ -72,26 +72,28 @@ def load_character_table(path: str) -> CharacterTable:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedRingError(f"invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise MalformedRingError("character table must be a JSON object")
     for key in ("group_order", "root_order", "class_sizes", "values"):
         if key not in doc:
             raise MalformedRingError(f"character table missing field {key!r}")
-    N = doc["root_order"]
-    if not isinstance(N, int) or N < 1:
-        raise MalformedRingError("root_order must be a positive integer")
+    for key in ("root_order", "group_order"):
+        if not isinstance(doc[key], int) or doc[key] < 1:
+            raise MalformedRingError(f"{key} must be a positive integer")
+    N, order, sizes, values = doc["root_order"], doc["group_order"], doc["class_sizes"], doc["values"]
+    if not isinstance(sizes, list) or not all(isinstance(c, int) for c in sizes):
+        raise MalformedRingError("class_sizes must be a list of integers")
+    if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
+        raise MalformedRingError("values must be a list of rows, each a list")
     rows = []
-    for row in doc["values"]:
+    for row in values:
         cells = []
         for vec in row:
             if not isinstance(vec, list) or not all(isinstance(a, int) for a in vec):
                 raise MalformedRingError("character values must be integer coefficient vectors")
-            cells.append(Cyc.from_vector(N, vec))
+            cells.append(Cyc(N, vec))
         rows.append(tuple(cells))
-    table = CharacterTable(
-        group_order=doc["group_order"],
-        root_order=N,
-        class_sizes=tuple(doc["class_sizes"]),
-        values=tuple(rows),
-    )
+    table = CharacterTable(group_order=order, root_order=N, class_sizes=tuple(sizes), values=tuple(rows))
     table.validate()
     return table
 

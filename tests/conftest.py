@@ -12,9 +12,12 @@ every m (the library solves Pell equations), characters of commutative
 rings as certified numeric joint eigenvectors (the library builds exact
 matrix models), totients and square-free flags by sieving (the library
 factors), admissible square-free parts by a totient per candidate (the
-library carries phi along its search), and the fusion-ring axioms on a
+library carries phi along its search), the fusion-ring axioms on a
 numpy tensor with einsum associativity (the library compares packed integer
-rows).
+rows), and cyclotomic products, conjugates and lifts as Fraction
+polynomials reduced one at a time by long division modulo a cyclotomic
+polynomial built here (the library sums unreduced convolutions, reduces once
+per sum and applies cached images of the power basis).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -611,7 +615,10 @@ def verify_axioms_oracle(ring) -> list[Violation]:
 def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
     """All-pairs homomorphism check: every (i, j) with psi(i) psi(j) !=
     sum_k c[i,j,k] psi(k), in index order, by plain matrix loops (the
-    library checks {0} + algebra_generators first).  `lefts` restricts i."""
+    library checks {0} + algebra_generators first).  `lefts` restricts i.
+    Entries are single CycSqrt products added one at a time, not the
+    library's sums of unreduced products; the single product is checked
+    against `cycsqrt_mul_oracle` in the tests of the kernel."""
     mats = model.matrices
     zero = mats[0][0][0] * 0
     d = model.dim
@@ -629,15 +636,67 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
     return failures
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_poly_oracle(N: int) -> tuple:
+    """Phi_N as (x^N - 1) / prod_{d | N, d < N} Phi_d by Fraction division."""
+    p = (-1,) + (0,) * (N - 1) + (1,)
+    for d in range(1, N):
+        if N % d == 0:
+            p = poly_divexact_oracle(p, cyclotomic_poly_oracle(d))
+    return tuple(int(c) for c in p)
+
+
+def cyc_reduce_oracle(poly, N: int) -> tuple:
+    """poly mod Phi_N, padded to deg Phi_N: exponents of N and above folded
+    mod N (Phi_N divides x^N - 1), then `poly_divmod_oracle`; integral
+    coefficients come back as ints, only to keep later products fast."""
+    phi = cyclotomic_poly_oracle(N)
+    folded = list(poly[:N])
+    for e in range(N, len(poly)):
+        folded[e % N] += poly[e]
+    _, rem = poly_divmod_oracle(folded, phi)
+    rem = tuple(c.numerator if c.denominator == 1 else c for c in rem)
+    return rem + (0,) * (len(phi) - 1 - len(rem))
+
+
+def cyc_mul_oracle(a: Cyc, b: Cyc) -> tuple:
+    """Coefficients of a * b: the product of the coefficient polynomials,
+    reduced on its own."""
+    assert a.N == b.N
+    return cyc_reduce_oracle(poly_mul(a.coeffs, b.coeffs), a.N)
+
+
+def cyc_substitute_oracle(a: Cyc, M: int, power: int) -> tuple:
+    """Coefficients in Q(zeta_M) of sum_i a_i x^(i power) mod Phi_M."""
+    poly = [0] * ((len(a.coeffs) - 1) * power + 1)
+    for i, c in enumerate(a.coeffs):
+        poly[i * power] += c
+    return cyc_reduce_oracle(poly, M)
+
+
+def cyc_conjugate_oracle(a: Cyc) -> tuple:
+    """Coefficients of the complex conjugate: x -> x^(N-1)."""
+    return cyc_substitute_oracle(a, a.N, a.N - 1)
+
+
+def cyc_lift_oracle(a: Cyc, M: int) -> tuple:
+    """Coefficients of a in Q(zeta_M), N | M: x -> x^(M/N)."""
+    return cyc_substitute_oracle(a, M, M // a.N)
+
+
 def cycsqrt_mul_oracle(a: CycSqrt, b) -> CycSqrt:
-    """(u + v sqrt(D)) (u' + v' sqrt(D)) by the four-product formula,
-    whether or not a sqrt(D) part is zero (the library skips those); an
-    int, Fraction or Cyc b is taken as u' with v' = 0."""
+    """(u + v sqrt(D)) (u' + v' sqrt(D)) by the four-product formula over
+    `cyc_mul_oracle`, whether or not a sqrt(D) part is zero (the library
+    skips those); an int, Fraction or Cyc b is taken as u' with v' = 0."""
     N = a.u.N
     if not isinstance(b, CycSqrt):
         b = CycSqrt(b if isinstance(b, Cyc) else Cyc.rational(N, b), Cyc.zero(N), a.D)
     a._check(b)
-    return CycSqrt(a.u * b.u + (a.v * b.v) * a.D, a.u * b.v + a.v * b.u, a.D)
+    uu, vv = cyc_mul_oracle(a.u, b.u), cyc_mul_oracle(a.v, b.v)
+    uv, vu = cyc_mul_oracle(a.u, b.v), cyc_mul_oracle(a.v, b.u)
+    u = [p + a.D * q for p, q in zip(uu, vv)]
+    v = [p + q for p, q in zip(uv, vu)]
+    return CycSqrt(Cyc(N, u), Cyc(N, v), a.D)
 
 
 def generated_span_rank(ring, gens) -> int:
@@ -677,20 +736,48 @@ def generated_span_rank(ring, gens) -> int:
 
 def character_ring_oracle(table) -> tuple[tuple, tuple]:
     """(rows, dual) of a character ring by the definitional triple loop:
-    <chi_i chi_j, chi_l> summed over classes for every ordered (i, j, l)."""
+    <chi_i chi_j, chi_l> summed over classes for every ordered (i, j, l)
+    and reduced by `cyc_reduce_oracle`, with conjugates from
+    `cyc_conjugate_oracle`.  The integer polynomial
+    sum_c |c| chi_i(c) chi_j(c) conj(chi_l(c)) comes from Kronecker
+    substitution: each value is evaluated at 2^B, with B wide enough that
+    the digits of the sum are its coefficients."""
     k = len(table.class_sizes)
-    conj = [tuple(v.conjugate() for v in row) for row in table.values]
-    dual = tuple(next(j for j in range(k) if table.values[j] == conj[i]) for i in range(k))
+    values = [[v.coeffs for v in row] for row in table.values]
+    conj = [[cyc_conjugate_oracle(v) for v in row] for row in table.values]
+    assert all(isinstance(a, int) for row in values + conj for p in row for a in p)
+    dual = tuple(next(j for j in range(k) if values[j] == conj[i]) for i in range(k))
+    norms = [max(sum(map(abs, p)) for p in col) for col in zip(*values)]
+    conj_norms = [max(sum(map(abs, p)) for p in col) for col in zip(*conj)]
+    bound = sum(size * a * a * b for size, a, b in zip(table.class_sizes, norms, conj_norms))
+    bits = (2 * bound + 1).bit_length()
+    length = 3 * len(values[0][0]) - 2
+
+    def packed(p) -> int:
+        return sum(a << (bits * e) for e, a in enumerate(p))
+
+    def unpacked(x: int) -> list:
+        out = []
+        for _ in range(length):
+            digit = x & ((1 << bits) - 1)
+            digit -= (digit >> (bits - 1)) << bits
+            out.append(digit)
+            x = (x - digit) >> bits
+        assert x == 0
+        return out
+
+    at = [[packed(p) for p in row] for row in values]
+    conj_at = [[packed(p) for p in row] for row in conj]
     rows = []
     for i in range(k):
         mat = []
         for j in range(k):
+            pair = [size * a * b for size, a, b in zip(table.class_sizes, at[i], at[j])]
             row = []
             for l in range(k):
-                ip = Cyc.zero(table.root_order)
-                for c in range(k):
-                    ip = ip + table.values[i][c] * table.values[j][c] * conj[l][c] * table.class_sizes[c]
-                mult = ip.as_fraction() / table.group_order
+                ip = cyc_reduce_oracle(unpacked(sum(p * q for p, q in zip(pair, conj_at[l]))), table.root_order)
+                assert not any(ip[1:])
+                mult = Fraction(ip[0]) / table.group_order
                 assert mult.denominator == 1 and mult >= 0
                 row.append(int(mult))
             mat.append(tuple(row))

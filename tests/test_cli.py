@@ -41,19 +41,38 @@ def test_build_group_and_haagerup(tmp_path, capsys):
         assert same_fusion_rules(loads_ring(out), expect)
 
 
+S3_TABLE = {
+    "group_order": 6,
+    "root_order": 1,
+    "class_sizes": [1, 3, 2],
+    "values": [[[1], [1], [1]], [[1], [-1], [1]], [[2], [0], [-1]]],
+}
+
+
 def test_build_charring(tmp_path, capsys):
-    table = {
-        "group_order": 6,
-        "root_order": 1,
-        "class_sizes": [1, 3, 2],
-        "values": [[[1], [1], [1]], [[1], [-1], [1]], [[2], [0], [-1]]],
-    }
     path = tmp_path / "s3.table"
-    path.write_text(json.dumps(table))
+    path.write_text(json.dumps(S3_TABLE))
     code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
     assert code == 0
     ring = loads_ring(out)
     assert ring.rank == 3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_sizes", 6),
+        ("values", 5),
+        ("values", [[[1], [1], [1]], 7, [[2], [0], [-1]]]),
+        ("class_sizes", ["1", 3, 2]),
+    ],
+    ids=["class-sizes-not-a-list", "values-not-a-list", "row-not-a-list", "class-size-a-string"],
+)
+def test_build_charring_malformed_table_exits_2(field, value, tmp_path, capsys):
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps({**S3_TABLE, field: value}))
+    code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_verify_broken_exits_2(tmp_path, capsys):

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycsqrt_mul_oracle, s3_group
+from conftest import (
+    cyc_conjugate_oracle,
+    cyc_lift_oracle,
+    cyc_mul_oracle,
+    cycsqrt_mul_oracle,
+    s3_group,
+)
 from fusionring.cyclotomic import Cyc, CycSqrt, cyclotomic_poly
 from fusionring.groups import (
     FiniteGroup,
@@ -120,6 +126,43 @@ def test_cyc_rationality():
     c = Cyc.root(4, 2)  # zeta_4^2 = -1
     assert c.is_rational and c.as_fraction() == -1
     assert not Cyc.root(4, 1).is_rational
+
+
+def test_cyc_kernel_matches_fraction_polynomial_oracle():
+    # products, sums of up to 20 products, conjugates and lifts for every
+    # N <= 60, with int and with Fraction coefficients, against Fraction
+    # polynomials reduced one product at a time by long division
+    rng = random.Random(2026)
+    for N in range(1, 61):
+        deg = len(cyclotomic_poly(N)) - 1
+        for choices in ((0, 0, 1, -1, 2, -3, 7), (0, 1, Fraction(1, 2), Fraction(-5, 3), -2)):
+            xs = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
+            ys = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
+            products = [cyc_mul_oracle(x, y) for x, y in zip(xs, ys)]
+            assert (xs[0] * ys[0]).coeffs == products[0], N
+            for m in (2, 5, 20):
+                assert Cyc.dot(xs[:m], ys[:m]).coeffs == tuple(map(sum, zip(*products[:m]))), (N, m)
+            assert xs[1].conjugate().coeffs == cyc_conjugate_oracle(xs[1]), N
+            for M in (N, 2 * N, 3 * N):
+                assert xs[2].lift(M).coeffs == cyc_lift_oracle(xs[2], M), (N, M)
+            # u and v parts of both factors nonzero, D not a square
+            a = [CycSqrt(xs[0], xs[1], 3), CycSqrt(xs[2], xs[3], 3)]
+            b = [CycSqrt(ys[0], ys[1], 3), CycSqrt(ys[2], ys[3], 3)]
+            want = cycsqrt_mul_oracle(a[0], b[0])
+            assert a[0] * b[0] == want, N
+            assert CycSqrt.dot(a, b) == want + cycsqrt_mul_oracle(a[1], b[1]), N
+    with pytest.raises(ValueError):
+        Cyc.dot([Cyc.one(3), Cyc.one(3)], [Cyc.one(3), Cyc.one(6)])
+    with pytest.raises(ValueError):
+        CycSqrt.dot([CycSqrt.of(3, 2, u=1)], [CycSqrt.of(3, 5, u=1)])
+
+
+def test_cyc_rational_hashes_like_its_fraction():
+    assert Cyc.rational(4, 3) == 3 and hash(Cyc.rational(4, 3)) == hash(3)
+    assert Cyc.rational(6, Fraction(-1, 2)) == Fraction(-1, 2)
+    assert hash(Cyc.rational(6, Fraction(-1, 2))) == hash(Fraction(-1, 2))
+    assert len({Cyc.rational(4, 3), 3}) == 1
+    assert len({Cyc.rational(4, 3), Cyc.root(4, 1), Cyc.rational(4, 3) + 0}) == 2
 
 
 def test_cycsqrt():
