@@ -434,12 +434,9 @@ def _promote_quadratic(
     if poly[-1] != 1:
         return None
     lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 2**20))
-    for other in intervals:
-        olo, ohi = other
-        # narrow both roots until the trace pins down at most one integer
-        while (hi - lo) + (ohi - olo) >= Fraction(1, 2):
-            lo, hi = intpoly.refine_interval(poly, lo, hi, (hi - lo) / 4)
-            olo, ohi = intpoly.refine_interval(poly, olo, ohi, (ohi - olo) / 4)
+    for olo, ohi in intervals:
+        # narrow the other root until the trace pins down at most one integer
+        olo, ohi = intpoly.refine_interval(poly, olo, ohi, Fraction(1, 4))
         for t in range(math.ceil(lo + olo), math.floor(hi + ohi) + 1):
             # u = x^2 - t*x at the target root; the interval is narrow enough
             # that at most a couple of integers qualify

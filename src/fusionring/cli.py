@@ -43,8 +43,9 @@ EXIT_ELIMINATED = 10
 # classify elementary2 lists all 2^m + 1 levels: m = 20 --json takes about 24 s and 1.6 GB
 ELEMENTARY2_MAX_M = 20
 
-# fpdim bisects each non-quadratic root to 2^-N: on SU(2)_9, N = 1024 takes 0.45 s,
-# 4096 takes 11 s and 8192 takes 59 s
+# fpdim refines each non-quadratic root to 2^-N in O(log N) Newton steps on
+# numbers of about N * rank bits: N = 4096 takes 0.62 s on SU(2)_9 and 2.5-3.1 s
+# on SU(2)_19 (2-CPU Xeon, start-up included)
 FPDIM_MAX_WIDTH_BITS = 4096
 
 

@@ -36,11 +36,13 @@ def cyclotomic_poly(N: int) -> Poly:
 
 
 def _norm_num(c):
-    """Keep coefficients as plain ints whenever possible (much faster)."""
+    """A coefficient or scalar, which must be an int (not a bool) or a
+    Fraction, kept as a plain int whenever possible (much faster)."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cyclotomic coefficients are int or Fraction, not {type(c).__name__}")
     if isinstance(c, int):
         return c
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
+    return c.numerator if c.denominator == 1 else c
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +119,7 @@ class Cyc:
 
     @classmethod
     def rational(cls, N: int, q) -> "Cyc":
-        return cls(N, (Fraction(q),))
+        return cls(N, (q,))
 
     @classmethod
     def root(cls, N: int, k: int) -> "Cyc":

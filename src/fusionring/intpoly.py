@@ -3,8 +3,9 @@
 Polynomials are tuples of coefficients, lowest degree first.  The routines
 here supply everything the algebraic-number layer needs: Krylov minimal
 polynomials of integer matrices, exact division over Z, square-free parts
-and gcds on integer pseudo-remainders, Sturm chains, and bisection-based
-real-root isolation with integer sign tests.  Rationals enter only as
+and gcds on integer pseudo-remainders, Sturm chains, bisection-based
+real-root isolation with integer sign tests, and refinement of isolating
+intervals by Newton steps on the bisection grid.  Rationals enter only as
 interval endpoints and roots, and as coefficients that primitive() clears.
 No floating point anywhere.
 """
@@ -161,15 +162,19 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def sign_at(p: Poly, a: int, b: int) -> int:
-    """Sign of p(a/b) for integer p and b > 0: the sign of b^deg(p) p(a/b),
-    by integer Horner."""
+def value_at(p: Poly, a: int, b: int) -> int:
+    """b^deg(p) p(a/b) for integer p, a and b, by integer Horner."""
     acc = 0
     bpow = 1
     for c in reversed(p):
         acc = acc * a + c * bpow
         bpow *= b
-    return _sign(acc)
+    return acc
+
+
+def sign_at(p: Poly, a: int, b: int) -> int:
+    """Sign of p(a/b) for integer p and b > 0."""
+    return _sign(value_at(p, a, b))
 
 
 def sign_variations_at(chain: list[Poly], a: int, b: int) -> int:
@@ -293,23 +298,64 @@ def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 def refine_interval(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink a sign-change isolating interval of square-free integer p below
-    width by bisection, in integers: the interval is (a/d, b/d), and each step
-    doubles a, b and d and tests the midpoint (a + b)/(2d)."""
+    width: the cell that bisection would end on, found by quadratic interval
+    refinement (QIR, J. Abbott 2014) on bisection's grid, in integers.
+
+    Bisection halves (lo, hi) s times, for the least s with
+    (hi - lo) / 2^s <= width, so it ends on one cell of the level-s grid
+    x_k = lo + k (hi - lo) / 2^s, 0 <= k <= 2^s: the cell holding the root,
+    or the degenerate (x_k, x_k) when the root is a grid point x_k (it stays
+    inside bisection's interval, so by level s it is that interval's
+    midpoint).  Here the bracket (x_l, x_r) keeps to that grid, with p of
+    the sign of p(lo) at x_l and of the other sign at x_r, so it ends on the
+    same cell, or on the same grid root, whatever the path.
+
+    Each step tests the bracket's midpoint and keeps the half with the sign
+    change; then a Newton step from the midpoint predicts the root, and a
+    window of 1/N of the bracket around the prediction is tested.  N is
+    squared when the window holds the root, and square-rooted when it does
+    not.  The first 8 levels, and brackets of at most 4 cells, are plain
+    halving.  Width 2^-n takes O(log n) evaluations, not n."""
     d = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
+    w = hi.numerator * (d // hi.denominator) - a
+    # the least s >= 0 with 2^s >= ceil(w / (d width))
+    s = max(-(-w * width.denominator // (width.numerator * d)) - 1, 0).bit_length()
+    a, d = a << s, d << s  # x_k = (a + k w) / d
     slo = sign_at(p, a, d)
-    while (b - a) * width.denominator > width.numerator * d:
-        a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
-        smid = sign_at(p, m, d)
-        if smid == 0:
-            # exact root hit; return a degenerate interval
-            return Fraction(m, d), Fraction(m, d)
-        if smid == slo:
-            a = m
+    dp = None
+    l, r, n = 0, 1 << s, 4
+    while r - l > 1:
+        m = (l + r) // 2
+        v = value_at(p, a + m * w, d)
+        if v == 0:
+            return Fraction(a + m * w, d), Fraction(a + m * w, d)
+        if _sign(v) == slo:
+            l = m
         else:
-            b = m
-    return Fraction(a, d), Fraction(b, d)
+            r = m
+        if r - l <= 4 or (r - l) << 8 > 1 << s:
+            continue
+        # Newton from the midpoint, in grid units: t = m - p(x_m) / (p'(x_m) w / d)
+        dp = dp or poly_derivative(p)
+        dv = value_at(dp, a + m * w, d) * w
+        if dv == 0:
+            continue
+        if dv < 0:
+            v, dv = -v, -dv
+        cells = max((r - l) // n, 1)
+        u = min(max(m + (-2 * v - cells * dv) // (2 * dv), l), r - cells)  # floor(t - cells / 2)
+        for k in (u, u + cells):
+            if l < k < r:
+                sk = sign_at(p, a + k * w, d)
+                if sk == 0:
+                    return Fraction(a + k * w, d), Fraction(a + k * w, d)
+                if sk == slo:
+                    l = k
+                else:
+                    r = k
+        n = n * n if r - l == cells else max(math.isqrt(n), 4)
+    return Fraction(a + l * w, d), Fraction(a + r * w, d)
 
 
 def krylov(matrix) -> tuple[Poly, list[list[int]]]:

@@ -31,6 +31,7 @@ from . import intpoly
 from .algebraic import (
     DEFAULT_WIDTH,
     AlgebraicReal,
+    IsolatedRoot,
     Quadratic,
     alg_cmp,
     largest_real_root,
@@ -297,7 +298,12 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     minimal polynomial of N_i.  It has the same roots as the charpoly, so
     the square-free part, which is all that largest_real_root reads, and
     the printed value are those of the charpoly.  The defining polynomial
-    of an IsolatedRoot is that square-free part, not always minimal."""
+    of an IsolatedRoot is that square-free part, not always minimal.
+
+    Elements often share p (13 noninvertible elements of SU(2)_14 have 9
+    polynomials, those of Haagerup-Izumi rings one), so the root is
+    isolated, promoted and refined once per polynomial (_polynomial_root),
+    and each index gets its own copy of it."""
     if not 0 <= i < ring.rank:
         raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
     ring.require_verified()
@@ -305,7 +311,7 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     def compute(w: Fraction) -> AlgebraicReal:
         if is_invertible(ring, i):
             return Quadratic(1)
-        result = largest_real_root(intpoly.krylov(ring.rows[i])[0], w)
+        result = _polynomial_root(ring, intpoly.krylov(ring.rows[i])[0], w)
         if alg_cmp(result, 1) < 0:
             raise InternalInvariantError("FP dimension below 1")
         return result
@@ -328,7 +334,7 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     ring.require_verified()
 
     def compute(w: Fraction) -> AlgebraicReal:
-        return largest_real_root(intpoly.krylov(global_multiplication_matrix(ring))[0], w)
+        return _polynomial_root(ring, intpoly.krylov(global_multiplication_matrix(ring))[0], w)
 
     return _cached_root(ring, "fpdim_total", compute, width)
 
@@ -338,14 +344,33 @@ def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicRe
     compute(width) afresh for any other width.
 
     The cached root is not refined to a narrower width, since reports print
-    its interval.  A fresh root bisects the same isolating interval along
-    the same path, so it ends on the interval that refining a copy of the
-    cached root would give."""
+    its interval.  A fresh root is refined from the same isolating interval
+    to the same cell of the same bisection grid (intpoly.refine_interval),
+    so it ends on the interval that refining a copy of the cached root
+    would give.  compute itself reads the root of its polynomial from
+    _polynomial_root, which keys the cache by polynomial."""
     if width != DEFAULT_WIDTH:
         return compute(width)
     if key not in ring._cache:
         ring._cache[key] = compute(DEFAULT_WIDTH)
     return ring._cache[key]
+
+
+def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
+    """largest_real_root(poly, width), with the DEFAULT_WIDTH root computed
+    once per polynomial and kept in ring._cache[("root", poly)].
+
+    Each call gets its own IsolatedRoot, a copy of the cached interval, so
+    that narrowing one root in place never changes what another prints."""
+    if width != DEFAULT_WIDTH:
+        return largest_real_root(poly, width)
+    key = ("root", poly)
+    if key not in ring._cache:
+        ring._cache[key] = largest_real_root(poly)
+    root = ring._cache[key]
+    if isinstance(root, IsolatedRoot):
+        return IsolatedRoot._certified(root.poly, *root.interval())
+    return root
 
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:

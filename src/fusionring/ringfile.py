@@ -78,10 +78,10 @@ def load_character_table(path: str) -> CharacterTable:
         if key not in doc:
             raise MalformedRingError(f"character table missing field {key!r}")
     for key in ("root_order", "group_order"):
-        if not isinstance(doc[key], int) or doc[key] < 1:
+        if not _is_int(doc[key]) or doc[key] < 1:
             raise MalformedRingError(f"{key} must be a positive integer")
     N, order, sizes, values = doc["root_order"], doc["group_order"], doc["class_sizes"], doc["values"]
-    if not isinstance(sizes, list) or not all(isinstance(c, int) for c in sizes):
+    if not isinstance(sizes, list) or not all(map(_is_int, sizes)):
         raise MalformedRingError("class_sizes must be a list of integers")
     if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
         raise MalformedRingError("values must be a list of rows, each a list")
@@ -89,13 +89,18 @@ def load_character_table(path: str) -> CharacterTable:
     for row in values:
         cells = []
         for vec in row:
-            if not isinstance(vec, list) or not all(isinstance(a, int) for a in vec):
+            if not isinstance(vec, list) or not all(map(_is_int, vec)):
                 raise MalformedRingError("character values must be integer coefficient vectors")
             cells.append(Cyc(N, vec))
         rows.append(tuple(cells))
     table = CharacterTable(group_order=order, root_order=N, class_sizes=tuple(sizes), values=tuple(rows))
     table.validate()
     return table
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: true and false are not integers here, as in ring files."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def alg_to_dict(x) -> dict:

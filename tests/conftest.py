@@ -281,14 +281,24 @@ def sturm_chain_oracle(p) -> list:
 
 
 def refine_interval_oracle(p, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
-    """Bisection of a sign-change interval below width, in Fraction."""
-    slo = intpoly.poly_eval(p, lo) > 0
+    """Bisection of a sign-change interval below width, in Fraction: halve
+    until the width is at most `width`, keeping the half whose ends differ
+    in sign, and return (mid, mid) when a midpoint is a root.  The sign of
+    p(n/d) is that of sum_i p_i n^i d^(deg p - i), by Horner in integers."""
+
+    def positive(x: Fraction):
+        acc, dpow = 0, 1
+        for c in reversed(p):
+            acc, dpow = acc * x.numerator + c * dpow, dpow * x.denominator
+        return None if acc == 0 else acc > 0
+
+    slo = positive(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = intpoly.poly_eval(p, mid)
-        if v == 0:
+        smid = positive(mid)
+        if smid is None:
             return mid, mid
-        if (v > 0) == slo:
+        if smid == slo:
             lo = mid
         else:
             hi = mid

@@ -75,6 +75,29 @@ def test_build_charring_malformed_table_exits_2(field, value, tmp_path, capsys):
     assert code == 2 and out == "" and "Traceback" not in err
 
 
+TRIVIAL_TABLE = {"group_order": 1, "root_order": 1, "class_sizes": [1], "values": [[[1]]]}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {**TRIVIAL_TABLE, "group_order": True},
+        {**S3_TABLE, "root_order": True},
+        {**S3_TABLE, "class_sizes": [True, 3, 2]},
+        {**S3_TABLE, "values": [[[True], [1], [1]], [[1], [-1], [1]], [[2], [0], [-1]]]},
+    ],
+    ids=["group-order", "root-order", "class-size", "coefficient"],
+)
+def test_build_charring_rejects_booleans(table, tmp_path, capsys):
+    # each table is valid with its boolean read as the integer 1
+    path = tmp_path / "t.table"
+    path.write_text(json.dumps(table).replace("true", "1"))
+    assert run_cli(["build", "charring", "--table", str(path)], capsys)[0] == 0
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+    assert code == 2 and out == "" and "integer" in err
+
+
 def test_verify_broken_exits_2(tmp_path, capsys):
     ring = fr.group_ring((2,))
     doc = json.loads(dumps_ring(ring))

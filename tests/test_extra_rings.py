@@ -71,6 +71,28 @@ def test_narrow_fpdim_reuses_cache_without_narrowing_it():
         assert docs[0] == docs[1]
 
 
+def test_fpdim_isolates_each_polynomial_once_and_copies_its_root(monkeypatch):
+    # SU(2)_14: the pairs b_1/b_13, b_3/b_11, b_5/b_9 and b_6/b_8 share a
+    # Krylov polynomial, so 13 noninvertible elements have 9 polynomials
+    ring = su2_ring(14)
+    polys = {intpoly.krylov(ring.rows[i])[0] for i in range(1, 14)}
+    assert len(polys) == 9
+    isolate = intpoly.isolate_real_roots
+    calls = []
+    monkeypatch.setattr(intpoly, "isolate_real_roots", lambda p: calls.append(p) or isolate(p))
+    dims = fpdim_all(ring)
+    assert sorted(calls) == sorted(polys)
+    # each index has its own root: narrowing one changes no other, whether
+    # the other was made before the narrowing or after it
+    before = dims[13].interval()
+    assert dims[1] is not dims[13] and dims[1].poly == dims[13].poly
+    fr.fpdim_basis(ring, 1).interval(Fraction(1, 2**200))
+    assert fr.fpdim_basis(ring, 13).interval() == before
+    late = su2_ring(14)
+    fr.fpdim_basis(late, 1).interval(Fraction(1, 2**200))
+    assert fr.fpdim_basis(late, 13).interval() == before
+
+
 def test_cubic_total_and_codegrees_against_oracle():
     ring = cubic_chain_ring()
     total = fr.fpdim_total(ring)

@@ -165,6 +165,22 @@ def test_cyc_rational_hashes_like_its_fraction():
     assert len({Cyc.rational(4, 3), Cyc.root(4, 1), Cyc.rational(4, 3) + 0}) == 2
 
 
+def test_cyc_takes_only_int_and_fraction_numbers():
+    for bad in (0.1, True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Cyc.rational(4, bad)
+    with pytest.raises(TypeError):
+        Cyc(4, [True, 2])
+    with pytest.raises(TypeError):
+        Cyc(4, [1, 0.5])
+    with pytest.raises(TypeError):
+        Cyc.one(4) * False
+    with pytest.raises(TypeError):
+        Cyc.one(4) + 0.25
+    assert Cyc(4, [Fraction(2), Fraction(1, 3)]).coeffs == (2, Fraction(1, 3))
+    assert type(Cyc.rational(4, Fraction(6, 3)).coeffs[0]) is int
+
+
 def test_cycsqrt():
     one = CycSqrt.of(1, 5, u=Fraction(1, 2), v=Fraction(1, 2))  # golden ratio
     prod = one * one

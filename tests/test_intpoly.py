@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
@@ -302,13 +302,70 @@ def test_sign_at_matches_fraction_eval(p, a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_product, st.integers(1, 30))
+@given(_product, st.integers(1, 300))
+# two inputs on which a Newton window misses the root on its left, which is rare
+@example((-100, -310, -454, -536, -371, -212, -66, -1, -45, -15, 4), 96)
+@example((-150, -815, -1006, 1215, 2610, -48, -816, 872, 160, -252, 120), 282)
 def test_refine_interval_matches_fraction_bisection(f, bits):
     p, _, intervals = intpoly.isolate_real_roots(f)
     assert p == intpoly.squarefree_part(f)
     width = Fraction(1, 2**bits)
     for lo, hi in intervals:  # endpoints are non-dyadic when p is not monic
         assert intpoly.refine_interval(p, lo, hi, width) == refine_interval_oracle(p, lo, hi, width)
+
+
+@pytest.mark.parametrize("lo", [Fraction(0), Fraction(1, 3)])
+@pytest.mark.parametrize("bits", [3, 12, 19, 20, 21, 64, 300])
+def test_refine_interval_stops_on_a_root_at_a_grid_point(lo, bits):
+    # the root lo + 12345/2^20 is a point of bisection's level-20 grid on
+    # (lo, lo + 1), and the only root there: (2^20 x - r)(x^2 - 2)
+    r = lo + Fraction(12345, 2**20)
+    p = intpoly.primitive(poly_mul((-r, 1), (-2, 0, 1)))
+    width = Fraction(1, 2**bits)
+    got = intpoly.refine_interval(p, lo, lo + 1, width)
+    assert got == refine_interval_oracle(p, lo, lo + 1, width)
+    assert (got == (r, r)) == (bits >= 20)
+
+
+def test_refine_interval_matches_bisection_on_krylov_polynomials(small_corpus, two_orbit_corpus):
+    """Every isolating interval of the Krylov polynomial of every N_i and M
+    of the corpora and of SU(2)_k, k <= 19, at widths 2^-1, 2^-8, 2^-9 and
+    2^-64; a seeded eighth of them at 2^-256 and eight at 2^-1024."""
+    rings = [*small_corpus.values(), *two_orbit_corpus.values()] + [su2_ring(k) for k in range(1, 20)]
+    polys = set()
+    for ring in rings:
+        polys.update(intpoly.krylov(ring.rows[i])[0] for i in range(ring.rank))
+        polys.add(intpoly.krylov(global_multiplication_matrix(ring))[0])
+    cases = sorted({(sf, lo, hi) for sf, _, intervals in map(intpoly.isolate_real_roots, polys) for lo, hi in intervals})
+    rng = random.Random(14)
+    deep = set(rng.sample(range(len(cases)), len(cases) // 8))
+    deepest = set(rng.sample(sorted(deep), 8))
+    for n, (p, lo, hi) in enumerate(cases):
+        want = (lo, hi)
+        for bits in (1, 8, 9, 64, 256, 1024):
+            if bits == 256 and n not in deep or bits == 1024 and n not in deepest:
+                break
+            width = Fraction(1, 2**bits)
+            # bisection to a smaller width continues the path to a larger one
+            want = refine_interval_oracle(p, *want, width)
+            assert intpoly.refine_interval(p, lo, hi, width) == want
+    assert len(cases) > 1000
+
+
+def test_refine_interval_to_4096_bits_takes_few_evaluations(monkeypatch):
+    """Bisection would evaluate the polynomial 4096 times or more."""
+    ring = su2_ring(19)
+    p, _, intervals = intpoly.isolate_real_roots(intpoly.krylov(ring.rows[1])[0])
+    lo, hi = intervals[-1]  # the Perron root 2 cos(pi/21)
+    calls = []
+    value_at = intpoly.value_at
+    monkeypatch.setattr(intpoly, "value_at", lambda *args: calls.append(args) or value_at(*args))
+    lo, hi = intpoly.refine_interval(p, lo, hi, Fraction(1, 2**4096))
+    assert len(calls) <= 200
+    monkeypatch.undo()
+    assert 0 < hi - lo <= Fraction(1, 2**4096)
+    assert intpoly.sign_at(p, lo.numerator, lo.denominator) * intpoly.sign_at(p, hi.numerator, hi.denominator) < 0
+    assert abs(float(lo) - 2 * math.cos(math.pi / 21)) < 1e-12
 
 
 def test_charpoly_identity():
