@@ -322,8 +322,9 @@ def scan_prime_levels(
     per-m bound holds; the hits (m, x, y) with m^2 p + 1 = x y^2 come from
     the Pell equation x y^2 - p m^2 = 1 (see _pell_hits), so m^2 p + 1 is
     never factored.  A residue filter (the literature's exclusion set;
-    default available for p = 7) removes x values; without it, survivors
-    carried only by that claim are flagged rather than suppressed.
+    default available for p = 7) removes x values divisible by one of its
+    entries, each at least 2; without it, survivors carried only by that
+    claim are flagged rather than suppressed.
     """
     _require_prime(p)
     if k_max < 1:
@@ -337,6 +338,8 @@ def scan_prime_levels(
     xs_all = admissible_squarefree_parts(p)
     if residue_filter:
         rf = tuple(sorted(set(int(q) for q in residue_filter)))
+        if rf[0] < 2:
+            raise ValueError(f"residue filter entry {rf[0]} is below 2")
         xs = [x for x in xs_all if all(x % q for q in rf)]
         filters.append("residue filter {" + ",".join(map(str, rf)) + "}")
     else:

@@ -14,18 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+# construct and represent load inside the commands that use them, so
+# verify, fpdim, obstruct and classify never compile them; the chain those
+# commands run stays here, where a tracer installed after importing this
+# module (bench/cli_child.py) finds it
 from .classify import classify_elementary2, classify_generic, scan_prime_levels
-from .construct import (
-    character_ring,
-    group_ring,
-    haagerup_izumi,
-    near_group,
-    uniform_two_orbit,
-)
 from .errors import FusionRingError, InternalInvariantError, MalformedRingError
 from .groups import parse_group_factors
 from .obstruct import eliminated, run_all
-from .represent import codegree_spectrum, uniform_irreps
 from .ring import fpdim_basis, fpdim_total, verify_axioms
 from .ringfile import (
     alg_to_dict,
@@ -149,6 +145,8 @@ def _emit_ring(ring, out_path):
 
 
 def _cmd_build(args) -> int:
+    from .construct import character_ring, group_ring, haagerup_izumi, near_group, uniform_two_orbit
+
     if args.family == "group":
         ring = group_ring(parse_group_factors(args.group))
     elif args.family == "neargroup":
@@ -216,6 +214,8 @@ def _cmd_fpdim(args) -> int:
 
 
 def _cmd_codegrees(args) -> int:
+    from .represent import codegree_spectrum
+
     ring = load_ring(args.ring)
     spectrum = codegree_spectrum(ring)
     if args.json:
@@ -238,6 +238,8 @@ def _cmd_codegrees(args) -> int:
 
 
 def _cmd_irreps(args) -> int:
+    from .represent import uniform_irreps
+
     ring = load_ring(args.ring)
     models = uniform_irreps(ring)
     if args.json:

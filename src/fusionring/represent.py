@@ -27,7 +27,7 @@ from .ring import (
     FusionRing,
     algebra_generators,
     dimension_profile,
-    global_multiplication_matrix,
+    global_krylov,
     invertibles,
     is_commutative,
     two_orbit_data,
@@ -71,8 +71,7 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     ring.require_verified()
     if "codegrees" in ring._cache:
         return ring._cache["codegrees"]
-    m = global_multiplication_matrix(ring)
-    mp, powers = intpoly.krylov(m)
+    m, mp, powers = global_krylov(ring)
     d = intpoly.degree(mp)
     traces = [sum(mat[j][j] for j in range(ring.rank)) for mat in ring.rows]
     s = [sum(c * t for c, t in zip(r, traces)) for r in powers]

@@ -71,9 +71,14 @@ class FusionRing:
         if rank < 1:
             raise MalformedRingError("rank must be at least 1")
         try:
-            dual = tuple(int(x) for x in dual)
-        except (TypeError, ValueError) as exc:
+            dual = tuple(dual)
+        except TypeError as exc:
             raise MalformedRingError(f"dual must be a list of integers: {exc}")
+        ints = tuple(map(_integer, dual))
+        if None in ints:
+            at = ints.index(None)
+            raise MalformedRingError(f"dual entry {dual[at]!r} at {at} is not an integer")
+        dual = ints
         if len(dual) != rank:
             raise MalformedRingError("dual length must equal rank")
         self.rows = _as_rows(tensor, rank)
@@ -136,14 +141,23 @@ def _as_rows(tensor, rank: int) -> tuple:
     )
 
 
-def _entry(c, at: tuple) -> int:
-    """c as an int when it is integral (integral floats included, bool not)
-    and below ENTRY_LIMIT in size."""
+def _integer(c) -> int | None:
+    """c as an int when it is integral (integral floats included, bool and
+    str not), else None."""
+    if not isinstance(c, numbers.Real) or isinstance(c, bool):
+        return None
     try:
-        v = int(c) if isinstance(c, numbers.Real) and not isinstance(c, bool) else None
+        v = int(c)
     except (OverflowError, ValueError):  # inf, nan
-        v = None
-    if v is None or v != c:
+        return None
+    return v if v == c else None
+
+
+def _entry(c, at: tuple) -> int:
+    """c as an int when it is integral (see _integer) and below ENTRY_LIMIT
+    in size."""
+    v = _integer(c)
+    if v is None:
         raise MalformedRingError(f"tensor entry {c!r} at {at} is not an integer")
     if abs(v) >= ENTRY_LIMIT:
         raise MalformedRingError(f"tensor entry at {at} is outside the limit |c| < 2^63")
@@ -334,7 +348,7 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     ring.require_verified()
 
     def compute(w: Fraction) -> AlgebraicReal:
-        return _polynomial_root(ring, intpoly.krylov(global_multiplication_matrix(ring))[0], w)
+        return _polynomial_root(ring, global_krylov(ring)[1], w)
 
     return _cached_root(ring, "fpdim_total", compute, width)
 
@@ -390,6 +404,16 @@ def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
                 for k, b in col:
                     m[j][k] += a * b
     return m
+
+
+def global_krylov(ring: FusionRing) -> tuple:
+    """(M, mp, powers): M = global_multiplication_matrix(ring) and
+    (mp, powers) = intpoly.krylov(M), computed once per ring and kept in
+    ring._cache; fpdim_total and represent.codegree_spectrum both read it."""
+    if "global_krylov" not in ring._cache:
+        m = global_multiplication_matrix(ring)
+        ring._cache["global_krylov"] = (m, *intpoly.krylov(m))
+    return ring._cache["global_krylov"]
 
 
 def is_invertible(ring: FusionRing, i: int) -> bool:

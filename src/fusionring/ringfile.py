@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebraic import IsolatedRoot, Quadratic
-from .construct import CharacterTable
-from .cyclotomic import Cyc
 from .errors import MalformedRingError
 from .ring import FusionRing
+
+if TYPE_CHECKING:
+    from .construct import CharacterTable
 
 
 def ring_to_dict(ring: FusionRing) -> dict:
@@ -44,7 +46,7 @@ def ring_from_dict(doc) -> FusionRing:
         raise MalformedRingError(f"missing fields: {sorted(missing)}")
     rank = doc["rank"]
     labels = doc["labels"]
-    if not isinstance(rank, int) or not isinstance(labels, list) or len(labels) != rank:
+    if not _is_int(rank) or not isinstance(labels, list) or len(labels) != rank:
         raise MalformedRingError("rank must be an integer matching len(labels)")
     return FusionRing(labels, doc["dual"], doc["tensor"])
 
@@ -67,6 +69,9 @@ def load_ring(path: str) -> FusionRing:
 
 
 def load_character_table(path: str) -> CharacterTable:
+    from .construct import CharacterTable
+    from .cyclotomic import Cyc
+
     with open(path) as fh:
         try:
             doc = json.load(fh)

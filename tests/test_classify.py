@@ -116,6 +116,12 @@ def test_scan_small_window():
     assert all(e.level == 7 * e.k for e in report.levels)
 
 
+@pytest.mark.parametrize("rf", [(0,), (1,), (-3,), (2, 3, 0)])
+def test_scan_rejects_residue_filter_entries_below_2(rf):
+    with pytest.raises(ValueError, match=f"residue filter entry {min(rf)} is below 2"):
+        scan_prime_levels(7, 10, residue_filter=rf)
+
+
 def test_scan_monotone_in_kmax():
     small = {e.k for e in scan_prime_levels(7, 100, residue_filter=(2, 3, 5, 13)).levels}
     big = {e.k for e in scan_prime_levels(7, 2000, residue_filter=(2, 3, 5, 13)).levels}

@@ -134,6 +134,27 @@ def test_loader_rejects_malformed_documents(doc, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"rank": 2, "labels": ["a", "b"], "dual": [0, 1.7]}, "dual entry 1.7 at 1"),
+        ({"rank": 2, "labels": ["a", "b"], "dual": ["0", "1"]}, "dual entry '0' at 0"),
+        ({"rank": 2, "labels": ["a", "b"], "dual": [False, True]}, "dual entry False at 0"),
+        ({"rank": True, "labels": ["e"], "dual": [0], "tensor": [[[1]]]}, "rank must be an integer"),
+    ],
+    ids=["float-dual", "string-dual", "boolean-dual", "boolean-rank"],
+)
+def test_ring_file_rejects_non_integer_dual_and_rank(doc, message, tmp_path, capsys):
+    # dual entries follow the tensor-entry rule (integral, not bool, not str):
+    # 1.7 was truncated to 1, and these files verified as "ok"
+    doc = {"tensor": json.loads(dumps_ring(fr.group_ring((2,))))["tensor"], **doc}
+    path = tmp_path / "bad.ring"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_entries_beyond_the_limit_exit_2(tmp_path, capsys):
     # structure constants are limited to |c| < 2^63; a near-group file whose
     # rho^2 coefficient is 2^70, and that level given to build, exit 2
@@ -222,6 +243,14 @@ def test_classify_prime_cli(capsys):
     )
     doc = json.loads(out)
     assert 2 in [e["k"] for e in doc["levels"]]
+
+
+@pytest.mark.parametrize("rf", ["0", "1", "-3", "3,1"])
+def test_classify_prime_residue_filter_below_2_exits_2(rf, capsys):
+    # 0 died with a ZeroDivisionError, 1 dropped every x, -3 printed a negative filter
+    code, out, err = run_cli(["classify", "prime", "--p", "7", "--kmax", "10", f"--residue-filter={rf}"], capsys)
+    assert (code, out) == (2, "")
+    assert "residue filter entry" in err and "below 2" in err
 
 
 def test_classify_csv(capsys):
@@ -392,3 +421,42 @@ def test_runtime_does_not_load_mpmath(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"False False\n"
+
+
+COMMANDS_WITHOUT_CONSTRUCT_OR_REPRESENT = [
+    ["verify", "{ring}"],
+    ["fpdim", "{ring}", "--json"],
+    ["obstruct", "{ring}", "--json"],
+    ["classify", "generic", "{ring}", "--csv"],
+    ["classify", "elementary2", "--m", "3", "--json"],
+    ["classify", "prime", "--p", "7", "--kmax", "100", "--json"],
+]
+
+
+def test_import_loads_no_submodule():
+    # the package namespace is lazy: submodules load on first attribute use
+    script = "import sys, fusionring\nprint(sorted(m for m in sys.modules if m.startswith('fusionring.')))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=cli_env())
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    COMMANDS_WITHOUT_CONSTRUCT_OR_REPRESENT,
+    ids=["verify", "fpdim", "obstruct", "classify-generic", "classify-elementary2", "classify-prime"],
+)
+def test_commands_load_only_what_they_run(argv, tmp_path):
+    # construct, cyclotomic and represent serve build, codegrees and irreps only;
+    # each other command, run in a fresh interpreter, must not compile them
+    path = tmp_path / "ng.ring"
+    path.write_text(dumps_ring(fr.near_group((2, 2), 8)))
+    script = (
+        "import io, sys, contextlib\n"
+        "from fusionring.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) in (0, 10)\n"
+        "print(sorted(m for m in ('construct', 'cyclotomic', 'represent') if 'fusionring.' + m in sys.modules))\n"
+    )
+    args = [a.format(ring=path) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=cli_env())
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr

@@ -40,6 +40,20 @@ def test_codegrees_group_ring():
         assert spec[0].dim_hint == 1
 
 
+def test_global_krylov_once_per_ring(monkeypatch):
+    # fpdim_total (at any width) and codegree_spectrum share M and its Krylov polynomial
+    calls = []
+    krylov = intpoly.krylov
+    monkeypatch.setattr(intpoly, "krylov", lambda matrix: calls.append(matrix) or krylov(matrix))
+    for ring in (su2_ring(5), fr.near_group((2, 2), 8), fr.haagerup_izumi((3,))):
+        calls.clear()
+        m = global_multiplication_matrix(ring)
+        fr.fpdim_total(ring)
+        represent.codegree_spectrum(ring)
+        fr.fpdim_total(ring, width=Fraction(1, 2**100))
+        assert calls.count(m) == 1
+
+
 def test_codegrees_near_group_c2_2():
     spec = fr.codegree_spectrum(fr.near_group((2,), 2))
     values = [e.value for e in spec]
