@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="construct a fusion ring")
+    build.set_defaults(run=_cmd_build)
     bsub = build.add_subparsers(dest="family", required=True)
 
     def add_out(p):
@@ -84,32 +85,39 @@ def _build_parser() -> argparse.ArgumentParser:
     add_out(b_chr)
 
     p = sub.add_parser("verify", help="check the fusion-ring axioms")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("ring")
 
     p = sub.add_parser("fpdim", help="Frobenius-Perron dimensions")
+    p.set_defaults(run=_cmd_fpdim)
     p.add_argument("ring")
     p.add_argument("--basis", type=int, help="only this basis index")
     p.add_argument(
         "--width-bits",
         type=int,
         default=64,
-        help=f"isolating-interval width 2^-N for non-quadratic roots (default 64, at most {FPDIM_MAX_WIDTH_BITS})",
+        help=f"isolating-interval width 2^-N for non-quadratic roots (default 64, at most {FPDIM_MAX_WIDTH_BITS}; "
+        "N below 64 keeps the 2^-64 default, width only narrows)",
     )
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("codegrees", help="formal codegree spectrum")
+    p.set_defaults(run=_cmd_codegrees)
     p.add_argument("ring")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("irreps", help="exact irreducible representations (uniform rings)")
+    p.set_defaults(run=_cmd_irreps)
     p.add_argument("ring")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("obstruct", help="run every categorifiability obstruction")
+    p.set_defaults(run=_cmd_obstruct)
     p.add_argument("ring")
     p.add_argument("--json", action="store_true")
 
     cls = sub.add_parser("classify", help="level classification engines")
+    cls.set_defaults(run=_cmd_classify)
     csub = cls.add_subparsers(dest="engine", required=True)
 
     p = csub.add_parser("elementary2", help="near-group levels over C2^m")
@@ -293,9 +301,9 @@ def _report_csv(report) -> str:
 
 
 def _emit_report(report, args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(dumps_report(report.to_dict()))
-    elif getattr(args, "csv", False):
+    elif args.csv:
         sys.stdout.write(_report_csv(report))
     else:
         print(f"group {report.group}")
@@ -341,31 +349,15 @@ def _cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fpdim":
-            return _cmd_fpdim(args)
-        if args.command == "codegrees":
-            return _cmd_codegrees(args)
-        if args.command == "irreps":
-            return _cmd_irreps(args)
-        if args.command == "obstruct":
-            return _cmd_obstruct(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        ap.error(f"unknown command {args.command}")
+        return args.run(args)
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (FusionRingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -77,27 +77,13 @@ def near_group(spec, level: int) -> FusionRing:
 
 def haagerup_izumi(spec) -> FusionRing:
     """Two-orbit ring on G + Gx with trivial stabilizer, x g = g^{-1} x and
-    (g x)(h x) = g h^{-1} + sum_f (f x).  Requires abelian G; commutative
+    (g x)(h x) = g h^{-1} + sum_f (f x): the uniform two-orbit ring with
+    H = 1, theta the inversion and k = 1.  Requires abelian G; commutative
     iff |G| <= 2."""
     g = as_group(spec)
     if not g.is_abelian:
         raise ValueError("Haagerup-Izumi rings need an abelian group")
-    n = g.order
-    rank = 2 * n
-    t = _zeros(rank)
-    for a in range(n):
-        for b in range(n):
-            t[a][b][g.mult(a, b)] = 1  # g * h
-            t[a][n + b][n + g.mult(a, b)] = 1  # g * (h x)
-            t[n + b][a][n + g.mult(b, g.inv(a))] = 1  # (h x) * g = (h g^-1) x
-            t[n + a][n + b][g.mult(a, g.inv(b))] = 1  # invertible part of (gx)(hx)
-            for c in range(n):
-                t[n + a][n + b][n + c] += 1
-    labels = list(g.names) + [f"x({name})" for name in g.names]
-    dual = list(g.inverse) + [n + a for a in range(n)]
-    ring = FusionRing(labels, dual, t)
-    ring.require_verified()
-    return ring
+    return uniform_two_orbit(g, "trivial", "inversion", 1)
 
 
 def _resolve_theta(quotient: FiniteGroup, theta) -> tuple[int, ...]:

@@ -13,18 +13,19 @@ noninvertible basis elements acting through sqrt(|H|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 from . import intpoly
-from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
+from .algebraic import AlgebraicReal, IsolatedRoot, Quadratic, alg_cmp, all_real_roots
 from .cyclotomic import Cyc, CycSqrt
 from .errors import HypothesisError, InternalInvariantError
 from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
 from .ring import (
     FusionRing,
+    _memo,
     algebra_generators,
     dimension_profile,
     global_krylov,
@@ -67,10 +68,24 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     factor of multiplicity m in the square-free decomposition of the
     charpoly.  The loop stops once the multiplicities account for the rank;
     the count and trace checks stay.
+
+    The spectrum is computed once per ring; each call gets its own list and
+    its own copy of every isolated root.
     """
     ring.require_verified()
-    if "codegrees" in ring._cache:
-        return ring._cache["codegrees"]
+    spectrum = _memo(ring, "codegrees", partial(_codegree_spectrum, ring))
+    return [_own_copy(e) for e in spectrum]
+
+
+def _own_copy(e: Codegree) -> Codegree:
+    """e itself when its value is a Quadratic, else e with a fresh copy of
+    its IsolatedRoot, which a caller may narrow without changing e."""
+    if isinstance(e.value, Quadratic):
+        return e
+    return replace(e, value=IsolatedRoot._certified(e.value.poly, *e.value.interval()))
+
+
+def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     m, mp, powers = global_krylov(ring)
     d = intpoly.degree(mp)
     traces = [sum(mat[j][j] for j in range(ring.rank)) for mat in ring.rows]
@@ -105,7 +120,6 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
                 f"eigenvalue {e.value!r} of M below the invertible count {order}"
             )
     entries.sort(key=cmp_to_key(lambda e, f: alg_cmp(f.value, e.value)))
-    ring._cache["codegrees"] = entries
     return entries
 
 

@@ -13,8 +13,9 @@ computation here reads `rows` with plain loops and exact integers; entries
 are limited to |c| < 2^63.
 
 All objects are immutable after construction and every operation is a pure
-function, so concurrent use needs no locking.  Caches only memoize pure
-results.
+function, so concurrent use needs no locking.  What a ring derives is kept
+by one memo, `_memo`: computed once per ring; callers get their own lists
+and roots, so nothing a caller does to a result changes a later one.
 """
 
 from __future__ import annotations
@@ -106,16 +107,24 @@ class FusionRing:
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
-    # memoized axiom check; pure, so races at worst recompute
     def violations(self) -> list[Violation]:
-        if "violations" not in self._cache:
-            self._cache["violations"] = verify_axioms(self)
-        return self._cache["violations"]
+        """verify_axioms(self), computed once; each call gets its own list."""
+        return list(_memo(self, "violations", partial(verify_axioms, self)))
 
     def require_verified(self):
         v = self.violations()
         if v:
             raise NotAFusionRingError(v)
+
+
+def _memo(ring: FusionRing, key, compute):
+    """compute(), computed once per ring and kept under key.  compute must
+    be pure, so a race at worst computes it twice.  The kept object is
+    shared, so a caller whose result can change in place (a list, an
+    IsolatedRoot) returns a copy of it."""
+    if key not in ring._cache:
+        ring._cache[key] = compute()
+    return ring._cache[key]
 
 
 def _as_rows(tensor, rank: int) -> tuple:
@@ -272,9 +281,11 @@ def _generators(ring: FusionRing) -> tuple[int, ...]:
     generate, since b_s, b_a and every known term do; so k joins K.  When no
     product peels, the least index outside K joins S (and K).  Every element
     of K is thus in that algebra, and the loop ends with K the whole basis.
-    Only integer supports are read; the result is kept in ring._cache."""
-    if "generators" in ring._cache:
-        return ring._cache["generators"]
+    Only integer supports are read; the result is memoized."""
+    return _memo(ring, "generators", partial(_peel_generators, ring))
+
+
+def _peel_generators(ring: FusionRing) -> tuple[int, ...]:
     n = ring.rank
     support = [[[k for k, c in enumerate(row) if c] for row in mat] for mat in ring.rows]
     known = [True] + [False] * (n - 1)
@@ -295,8 +306,7 @@ def _generators(ring: FusionRing) -> tuple[int, ...]:
                         known[unknown[0]] = True
                         order.append(unknown[0])
                         peeled = True
-    ring._cache["generators"] = tuple(gens)
-    return ring._cache["generators"]
+    return tuple(gens)
 
 
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
@@ -315,22 +325,19 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     of an IsolatedRoot is that square-free part, not always minimal.
 
     Elements often share p (13 noninvertible elements of SU(2)_14 have 9
-    polynomials, those of Haagerup-Izumi rings one), so the root is
-    isolated, promoted and refined once per polynomial (_polynomial_root),
-    and each index gets its own copy of it."""
+    polynomials, those of Haagerup-Izumi rings one), so p is memoized per
+    index and its root per polynomial (_polynomial_root), and each call gets
+    its own copy of that root."""
     if not 0 <= i < ring.rank:
         raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
     ring.require_verified()
-
-    def compute(w: Fraction) -> AlgebraicReal:
-        if is_invertible(ring, i):
-            return Quadratic(1)
-        result = _polynomial_root(ring, intpoly.krylov(ring.rows[i])[0], w)
-        if alg_cmp(result, 1) < 0:
-            raise InternalInvariantError("FP dimension below 1")
-        return result
-
-    return _cached_root(ring, ("fpdim", i), compute, width)
+    if is_invertible(ring, i):
+        return Quadratic(1)
+    poly = _memo(ring, ("krylov", i), lambda: intpoly.krylov(ring.rows[i])[0])
+    result = _polynomial_root(ring, poly, width)
+    if alg_cmp(result, 1) < 0:
+        raise InternalInvariantError("FP dimension below 1")
+    return result
 
 
 def fpdim_all(ring: FusionRing) -> list[AlgebraicReal]:
@@ -346,45 +353,26 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     (see fpdim_basis), since M is left multiplication by R = sum_x x x*
     (see global_multiplication_matrix)."""
     ring.require_verified()
-
-    def compute(w: Fraction) -> AlgebraicReal:
-        return _polynomial_root(ring, global_krylov(ring)[1], w)
-
-    return _cached_root(ring, "fpdim_total", compute, width)
-
-
-def _cached_root(ring: FusionRing, key, compute, width: Fraction) -> AlgebraicReal:
-    """The root compute(DEFAULT_WIDTH), kept in ring._cache[key], or
-    compute(width) afresh for any other width.
-
-    The cached root is not refined to a narrower width, since reports print
-    its interval.  A fresh root is refined from the same isolating interval
-    to the same cell of the same bisection grid (intpoly.refine_interval),
-    so it ends on the interval that refining a copy of the cached root
-    would give.  compute itself reads the root of its polynomial from
-    _polynomial_root, which keys the cache by polynomial."""
-    if width != DEFAULT_WIDTH:
-        return compute(width)
-    if key not in ring._cache:
-        ring._cache[key] = compute(DEFAULT_WIDTH)
-    return ring._cache[key]
+    return _polynomial_root(ring, global_krylov(ring)[1], width)
 
 
 def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
-    """largest_real_root(poly, width), with the DEFAULT_WIDTH root computed
-    once per polynomial and kept in ring._cache[("root", poly)].
+    """The largest real root of poly, isolated, promoted and refined to
+    DEFAULT_WIDTH once per polynomial (memoized), then handed out as is when
+    it is a Quadratic, else as a fresh copy narrowed below width.
 
-    Each call gets its own IsolatedRoot, a copy of the cached interval, so
-    that narrowing one root in place never changes what another prints."""
-    if width != DEFAULT_WIDTH:
-        return largest_real_root(poly, width)
-    key = ("root", poly)
-    if key not in ring._cache:
-        ring._cache[key] = largest_real_root(poly)
-    root = ring._cache[key]
-    if isinstance(root, IsolatedRoot):
-        return IsolatedRoot._certified(root.poly, *root.interval())
-    return root
+    A width coarser than DEFAULT_WIDTH keeps the DEFAULT_WIDTH interval:
+    width only narrows.  The copy is refined from a cell of the bisection
+    grid of its isolating interval, and intpoly.refine_interval stays on
+    that grid, so it ends on the cell that refining the isolating interval
+    to width directly gives.  Narrowing a copy in place never changes what
+    another call returns."""
+    root = _memo(ring, ("root", poly), partial(largest_real_root, poly))
+    if isinstance(root, Quadratic):
+        return root
+    copy = IsolatedRoot._certified(root.poly, *root.interval())
+    copy.interval(width)
+    return copy
 
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
@@ -408,12 +396,16 @@ def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
 
 def global_krylov(ring: FusionRing) -> tuple:
     """(M, mp, powers): M = global_multiplication_matrix(ring) and
-    (mp, powers) = intpoly.krylov(M), computed once per ring and kept in
-    ring._cache; fpdim_total and represent.codegree_spectrum both read it."""
-    if "global_krylov" not in ring._cache:
+    (mp, powers) = intpoly.krylov(M), memoized, with M and powers as tuples
+    of rows so that no caller can change them; fpdim_total and
+    represent.codegree_spectrum both read it."""
+
+    def compute() -> tuple:
         m = global_multiplication_matrix(ring)
-        ring._cache["global_krylov"] = (m, *intpoly.krylov(m))
-    return ring._cache["global_krylov"]
+        mp, powers = intpoly.krylov(m)
+        return tuple(map(tuple, m)), mp, tuple(map(tuple, powers))
+
+    return _memo(ring, "global_krylov", compute)
 
 
 def is_invertible(ring: FusionRing, i: int) -> bool:
@@ -436,8 +428,10 @@ class InvertibleGroup:
 
 def invertibles(ring: FusionRing) -> InvertibleGroup:
     ring.require_verified()
-    if "invertibles" in ring._cache:
-        return ring._cache["invertibles"]
+    return _memo(ring, "invertibles", partial(_invertibles, ring))
+
+
+def _invertibles(ring: FusionRing) -> InvertibleGroup:
     idx = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
     pos = {g: p for p, g in enumerate(idx)}
     table = []
@@ -456,9 +450,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
             raise NotAFusionRingError(
                 [Violation("invertible-dual-closure", (g,), "dual not invertible")]
             )
-    result = InvertibleGroup(idx, FiniteGroup(table, names=[ring.labels[g] for g in idx]))
-    ring._cache["invertibles"] = result
-    return result
+    return InvertibleGroup(idx, FiniteGroup(table, names=[ring.labels[g] for g in idx]))
 
 
 @dataclass(frozen=True)
@@ -491,8 +483,10 @@ def _action_permutation(ring: FusionRing, g: int, side: str) -> list[int]:
 
 def orbit_structure(ring: FusionRing) -> OrbitStructure:
     ring.require_verified()
-    if "orbits" in ring._cache:
-        return ring._cache["orbits"]
+    return _memo(ring, "orbits", partial(_orbit_structure, ring))
+
+
+def _orbit_structure(ring: FusionRing) -> OrbitStructure:
     inv = invertibles(ring)
     left = {g: _action_permutation(ring, g, "left") for g in inv.indices}
     right = {g: _action_permutation(ring, g, "right") for g in inv.indices}
@@ -518,9 +512,7 @@ def orbit_structure(ring: FusionRing) -> OrbitStructure:
     for orb in left_orbits:
         common = {elem_stab[x] for x in orb}
         stabs.append(elem_stab[orb[0]] if len(common) == 1 else None)
-    result = OrbitStructure(left_orbits, right_orbits, tuple(stabs))
-    ring._cache["orbits"] = result
-    return result
+    return OrbitStructure(left_orbits, right_orbits, tuple(stabs))
 
 
 @dataclass(frozen=True)
@@ -539,30 +531,28 @@ def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     noninvertible x.  Returns a profile with is_two_dimension=False for
     pointed rings, and None when three or more distinct dimensions occur."""
     ring.require_verified()
-    if "profile" in ring._cache:
-        return ring._cache["profile"]
+    return _memo(ring, "profile", partial(_dimension_profile, ring))
+
+
+def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     noninv = [i for i in range(ring.rank) if not is_invertible(ring, i)]
     if not noninv:
-        result: DimensionProfile | None = DimensionProfile(False)
-    else:
-        dims = {i: fpdim_basis(ring, i) for i in noninv}
-        d0 = dims[noninv[0]]
-        if any(alg_cmp(dims[i], d0) != 0 for i in noninv[1:]):
-            result = None
-        else:
-            x = noninv[0]
-            row = ring.rows[x][ring.dual[x]]
-            s = sum(row[g] for g in range(ring.rank) if is_invertible(ring, g))
-            r = sum(row[y] for y in noninv)
-            # d solves d^2 = r d + s, so it is quadratic and the Perron
-            # promotion must have produced an exact Quadratic
-            if not isinstance(d0, Quadratic):
-                raise InternalInvariantError("two-dimension Perron root not promoted")
-            if (d0 * d0 - r * d0 - s).sign() != 0:
-                raise InternalInvariantError("two-dimension Perron root does not solve d^2 = r d + s")
-            result = DimensionProfile(True, d0, r, s, d0.is_rational)
-    ring._cache["profile"] = result
-    return result
+        return DimensionProfile(False)
+    dims = {i: fpdim_basis(ring, i) for i in noninv}
+    d0 = dims[noninv[0]]
+    if any(alg_cmp(dims[i], d0) != 0 for i in noninv[1:]):
+        return None
+    x = noninv[0]
+    row = ring.rows[x][ring.dual[x]]
+    s = sum(row[g] for g in range(ring.rank) if is_invertible(ring, g))
+    r = sum(row[y] for y in noninv)
+    # d solves d^2 = r d + s, so it is quadratic and the Perron promotion
+    # must have produced an exact Quadratic
+    if not isinstance(d0, Quadratic):
+        raise InternalInvariantError("two-dimension Perron root not promoted")
+    if (d0 * d0 - r * d0 - s).sign() != 0:
+        raise InternalInvariantError("two-dimension Perron root does not solve d^2 = r d + s")
+    return DimensionProfile(True, d0, r, s, d0.is_rational)
 
 
 @dataclass(frozen=True)
@@ -612,8 +602,10 @@ def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[
 
 def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
     ring.require_verified()
-    if "two_orbit" in ring._cache:
-        return ring._cache["two_orbit"]
+    return _memo(ring, "two_orbit", partial(_two_orbit_data, ring))
+
+
+def _two_orbit_data(ring: FusionRing) -> TwoOrbitData:
     orbits = orbit_structure(ring)
     if orbits.orbit_count != 2:
         raise NotTwoOrbitError(f"{orbits.orbit_count} orbits, need exactly 2")
@@ -670,7 +662,7 @@ def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
         uniform_k = uniform_coeff // len(stab)
 
     selfdual = all(ring.dual[x] == x for x in noninv_orbit)
-    result = TwoOrbitData(
+    return TwoOrbitData(
         invertible=inv,
         stabilizer=stab,
         cosets=cosets,
@@ -680,8 +672,6 @@ def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
         uniform_k=uniform_k,
         noninv_selfdual=selfdual,
     )
-    ring._cache["two_orbit"] = result
-    return result
 
 
 def noninvertible_indices(ring: FusionRing) -> list[int]:

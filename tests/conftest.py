@@ -38,7 +38,7 @@ import fusionring as fr
 from fusionring import intpoly
 from fusionring.cyclotomic import Cyc, CycSqrt
 from fusionring.errors import FusionRingError, HypothesisError
-from fusionring.groups import FiniteGroup
+from fusionring.groups import FiniteGroup, abelian_group
 from fusionring.numtheory import factorize, is_prime, totient
 from fusionring.ring import Violation, global_multiplication_matrix
 
@@ -793,6 +793,26 @@ def character_ring_oracle(table) -> tuple[tuple, tuple]:
             mat.append(tuple(row))
         rows.append(tuple(mat))
     return tuple(rows), dual
+
+
+def haagerup_izumi_oracle(factors) -> tuple[tuple, tuple, tuple]:
+    """(labels, dual, rows) of the Haagerup-Izumi ring on G + Gx, written
+    out from its rules: x g = g^-1 x and (g x)(h x) = g h^-1 + sum_f (f x),
+    with basis g_0..g_(n-1), x(g_0)..x(g_(n-1))."""
+    g = abelian_group(tuple(factors))
+    n = g.order
+    t = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for a in range(n):
+        for b in range(n):
+            t[a][b][g.mult(a, b)] = 1  # g h
+            t[a][n + b][n + g.mult(a, b)] = 1  # g (h x)
+            t[n + b][a][n + g.mult(b, g.inv(a))] = 1  # (h x) g = (h g^-1) x
+            t[n + a][n + b][g.mult(a, g.inv(b))] = 1  # invertible part of (g x)(h x)
+            for c in range(n):
+                t[n + a][n + b][n + c] += 1
+    labels = tuple(g.names) + tuple(f"x({name})" for name in g.names)
+    dual = tuple(g.inverse) + tuple(range(n, 2 * n))
+    return labels, dual, tuple(tuple(map(tuple, mat)) for mat in t)
 
 
 # -- corpora ---------------------------------------------------------------

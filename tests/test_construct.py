@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
-from conftest import ABELIAN_LE16, character_ring_oracle, s3_group, same_fusion_rules
+from conftest import ABELIAN_LE16, character_ring_oracle, haagerup_izumi_oracle, s3_group, same_fusion_rules
 from fusionring import Quadratic
 from fusionring.construct import CharacterTable, as_group
 from fusionring.cyclotomic import Cyc
@@ -58,6 +58,14 @@ def test_haagerup_izumi_commutative_iff_exponent_two():
         assert fr.is_commutative(ring) == (g.exponent <= 2), factors
         if g.exponent == g.order or g.order == 1:  # cyclic case
             assert fr.is_commutative(ring) == (g.order <= 2), factors
+
+
+def test_haagerup_izumi_matches_its_rules():
+    # haagerup_izumi builds the uniform two-orbit ring (trivial H, inversion,
+    # k = 1); its rows, dual and labels are those the rules write out
+    for factors in ((2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3), (8,), (12,)):
+        ring = fr.haagerup_izumi(factors)
+        assert (ring.labels, ring.dual, ring.rows) == haagerup_izumi_oracle(factors), factors
 
 
 def test_haagerup_izumi_rejects_nonabelian():

@@ -193,6 +193,15 @@ def test_fpdim_requires_verified_ring():
         fr.fpdim_basis(bad, 1)
 
 
+def test_clearing_the_violations_list_keeps_the_ring_unverified():
+    bad = fr.FusionRing(["1", "x"], [0, 1], [[[1, 0], [0, 1]], [[0, 1], [0, 1]]])
+    assert len(bad.violations()) == 1
+    bad.violations().clear()
+    assert len(bad.violations()) == 1
+    with pytest.raises(NotAFusionRingError):
+        bad.require_verified()
+
+
 def test_fpdim_total_examples():
     for m in (1, 2, 3):
         assert fr.fpdim_total(fr.group_ring((2,) * m)) == 2**m

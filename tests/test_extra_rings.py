@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fusionring as fr
 from conftest import (
+    REPO_ROOT,
     CertificationError,
     assert_codegrees_match_yun_oracle,
     characters_commutative,
@@ -22,7 +23,7 @@ from conftest import (
 )
 from fusionring import Quadratic, alg_cmp, intpoly
 from fusionring.algebraic import IsolatedRoot, largest_real_root
-from fusionring.ringfile import alg_to_dict, dumps_report
+from fusionring.ringfile import alg_to_dict, dumps_report, load_ring
 from fusionring.errors import HypothesisError
 from fusionring.ring import fpdim_all, global_multiplication_matrix
 
@@ -52,10 +53,10 @@ def test_cubic_fpdim_respects_requested_width():
 
 
 def test_narrow_fpdim_reuses_cache_without_narrowing_it():
-    # a 2^-256 call computes the Perron root afresh, never narrowing the
-    # cached one: its interval is the one a direct computation at that width
-    # gives, and the cached value (and so the `fpdim --json` bytes) is what
-    # fpdim_all alone gives
+    # a 2^-256 call narrows its own copy of the memoized Perron root, never
+    # the memoized one: its interval is the one a direct computation at that
+    # width gives, and the memoized value (and so the `fpdim --json` bytes)
+    # is what fpdim_all alone gives
     width = Fraction(1, 2**256)
     for ring_of in (cubic_chain_ring, lambda: su2_ring(9)):
         alone, narrow_first = ring_of(), ring_of()
@@ -91,6 +92,30 @@ def test_fpdim_isolates_each_polynomial_once_and_copies_its_root(monkeypatch):
     late = su2_ring(14)
     fr.fpdim_basis(late, 1).interval(Fraction(1, 2**200))
     assert fr.fpdim_basis(late, 13).interval() == before
+
+
+def test_changing_a_returned_codegree_spectrum_changes_no_later_one():
+    ring = load_ring(REPO_ROOT / "tests" / "golden" / "su2_level9.ring")
+
+    def doc(spectrum) -> str:
+        return dumps_report({"spectrum": [[alg_to_dict(e.value), e.eigen_multiplicity] for e in spectrum]})
+
+    first = fr.codegree_spectrum(ring)
+    before = doc(first)
+    top = first[0].value
+    assert isinstance(top, IsolatedRoot)
+    first.clear()
+    top.interval(Fraction(1, 2**300))
+    assert doc(fr.codegree_spectrum(ring)) == before
+
+
+def test_narrowing_a_returned_fpdim_changes_no_later_one():
+    ring = load_ring(REPO_ROOT / "tests" / "golden" / "su2_level9.ring")
+    d = fr.fpdim_basis(ring, 1)
+    assert isinstance(d, IsolatedRoot)
+    before = dumps_report(alg_to_dict(d))
+    d.interval(Fraction(1, 2**200))
+    assert dumps_report(alg_to_dict(fr.fpdim_basis(ring, 1))) == before
 
 
 def test_cubic_total_and_codegrees_against_oracle():

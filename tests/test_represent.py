@@ -27,7 +27,7 @@ from fusionring.represent import (
     IrrepModel,
     abelian_characters,
 )
-from fusionring.ring import algebra_generators, global_multiplication_matrix
+from fusionring.ring import algebra_generators, global_krylov, global_multiplication_matrix
 
 
 def test_codegrees_group_ring():
@@ -52,6 +52,15 @@ def test_global_krylov_once_per_ring(monkeypatch):
         represent.codegree_spectrum(ring)
         fr.fpdim_total(ring, width=Fraction(1, 2**100))
         assert calls.count(m) == 1
+
+
+def test_global_krylov_rows_cannot_be_changed():
+    # a caller that could change the memoized M or its Krylov vectors would
+    # break the trace checks of a later codegree_spectrum
+    m, _, powers = global_krylov(fr.near_group((3,), 3))
+    for rows in (m, powers):
+        with pytest.raises(TypeError):
+            rows[0][0] += 1
 
 
 def test_codegrees_near_group_c2_2():
