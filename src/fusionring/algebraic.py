@@ -403,17 +403,17 @@ def _cmp_across_fields(x: Quadratic, y: Quadratic) -> int:
 
 
 def _exact_root(
-    sf: Poly, interval: tuple[Fraction, Fraction], intervals: list[tuple[Fraction, Fraction]], width: Fraction
+    sf: Poly, interval: tuple[Fraction, Fraction], intervals: list[tuple[Fraction, Fraction]]
 ) -> AlgebraicReal:
     """The root of sf in `interval`, one of the `intervals` that
     isolate_real_roots returned with sf, which certified them: a Quadratic
     when a monic quadratic factor of sf owns it, else an IsolatedRoot
-    refined below `width`."""
+    refined below DEFAULT_WIDTH."""
     q = _promote_quadratic(sf, *interval, intervals)
     if q is not None:
         return q
     root = IsolatedRoot._certified(sf, *interval)
-    root.interval(width)
+    root.interval()
     return root
 
 
@@ -465,7 +465,7 @@ def _quad_in_open_interval(q: Quadratic, lo: Fraction, hi: Fraction) -> bool:
     return quad_sign(q.a - lo, q.b, q.D) > 0 and quad_sign(q.a - hi, q.b, q.D) < 0
 
 
-def largest_real_root(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
+def largest_real_root(poly: Poly) -> AlgebraicReal:
     """Largest real root of an integer polynomial (square-free part is taken)."""
     sf, rational, intervals = intpoly.isolate_real_roots(poly)
     if not rational and not intervals:
@@ -474,16 +474,16 @@ def largest_real_root(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     if rational:
         best = Quadratic(rational[-1])
     if intervals:
-        cand = _exact_root(sf, intervals[-1], intervals, width)
+        cand = _exact_root(sf, intervals[-1], intervals)
         if best is None or alg_cmp(cand, best) > 0:
             best = cand
     return best
 
 
-def all_real_roots(poly: Poly, width: Fraction = DEFAULT_WIDTH) -> list[AlgebraicReal]:
+def all_real_roots(poly: Poly) -> list[AlgebraicReal]:
     """All distinct real roots of an integer polynomial, ascending."""
     sf, rational, intervals = intpoly.isolate_real_roots(poly)
     roots: list[AlgebraicReal] = [Quadratic(r) for r in rational]
-    roots.extend(_exact_root(sf, interval, intervals, width) for interval in intervals)
+    roots.extend(_exact_root(sf, interval, intervals) for interval in intervals)
     roots.sort(key=cmp_to_key(alg_cmp))
     return roots

@@ -177,8 +177,6 @@ def classify_elementary2(m: int) -> LevelReport:
     top = n * max(cutoff, 1)
     for level in range(n, top + 1):
         if level % n:
-            if level < n:
-                raise InternalInvariantError("divisibility shortcut needs level >= n")
             entries.append(
                 LevelEntry(level, STATUS_ELIMINATED, certificates=(divis_verdict(level, n),))
             )
@@ -324,7 +322,9 @@ def scan_prime_levels(
     never factored.  A residue filter (the literature's exclusion set;
     default available for p = 7) removes x values divisible by one of its
     entries, each at least 2; without it, survivors carried only by that
-    claim are flagged rather than suppressed.
+    claim are flagged rather than suppressed.  The admissible set has about
+    1.94 p elements, one Pell expansion each; p is not bounded here (the CLI
+    bounds it by PRIME_MAX_P).
     """
     _require_prime(p)
     if k_max < 1:

@@ -39,6 +39,11 @@ EXIT_ELIMINATED = 10
 # classify elementary2 lists all 2^m + 1 levels: m = 20 --json takes about 24 s and 1.6 GB
 ELEMENTARY2_MAX_M = 20
 
+# classify prime runs one Pell expansion for each of about 1.94 p admissible
+# square-free parts: p = 99,991 takes 1.0 s at --kmax 10 and 2.6 s at --kmax
+# 10^6, p = 1,000,003 8.7 s at --kmax 10 (2-CPU Xeon, start-up included)
+PRIME_MAX_P = 100_000
+
 # fpdim refines each non-quadratic root to 2^-N in O(log N) Newton steps on
 # numbers of about N * rank bits: N = 4096 takes 0.62 s on SU(2)_9 and 2.5-3.1 s
 # on SU(2)_19 (2-CPU Xeon, start-up included)
@@ -330,6 +335,8 @@ def _cmd_classify(args) -> int:
         _emit_report(report, args)
         return EXIT_OK
     if args.engine == "prime":
+        if args.p > PRIME_MAX_P:
+            raise ValueError(f"--p {args.p} is above the limit {PRIME_MAX_P}: the scan runs about 1.94 p Pell expansions")
         if args.no_filter:
             rf = None
         elif args.residue_filter:

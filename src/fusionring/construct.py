@@ -10,6 +10,7 @@ fusion ring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -18,7 +19,7 @@ from typing import Sequence
 from .cyclotomic import Cyc
 from .errors import MalformedRingError
 from .groups import FiniteGroup, abelian_group, is_automorphism
-from .ring import FusionRing
+from .ring import FusionRing, _check_rank
 
 
 def as_group(spec) -> FiniteGroup:
@@ -27,8 +28,17 @@ def as_group(spec) -> FiniteGroup:
     return abelian_group(tuple(spec))
 
 
+def _order(spec) -> int:
+    """|G| of a group spec, read without building its table, so that a
+    builder checks the rank it will give before as_group: FiniteGroup checks
+    a table of n elements in n^3 steps."""
+    return spec.order if isinstance(spec, FiniteGroup) else math.prod(int(f) for f in spec)
+
+
 def _zeros(n: int) -> list:
-    """An n x n x n structure-constant tensor of zeros, as nested lists."""
+    """An n x n x n structure-constant tensor of zeros, as nested lists, once
+    n is within RANK_LIMIT."""
+    _check_rank(n)
     return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
@@ -39,8 +49,10 @@ def group_ring(spec) -> FusionRing:
     an explicit Cayley table (identity located automatically).
     """
     if isinstance(spec, (list, tuple)) and spec and isinstance(spec[0], (list, tuple)):
+        _check_rank(len(spec))
         g = FiniteGroup.from_table(spec)
     else:
+        _check_rank(_order(spec))
         g = as_group(spec)
     n = g.order
     tensor = _zeros(n)
@@ -57,6 +69,7 @@ def near_group(spec, level: int) -> FusionRing:
     with rho^2 = level*rho + sum_G g.  Valid for every (G, level)."""
     if level < 0:
         raise ValueError("level must be nonnegative")
+    _check_rank(_order(spec) + 1)
     g = as_group(spec)
     n = g.order
     rho = n
@@ -80,6 +93,7 @@ def haagerup_izumi(spec) -> FusionRing:
     (g x)(h x) = g h^{-1} + sum_f (f x): the uniform two-orbit ring with
     H = 1, theta the inversion and k = 1.  Requires abelian G; commutative
     iff |G| <= 2."""
+    _check_rank(2 * _order(spec))
     g = as_group(spec)
     if not g.is_abelian:
         raise ValueError("Haagerup-Izumi rings need an abelian group")
@@ -113,6 +127,7 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    _check_rank(_order(spec) + 1)  # G and at least one coset
     g = as_group(spec)
     if not g.is_abelian:
         raise ValueError("uniform_two_orbit needs an abelian group")
@@ -232,6 +247,7 @@ def character_ring(table: CharacterTable) -> FusionRing:
     i <= j <= l, a single `Cyc.dot` of the pairwise product chi_i chi_j
     against the weighted row |c| chi_l(c), fills the entries of all six
     orders: k^3/6 sums, each reduced once."""
+    _check_rank(len(table.class_sizes))
     table.validate()
     k = len(table.class_sizes)
     n = table.group_order

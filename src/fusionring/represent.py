@@ -25,8 +25,8 @@ from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
 from .ring import (
     FusionRing,
+    _generator_first,
     _memo,
-    algebra_generators,
     dimension_profile,
     global_krylov,
     invertibles,
@@ -280,24 +280,9 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
 
     inv = data.invertible
     g = inv.group
-    h_positions = [inv.indices.index(s) for s in data.stabilizer]
+    at = {b: p for p, b in enumerate(inv.indices)}  # position in G of each invertible
+    h_positions = {at[s] for s in data.stabilizer}
     h_size = len(data.stabilizer)
-    quotient, proj = g.quotient(h_positions)
-    # coset position of each invertible basis index
-    coset_pos = {}
-    for pos, coset in enumerate(data.cosets):
-        for idx in coset:
-            coset_pos[idx] = pos
-
-    noninv = [i for i in range(ring.rank) if i not in coset_pos]
-    x0 = noninv[0]
-    # coset tag of each noninvertible: y = g*x0 for g in a unique coset
-    noninv_coset = {}
-    for y in noninv:
-        gs = [gi for gi in inv.indices if ring.rows[gi][x0][y] == 1]
-        if not gs:
-            raise InternalInvariantError("orbit labelling failed")
-        noninv_coset[y] = coset_pos[gs[0]]
 
     profile = dimension_profile(ring)
     if profile is None or not profile.is_two_dimension:
@@ -311,12 +296,12 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     g_chars = abelian_characters(g)
     ng = g.exponent
     for ch in g_chars:
-        if ch.is_trivial_on(set(h_positions)):
+        if ch.is_trivial_on(h_positions):
             continue
         mats = []
         for b in range(ring.rank):
-            if b in coset_pos:
-                val = ch.value(inv.indices.index(b))
+            if b in at:
+                val = ch.value(at[b])
                 mats.append(((CycSqrt(val, Cyc.zero(ng), h_size),),))
             else:
                 mats.append(((CycSqrt.of(ng, h_size),),))
@@ -326,7 +311,7 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     theta = data.theta
     if theta is None:
         raise InternalInvariantError("two-orbit data without a coset involution")
-    for rep in semidirect_irr(quotient, theta):
+    for rep in semidirect_irr(data.quotient, theta):
         if rep.kind == "extension" and rep.chi.is_trivial:
             continue  # replaced by the two dimension characters below
         nq = rep.N
@@ -334,13 +319,10 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
         sqrt_h = CycSqrt(zero, Cyc.one(nq), h_size)
         mats = []
         for b in range(ring.rank):
-            if b in coset_pos:
-                base = rep.matrix(coset_pos[b], 0)
-                mats.append(tuple(tuple(CycSqrt(v, zero, h_size) for v in row) for row in base))
-            else:
-                base = rep.matrix(noninv_coset[b], 1)
-                lifted = tuple(tuple(CycSqrt(v, zero, h_size) for v in row) for row in base)
-                mats.append(_mat_scale(lifted, sqrt_h))
+            # g acts as (gH, 0), and g x_0 as (gH, 1) scaled by sqrt(|H|)
+            base = rep.matrix(data.basis_coset[b], 0 if b in at else 1)
+            lifted = tuple(tuple(CycSqrt(v, zero, h_size) for v in row) for row in base)
+            mats.append(lifted if b in at else _mat_scale(lifted, sqrt_h))
         models.append(IrrepModel(rep.dim, tuple(mats), SOURCE_SEMIDIRECT, nq, h_size))
 
     # the two one-dimensional characters sending x to the roots of
@@ -350,7 +332,7 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
         v = Fraction(sign * dec.y, 2)
         mats = []
         for b in range(ring.rank):
-            if b in coset_pos:
+            if b in at:
                 mats.append(((CycSqrt.of(1, dec.x, u=1),),))
             else:
                 mats.append(((CycSqrt.of(1, dec.x, u=u, v=v),),))
@@ -366,22 +348,11 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
 
 def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
     """Exact homomorphism check; returns the basis pairs (i, j) where
-    psi(i) psi(j) != sum_k c[i,j,k] psi(k) (empty list = model is valid).
-
-    Only the pairs with i in {0} + algebra_generators(ring) are checked at
-    first, and that is exactly as strong as checking every pair, whether
-    or not psi(b_0) is the identity.  Extend psi linearly and let
-    A = {a : psi(a b) = psi(a) psi(b) for every b}.  A is a subspace, and
-    it is closed under products: for a, a' in A, psi(a a' b) =
-    psi(a) psi(a' b) = psi(a) psi(a') psi(b) = psi(a a') psi(b), by
-    associativity, a' in A and a in A (twice).  The first pass puts b_0
-    and every generator in A, so A holds the algebra they generate, which
-    is the whole ring.  Only when that pass fails are all rank^2 pairs
-    scanned, so the list of failing pairs is the same as the full scan's."""
-    lefts = (0, *algebra_generators(ring))
-    if next(_product_failures(ring, model, lefts), None) is None:
-        return []
-    return list(_product_failures(ring, model, range(ring.rank)))
+    psi(i) psi(j) != sum_k c[i,j,k] psi(k) (empty list = model is valid),
+    checked for left factors b_0 and the algebra generators first
+    (`ring._generator_first`)."""
+    ring.require_verified()
+    return list(_generator_first(ring, partial(_product_failures, ring, model)))
 
 
 def _product_failures(ring: FusionRing, model: IrrepModel, lefts):

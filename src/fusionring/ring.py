@@ -62,6 +62,19 @@ class Violation:
 
 ENTRY_LIMIT = 2**63  # |c| < 2^63 for every structure constant: the int64 range
 
+# The largest rank that a builder or a ring file may give, checked before
+# anything of that size is built.  Building and verifying take about rank^3
+# cells, and more time on noncommutative rings.  Measured at rank 200 (child
+# wall time and peak RSS, start-up included, 2-CPU Xeon): build group
+# 4.0 s and 178 MB, build neargroup 5.5 s and 178 MB, build haagerup-izumi
+# 41 s and 333 MB, most of it the associativity check.
+RANK_LIMIT = 200
+
+
+def _check_rank(rank: int) -> None:
+    if rank > RANK_LIMIT:
+        raise MalformedRingError(f"rank {rank} is above the limit {RANK_LIMIT}")
+
 
 class FusionRing:
     """Basis labels, duality involution, and structure constants `rows`."""
@@ -175,19 +188,9 @@ def _entry(c, at: tuple) -> int:
 
 def verify_axioms(ring: FusionRing) -> list[Violation]:
     """Every violated fusion-ring axiom, with witnesses; empty iff valid.
-    Witnesses come in index order, at most 20 per axiom.
-
-    Associativity is checked at first only for left factors i in {0} + S,
-    with S the generating set that peeling certifies (`_generators`), and
-    that is exactly as strong as checking every i.  Let A = {a : (a b) c =
-    a (b c) for all b, c}.  A is a subspace, and it is closed under
-    products: for a, a' in A, ((a a') b) c = (a (a' b)) c = a ((a' b) c) =
-    a (a' (b c)) = (a a') (b c), using a in A three times and a' in A
-    once.  The first pass puts b_0 and every generator in A, so A holds the
-    algebra they generate, which is the whole ring.  Neither associativity,
-    commutativity nor a unit axiom is assumed: b_0 is itself a checked left
-    factor.  Only when that pass finds a failure are all rank^2 pairs (i, j)
-    scanned, so the witnesses are the same as the full scan's."""
+    Witnesses come in index order, at most 20 per axiom.  Associativity is
+    checked for left factors b_0 and the generators first
+    (`_generator_first`)."""
     t = ring.rows
     n = ring.rank
     d = ring.dual
@@ -227,9 +230,32 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
             if t[i][j][k] != t[d[j]][d[i]][d[k]]
         ),
     )
-    if next(_associativity_witnesses(t, (0, *_generators(ring))), None) is not None:
-        report("associativity", _associativity_witnesses(t, range(n)))
+    report("associativity", _generator_first(ring, partial(_associativity_witnesses, t)))
     return out
+
+
+def _generator_first(ring: FusionRing, failures):
+    """failures(range(rank)) if failures((0, *S)) yields anything, else
+    nothing, with S the generating set that peeling certifies
+    (`_generators`): the failures of a product law over all left factors,
+    checked on b_0 and S first.  verify_axioms (associativity) and
+    represent.verify_irrep (a homomorphism psi) use it.
+
+    That is exactly as strong as the full scan.  Let A be the elements a
+    for which the law holds with a as left factor: (a b) c = a (b c) for all
+    b, c, or psi(a b) = psi(a) psi(b) for all b.  A is a subspace, and it is
+    closed under products: for a, a' in A, ((a a') b) c = (a (a' b)) c =
+    a ((a' b) c) = a (a' (b c)) = (a a') (b c), using a in A three times
+    and a' in A once; and psi((a a') b) = psi(a (a' b)) = psi(a) psi(a' b) =
+    psi(a) psi(a') psi(b) = psi(a a') psi(b), using associativity of the
+    ring, a' in A once and a in A twice.  The first pass puts b_0 and S in
+    A, so A holds the algebra they generate, which is the whole ring.  No
+    unit is assumed (b_0 is a checked left factor), nor, for associativity,
+    associativity itself.  Only a failing first pass leads to the full
+    scan, so the witnesses are the full scan's."""
+    if next(failures((0, *_generators(ring))), None) is None:
+        return iter(())
+    return failures(range(ring.rank))
 
 
 def _associativity_witnesses(t: tuple, lefts):
@@ -432,25 +458,39 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
 
 
 def _invertibles(ring: FusionRing) -> InvertibleGroup:
-    idx = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
-    pos = {g: p for p, g in enumerate(idx)}
-    table = []
-    for g in idx:
-        row = []
-        for h in idx:
-            prods = [k for k, c in enumerate(ring.rows[g][h]) if c]
-            if len(prods) != 1 or prods[0] not in pos:
-                raise NotAFusionRingError(
-                    [Violation("invertible-closure", (g, h), "product not invertible")]
-                )
-            row.append(pos[prods[0]])
-        table.append(row)
-    for g in idx:
-        if ring.dual[g] not in pos:
+    """G with its table read off the left action: on a verified ring a
+    product g h of invertibles is invertible, (g h)(g h)* = g (h h*) g* = 1."""
+    indices, left, _ = _actions(ring)
+    pos = {g: p for p, g in enumerate(indices)}
+    table = [[pos[perm[h]] for h in indices] for perm in left]
+    return InvertibleGroup(indices, FiniteGroup(table, names=[ring.labels[g] for g in indices]))
+
+
+def _actions(ring: FusionRing) -> tuple:
+    """(indices, left, right): the invertible basis indices and, for the
+    p-th of them, g, the permutations left[p][x] = g x and right[p][x] = x g
+    of the basis, memoized.  The group table, the orbits and stabilizers,
+    theta and the coset labels of a two-orbit ring are all read off them.
+
+    On a verified ring the entries are nonnegative, so a row summing to 1 is
+    one basis element with coefficient 1, which g x and x g always are."""
+    return _memo(ring, "actions", partial(_action_tables, ring))
+
+
+def _action_tables(ring: FusionRing) -> tuple:
+    t = ring.rows
+    indices = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
+
+    def image(g: int, x: int, row: tuple) -> int:
+        if sum(row) != 1:
             raise NotAFusionRingError(
-                [Violation("invertible-dual-closure", (g,), "dual not invertible")]
+                [Violation("invertible-action", (g, x), "product by invertible not a basis element")]
             )
-    return InvertibleGroup(idx, FiniteGroup(table, names=[ring.labels[g] for g in idx]))
+        return row.index(1)
+
+    left = tuple(tuple(image(g, x, t[g][x]) for x in range(ring.rank)) for g in indices)
+    right = tuple(tuple(image(g, x, t[x][g]) for x in range(ring.rank)) for g in indices)
+    return indices, left, right
 
 
 @dataclass(frozen=True)
@@ -466,53 +506,30 @@ class OrbitStructure:
         return len(self.left_orbits)
 
 
-def _action_permutation(ring: FusionRing, g: int, side: str) -> list[int]:
-    """Permutation of the basis given by left (g.x) or right (x.g) product."""
-    t = ring.rows
-    perm = []
-    for x in range(ring.rank):
-        row = t[g][x] if side == "left" else t[x][g]
-        nz = [k for k, c in enumerate(row) if c]
-        if len(nz) != 1 or row[nz[0]] != 1:
-            raise NotAFusionRingError(
-                [Violation("invertible-action", (g, x), "product by invertible not a basis element")]
-            )
-        perm.append(nz[0])
-    return perm
-
-
 def orbit_structure(ring: FusionRing) -> OrbitStructure:
     ring.require_verified()
     return _memo(ring, "orbits", partial(_orbit_structure, ring))
 
 
 def _orbit_structure(ring: FusionRing) -> OrbitStructure:
-    inv = invertibles(ring)
-    left = {g: _action_permutation(ring, g, "left") for g in inv.indices}
-    right = {g: _action_permutation(ring, g, "right") for g in inv.indices}
+    indices, left, right = _actions(ring)
 
-    def orbits_of(perms):
+    def orbits_of(perms) -> tuple:
+        # the unit is invertible, so the images of x include x; the
+        # invertible action partitions the basis
         seen: set[int] = set()
         orbits = []
         for x in range(ring.rank):
-            if x in seen:
-                continue
-            orb = sorted({perm[x] for perm in perms.values()} | {x})
-            # invertible action partitions the basis; orbit of x is its images
-            seen.update(orb)
-            orbits.append(tuple(orb))
+            if x not in seen:
+                orb = tuple(sorted({perm[x] for perm in perms}))
+                seen.update(orb)
+                orbits.append(orb)
         return tuple(orbits)
 
     left_orbits = orbits_of(left)
-    right_orbits = orbits_of(right)
-    elem_stab = {
-        x: tuple(g for g in inv.indices if left[g][x] == x) for x in range(ring.rank)
-    }
-    stabs: list[tuple[int, ...] | None] = []
-    for orb in left_orbits:
-        common = {elem_stab[x] for x in orb}
-        stabs.append(elem_stab[orb[0]] if len(common) == 1 else None)
-    return OrbitStructure(left_orbits, right_orbits, tuple(stabs))
+    elem_stab = [tuple(g for g, perm in zip(indices, left) if perm[x] == x) for x in range(ring.rank)]
+    stabs = tuple(elem_stab[orb[0]] if len({elem_stab[x] for x in orb}) == 1 else None for orb in left_orbits)
+    return OrbitStructure(left_orbits, orbits_of(right), stabs)
 
 
 @dataclass(frozen=True)
@@ -558,14 +575,21 @@ def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
 @dataclass(frozen=True)
 class TwoOrbitData:
     """Extracted structure of a two-orbit ring: the invertible group G, the
-    common stabilizer H of the noninvertible orbit, the coset involution
-    theta, and the uniform coefficient when the rules are uniform."""
+    common stabilizer H of the noninvertible orbit G x_0 (x_0 its least
+    index), the quotient G/H, the coset involution theta, and the uniform
+    coefficient when the rules are uniform.
+
+    Cosets are numbered as in `cosets`, for `quotient`, `basis_coset` and
+    `theta` alike.  basis_coset[b] is the coset gH with b = g or b = g x_0,
+    one coset since H fixes x_0.  theta(gH) = g'H where g' x = x g, the same
+    for every noninvertible x; it is None when G/H is not abelian."""
 
     invertible: InvertibleGroup
     stabilizer: tuple[int, ...]  # basis indices, subset of invertible.indices
     cosets: tuple[tuple[int, ...], ...]  # G/H as basis-index cosets, rep = min
+    quotient: FiniteGroup  # G/H, positions follow cosets
+    basis_coset: tuple[int, ...]  # coset position of every basis index
     theta: tuple[int, ...] | None  # permutation of coset positions (abelian G/H)
-    theta_family: dict[int, tuple[int, ...]] | None  # per noninvertible x otherwise
     uniform_coeff: int | None  # kappa in  x x* = sum_H h + kappa * sum_y y
     uniform_k: int | None  # kappa / |H| when integral (level divisor)
     noninv_selfdual: bool
@@ -573,31 +597,6 @@ class TwoOrbitData:
     @property
     def group_indices(self) -> tuple[int, ...]:
         return self.invertible.indices
-
-
-def _theta_for(ring: FusionRing, inv: InvertibleGroup, cosets, x: int) -> tuple[int, ...]:
-    """theta_x on coset positions: g' x = x g defines theta_x(coset g) = coset g'."""
-    t = ring.rows
-    coset_of = {}
-    for pos, coset in enumerate(cosets):
-        for g in coset:
-            coset_of[g] = pos
-    theta = [None] * len(cosets)
-    for pos, coset in enumerate(cosets):
-        g = coset[0]
-        nz = [k for k, c in enumerate(t[x][g]) if c]
-        if len(nz) != 1:
-            raise InternalInvariantError("noninvertible times invertible is not a basis element")
-        xg = nz[0]
-        gprime = None
-        for h in inv.indices:
-            if t[h][x][xg] == 1:
-                gprime = h
-                break
-        if gprime is None:
-            raise NotTwoOrbitError("right action leaves the left orbit")
-        theta[pos] = coset_of[gprime]
-    return tuple(theta)
 
 
 def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
@@ -609,68 +608,63 @@ def _two_orbit_data(ring: FusionRing) -> TwoOrbitData:
     orbits = orbit_structure(ring)
     if orbits.orbit_count != 2:
         raise NotTwoOrbitError(f"{orbits.orbit_count} orbits, need exactly 2")
-    inv = invertibles(ring)
-    noninv_orbit = next(o for o in orbits.left_orbits if o[0] not in inv.indices)
-    stab = orbits.stabilizers[orbits.left_orbits.index(noninv_orbit)]
+    # the orbit of the unit comes first, and it is G itself
+    _, noninv_orbit = orbits.left_orbits
+    stab = orbits.stabilizers[1]
     if stab is None:
         raise ThetaInconsistentError("noninvertible stabilizers differ across the orbit")
 
+    inv = invertibles(ring)
+    _, left, right = _actions(ring)
     pos = {g: p for p, g in enumerate(inv.indices)}
     stab_pos = [pos[g] for g in stab]
     cosets_pos = inv.group.left_cosets(stab_pos)
     cosets = tuple(tuple(inv.indices[p] for p in c) for c in cosets_pos)
-    quotient, _ = inv.group.quotient(stab_pos)
+    quotient, proj = inv.group.quotient(stab_pos)
 
-    thetas = {x: _theta_for(ring, inv, cosets, x) for x in noninv_orbit}
+    def cosets_at(x: int) -> dict[int, int]:
+        """y -> gH for y = g x, over the orbit G x: the left action at x
+        inverted, one coset per y since H fixes x."""
+        return {perm[x]: proj[p] for p, perm in enumerate(left)}
+
     x0 = noninv_orbit[0]
-    theta0 = thetas[x0]
-    if quotient.is_abelian:
-        for x, th in thetas.items():
-            if th != theta0:
-                raise ThetaInconsistentError(
-                    f"coset involution differs between elements {x0} and {x}"
-                )
-        comp = tuple(theta0[theta0[p]] for p in range(len(theta0)))
-        if comp != tuple(range(len(theta0))):
-            raise ThetaInconsistentError("coset involution does not square to identity")
-        theta: tuple[int, ...] | None = theta0
-        family = None
-    else:
-        theta = None
-        family = thetas
+    at_x0 = cosets_at(x0)
+    basis_coset = tuple(proj[pos[b]] if b in pos else at_x0[b] for b in range(ring.rank))
 
-    # uniform test: x x* = sum_{h in H} h + kappa * sum_{noninv} y, single kappa,
-    # same for every x in the orbit; requires abelian G/H
+    def theta_at(x: int) -> tuple[int, ...]:
+        # x g = g' x, with g the least element of each coset
+        at_x = cosets_at(x)
+        return tuple(at_x[right[c[0]][x]] for c in cosets_pos)
+
+    theta: tuple[int, ...] | None = None
     uniform_coeff: int | None = None
     if quotient.is_abelian:
-        kappas = set()
-        ok = True
-        for x in noninv_orbit:
-            row = ring.rows[x][ring.dual[x]]
-            for g in inv.indices:
-                if row[g] != (1 if g in stab else 0):
-                    ok = False
-            vals = {row[y] for y in noninv_orbit}
-            if len(vals) != 1:
-                ok = False
-            else:
-                kappas.update(vals)
-        if ok and len(kappas) == 1:
-            uniform_coeff = kappas.pop()
+        theta = theta_at(x0)
+        for x in noninv_orbit[1:]:
+            if theta_at(x) != theta:
+                raise ThetaInconsistentError(f"coset involution differs between elements {x0} and {x}")
+        if any(theta[theta[p]] != p for p in range(len(theta))):
+            raise ThetaInconsistentError("coset involution does not square to identity")
+        # uniform test: x x* = sum_{h in H} h + kappa * sum_{noninv} y, one
+        # kappa for every x in the orbit
+        rows = [ring.rows[x][ring.dual[x]] for x in noninv_orbit]
+        kappas = {row[y] for row in rows for y in noninv_orbit}
+        if len(kappas) == 1 and all(row[g] == (g in stab) for row in rows for g in inv.indices):
+            (uniform_coeff,) = kappas
     uniform_k = None
     if uniform_coeff is not None and uniform_coeff % len(stab) == 0:
         uniform_k = uniform_coeff // len(stab)
 
-    selfdual = all(ring.dual[x] == x for x in noninv_orbit)
     return TwoOrbitData(
         invertible=inv,
         stabilizer=stab,
         cosets=cosets,
+        quotient=quotient,
+        basis_coset=basis_coset,
         theta=theta,
-        theta_family=family,
         uniform_coeff=uniform_coeff,
         uniform_k=uniform_k,
-        noninv_selfdual=selfdual,
+        noninv_selfdual=all(ring.dual[x] == x for x in noninv_orbit),
     )
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .algebraic import IsolatedRoot, Quadratic
 from .errors import MalformedRingError
-from .ring import FusionRing
+from .ring import FusionRing, _check_rank
 
 if TYPE_CHECKING:
     from .construct import CharacterTable
@@ -48,6 +48,7 @@ def ring_from_dict(doc) -> FusionRing:
     labels = doc["labels"]
     if not _is_int(rank) or not isinstance(labels, list) or len(labels) != rank:
         raise MalformedRingError("rank must be an integer matching len(labels)")
+    _check_rank(rank)
     return FusionRing(labels, doc["dual"], doc["tensor"])
 
 
@@ -88,6 +89,7 @@ def load_character_table(path: str) -> CharacterTable:
     N, order, sizes, values = doc["root_order"], doc["group_order"], doc["class_sizes"], doc["values"]
     if not isinstance(sizes, list) or not all(map(_is_int, sizes)):
         raise MalformedRingError("class_sizes must be a list of integers")
+    _check_rank(len(sizes))  # the rank of the character ring
     if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
         raise MalformedRingError("values must be a list of rows, each a list")
     rows = []

@@ -395,6 +395,71 @@ def test_fpdim_width_bits_above_limit_exits_2(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "group", "--group", "201"],
+        ["build", "group", "--group", "3,67"],
+        ["build", "neargroup", "--group", "200", "--level", "1"],
+        ["build", "haagerup-izumi", "--group", "101"],  # rank 2|G|, so 202
+        ["build", "uniform", "--group", "200", "--stab", "all", "--k", "1"],
+    ],
+)
+def test_builders_above_the_rank_limit_exit_2_before_building_a_group(argv, capsys, monkeypatch):
+    from fusionring import construct
+    from fusionring.ring import RANK_LIMIT
+
+    def unbuilt(*args):
+        raise AssertionError("built a group or a tensor above the rank limit")
+
+    monkeypatch.setattr(construct, "abelian_group", unbuilt)
+    monkeypatch.setattr(construct, "_zeros", unbuilt)
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert f"above the limit {RANK_LIMIT}" in err
+
+
+def test_uniform_rank_checked_before_the_tensor(capsys):
+    # |G| + 1 = 102 passes the first check; |G| + |G/H| = 202 stops at _zeros
+    start = time.perf_counter()
+    code, out, err = run_cli(["build", "uniform", "--group", "101", "--k", "1"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "rank 202 is above the limit 200" in err
+
+
+def test_files_above_the_rank_limit_exit_2(tmp_path, capsys):
+    from fusionring.ring import RANK_LIMIT
+
+    n = RANK_LIMIT + 1
+    ring = tmp_path / "r.ring"
+    ring.write_text(json.dumps({"rank": n, "labels": [str(i) for i in range(n)], "dual": list(range(n)), "tensor": []}))
+    table = tmp_path / "t.table"
+    table.write_text(json.dumps({"group_order": n, "root_order": 1, "class_sizes": [1] * n, "values": []}))
+    for argv in (["verify", str(ring)], ["build", "charring", "--table", str(table)]):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert f"rank {n} is above the limit {RANK_LIMIT}" in err
+
+
+def test_prime_p_above_limit_exits_2(capsys):
+    from fusionring.cli import PRIME_MAX_P
+
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", "prime", "--p", str(PRIME_MAX_P + 1), "--kmax", "10", "--csv"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert f"limit {PRIME_MAX_P}" in err
+
+
 def test_runtime_does_not_load_mpmath(tmp_path):
     # mpmath is a test dependency only, and numpy serves only the
     # FusionRing.tensor view: importing the package and running one command

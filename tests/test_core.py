@@ -429,6 +429,26 @@ def test_theta_is_involutive_automorphism(two_orbit_corpus):
         assert [data.theta[data.theta[i]] for i in range(n)] == list(range(n)), name
 
 
+def test_two_orbit_quotient_and_basis_cosets(two_orbit_corpus):
+    # read from rows: y = g x_0 when row (g, x_0) is the basis vector of y
+    for name, ring in two_orbit_corpus.items():
+        data = fr.two_orbit_data(ring)
+        inv = fr.invertibles(ring)
+        pos = {b: p for p, b in enumerate(inv.indices)}
+        quotient, _ = inv.group.quotient([pos[s] for s in data.stabilizer])
+        assert data.quotient.table == quotient.table, name
+        x0 = min(noninvertible_indices(ring))
+        assert len(data.basis_coset) == ring.rank, name
+        for y in range(ring.rank):
+            coset = data.cosets[data.basis_coset[y]]
+            if y in pos:
+                assert y in coset, (name, y)
+            else:
+                unit = tuple(int(k == y) for k in range(ring.rank))
+                assert all(ring.rows[g][x0] == unit for g in coset), (name, y)
+        hash(data)  # every field is immutable
+
+
 def test_commutative_iff_abelian_when_index_two(two_orbit_corpus):
     for name, ring in two_orbit_corpus.items():
         data = fr.two_orbit_data(ring)

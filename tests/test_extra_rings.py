@@ -22,10 +22,10 @@ from conftest import (
     su2_ring,
 )
 from fusionring import Quadratic, alg_cmp, intpoly
-from fusionring.algebraic import IsolatedRoot, largest_real_root
+from fusionring.algebraic import IsolatedRoot
 from fusionring.ringfile import alg_to_dict, dumps_report, load_ring
 from fusionring.errors import HypothesisError
-from fusionring.ring import fpdim_all, global_multiplication_matrix
+from fusionring.ring import fpdim_all, global_multiplication_matrix, is_invertible
 
 
 def test_cubic_ring_is_valid():
@@ -62,7 +62,12 @@ def test_narrow_fpdim_reuses_cache_without_narrowing_it():
         alone, narrow_first = ring_of(), ring_of()
         for i in range(narrow_first.rank):
             d = fr.fpdim_basis(narrow_first, i, width=width)
-            direct = largest_real_root(charpoly_oracle(narrow_first.fusion_matrix(i)), width)
+            if is_invertible(narrow_first, i):
+                direct = Quadratic(1)
+            else:
+                # the Perron root's isolating interval, refined straight to width
+                sf, _, intervals = intpoly.isolate_real_roots(charpoly_oracle(narrow_first.fusion_matrix(i)))
+                direct = IsolatedRoot._certified(sf, *intpoly.refine_interval(sf, *intervals[-1], width))
             assert alg_to_dict(d) == alg_to_dict(direct), i
         fr.fpdim_total(narrow_first, width=width)
         docs = [
