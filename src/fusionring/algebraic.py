@@ -231,15 +231,16 @@ class Quadratic:
 class IsolatedRoot:
     """Unique real root of a square-free integer polynomial in (lo, hi).
 
-    The value never changes, but the interval is narrowed in place whenever
-    a comparison or a caller asks for a narrower one.  The constructor
-    checks every fact the class relies on; the library itself builds its
-    roots with _certified, from intervals that isolate_real_roots certified.
+    Immutable, as Quadratic is: a narrower interval is computed on demand
+    (interval) or held by a new root (narrowed), never stored in this one.
+    The constructor checks every fact the class relies on; the library
+    itself builds its roots with _certified, from intervals that
+    isolate_real_roots certified.
     """
 
     __slots__ = ("poly", "_lo", "_hi")
 
-    def __init__(self, poly: Poly, lo: Fraction, hi: Fraction):
+    def __new__(cls, poly: Poly, lo: Fraction, hi: Fraction):
         poly = intpoly.primitive(poly)
         lo, hi = Fraction(lo), Fraction(hi)
         if intpoly.degree(poly) < 1:
@@ -256,9 +257,10 @@ class IsolatedRoot:
             raise ValueError("interval must isolate exactly one root")
         if intpoly._rational_root_in(poly, lo, hi) is not None:
             raise ValueError("the isolated root is rational; represent it exactly")
-        self.poly = poly
-        self._lo = lo
-        self._hi = hi
+        return cls._certified(poly, lo, hi)
+
+    def __setattr__(self, *args):
+        raise AttributeError("IsolatedRoot is immutable")
 
     @classmethod
     def _certified(cls, poly: Poly, lo: Fraction, hi: Fraction) -> "IsolatedRoot":
@@ -266,17 +268,27 @@ class IsolatedRoot:
         isolate_real_roots returned with poly, its square-free part: that
         call certified everything the constructor would check again."""
         out = object.__new__(cls)
-        out.poly, out._lo, out._hi = poly, lo, hi
+        object.__setattr__(out, "poly", poly)
+        object.__setattr__(out, "_lo", lo)
+        object.__setattr__(out, "_hi", hi)
         return out
 
     def interval(self, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
-        # refinement only tightens; redundant concurrent work is harmless
-        if self._hi - self._lo > width:
-            lo, hi = intpoly.refine_interval(self.poly, self._lo, self._hi, width)
-            if lo == hi:
-                raise InternalInvariantError("square-free isolation hit an exact rational root")
-            self._lo, self._hi = lo, hi
-        return self._lo, self._hi
+        """The stored interval when it is at most width wide, else the cell
+        of its bisection grid that intpoly.refine_interval narrows it to."""
+        if self._hi - self._lo <= width:
+            return self._lo, self._hi
+        lo, hi = intpoly.refine_interval(self.poly, self._lo, self._hi, width)
+        if lo == hi:
+            raise InternalInvariantError("square-free isolation hit an exact rational root")
+        return lo, hi
+
+    def narrowed(self, width: Fraction) -> "IsolatedRoot":
+        """This root with a stored interval at most width wide: self when
+        its own already is."""
+        if self._hi - self._lo <= width:
+            return self
+        return IsolatedRoot._certified(self.poly, *self.interval(width))
 
     def min_poly(self) -> Poly:
         """Defining polynomial: the square-free integer polynomial the root
@@ -287,14 +299,7 @@ class IsolatedRoot:
         return self.poly
 
     def sign(self) -> int:
-        lo, hi = self._lo, self._hi
-        while lo < 0 < hi:
-            lo, hi = self.interval((hi - lo) / 4)
-        if hi < 0:
-            return -1
-        if lo > 0:
-            return 1
-        return 0 if lo == hi == 0 else (1 if hi > 0 else -1)
+        return alg_cmp(self, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Quadratic, IsolatedRoot)):
@@ -302,9 +307,8 @@ class IsolatedRoot:
         return NotImplemented
 
     def __hash__(self):
-        # floor(4x), as Quadratic hashes, found on a local copy of the
-        # interval so that later refinement cannot change it; the root is
-        # irrational, so 4x is not an integer and the loop ends
+        # floor(4x), as Quadratic hashes; the root is irrational, so 4x is
+        # not an integer and the loop ends
         lo, hi = self._lo, self._hi
         while math.floor(4 * lo) != math.floor(4 * hi):
             lo, hi = intpoly.refine_interval(self.poly, lo, hi, (hi - lo) / 2)
@@ -412,9 +416,7 @@ def _exact_root(
     q = _promote_quadratic(sf, *interval, intervals)
     if q is not None:
         return q
-    root = IsolatedRoot._certified(sf, *interval)
-    root.interval()
-    return root
+    return IsolatedRoot._certified(sf, *interval).narrowed(DEFAULT_WIDTH)
 
 
 def _promote_quadratic(

@@ -18,7 +18,7 @@ import sys
 # verify, fpdim, obstruct and classify never compile them; the chain those
 # commands run stays here, where a tracer installed after importing this
 # module (bench/cli_child.py) finds it
-from .classify import classify_elementary2, classify_generic, scan_prime_levels
+from .classify import DEFAULT_RESIDUE_FILTERS, STATUS_ELIMINATED, classify_elementary2, classify_generic, scan_prime_levels
 from .errors import FusionRingError, InternalInvariantError, MalformedRingError
 from .groups import parse_group_factors
 from .obstruct import eliminated, run_all
@@ -43,6 +43,11 @@ ELEMENTARY2_MAX_M = 20
 # square-free parts: p = 99,991 takes 1.0 s at --kmax 10 and 2.6 s at --kmax
 # 10^6, p = 1,000,003 8.7 s at --kmax 10 (2-CPU Xeon, start-up included)
 PRIME_MAX_P = 100_000
+
+# each Pell expansion runs until its convergents pass 2 p (kmax/2)^2 + 1, so
+# the scan's cost grows with the digits of --kmax: p = 99,991 takes 21 s at
+# --kmax 10^41 - 1 (2-CPU Xeon, start-up included)
+PRIME_MAX_KMAX_DIGITS = 41
 
 # fpdim refines each non-quadratic root to 2^-N in O(log N) Newton steps on
 # numbers of about N * rank bits: N = 4096 takes 0.62 s on SU(2)_9 and 2.5-3.1 s
@@ -337,19 +342,20 @@ def _cmd_classify(args) -> int:
     if args.engine == "prime":
         if args.p > PRIME_MAX_P:
             raise ValueError(f"--p {args.p} is above the limit {PRIME_MAX_P}: the scan runs about 1.94 p Pell expansions")
+        digits = len(str(abs(args.kmax)))
+        if digits > PRIME_MAX_KMAX_DIGITS:
+            raise ValueError(
+                f"--kmax has {digits} digits, above the limit {PRIME_MAX_KMAX_DIGITS}: the scan's cost grows with them"
+            )
         if args.no_filter:
             rf = None
         elif args.residue_filter:
             rf = tuple(int(v) for v in args.residue_filter.split(","))
         else:
-            from .classify import DEFAULT_RESIDUE_FILTERS
-
             rf = DEFAULT_RESIDUE_FILTERS.get(args.p)
         report = scan_prime_levels(args.p, args.kmax, residue_filter=rf, conjecture_cutoff=args.conjecture_cutoff)
         _emit_report(report, args)
         return EXIT_OK
-    from .classify import STATUS_ELIMINATED
-
     report = classify_generic(load_ring(args.ring))
     _emit_report(report, args)
     return EXIT_ELIMINATED if report.levels[0].status == STATUS_ELIMINATED else EXIT_OK

@@ -202,10 +202,11 @@ class Cyc:
         return Fraction(self.coeffs[0])
 
     def lift(self, M: int) -> "Cyc":
-        """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N)."""
+        """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N); self
+        when M == N."""
         if M % self.N:
             raise ValueError("target order must be a multiple")
-        return self._substitute(M, M // self.N)
+        return self if M == self.N else self._substitute(M, M // self.N)
 
     def __eq__(self, other):
         if isinstance(other, Cyc):

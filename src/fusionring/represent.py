@@ -13,12 +13,12 @@ noninvertible basis elements acting through sqrt(|H|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
 
 from . import intpoly
-from .algebraic import AlgebraicReal, IsolatedRoot, Quadratic, alg_cmp, all_real_roots
+from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
 from .cyclotomic import Cyc, CycSqrt
 from .errors import HypothesisError, InternalInvariantError
 from .groups import FiniteGroup, character_exponents
@@ -69,20 +69,10 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     charpoly.  The loop stops once the multiplicities account for the rank;
     the count and trace checks stay.
 
-    The spectrum is computed once per ring; each call gets its own list and
-    its own copy of every isolated root.
+    The spectrum is computed once per ring; each call gets its own list.
     """
     ring.require_verified()
-    spectrum = _memo(ring, "codegrees", partial(_codegree_spectrum, ring))
-    return [_own_copy(e) for e in spectrum]
-
-
-def _own_copy(e: Codegree) -> Codegree:
-    """e itself when its value is a Quadratic, else e with a fresh copy of
-    its IsolatedRoot, which a caller may narrow without changing e."""
-    if isinstance(e.value, Quadratic):
-        return e
-    return replace(e, value=IsolatedRoot._certified(e.value.poly, *e.value.interval()))
+    return list(_memo(ring, "codegrees", partial(_codegree_spectrum, ring)))
 
 
 def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
@@ -195,15 +185,11 @@ class SemidirectIrrep:
 
     def matrix(self, k: int, t: int) -> tuple[tuple[Cyc, ...], ...]:
         """Representing matrix of the element (k, t), t in {0, 1}."""
-        chi_k = self.chi.value(k).lift(self.N) if self.chi.N != self.N else self.chi.value(k)
+        chi_k = self.chi.value(k).lift(self.N)
         if self.kind == "extension":
             entry = chi_k if t == 0 else chi_k * self.sign
             return ((entry,),)
-        chi_tk = (
-            self.chi.value(self.theta[k]).lift(self.N)
-            if self.chi.N != self.N
-            else self.chi.value(self.theta[k])
-        )
+        chi_tk = self.chi.value(self.theta[k]).lift(self.N)
         zero = Cyc.zero(self.N)
         if t == 0:
             return ((chi_k, zero), (zero, chi_tk))

@@ -14,8 +14,8 @@ are limited to |c| < 2^63.
 
 All objects are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.  What a ring derives is kept
-by one memo, `_memo`: computed once per ring; callers get their own lists
-and roots, so nothing a caller does to a result changes a later one.
+by one memo, `_memo`: computed once per ring; callers get their own lists,
+so clearing a returned list changes no later result.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from . import intpoly
 from .algebraic import (
     DEFAULT_WIDTH,
     AlgebraicReal,
-    IsolatedRoot,
     Quadratic,
     alg_cmp,
     largest_real_root,
@@ -133,8 +132,7 @@ class FusionRing:
 def _memo(ring: FusionRing, key, compute):
     """compute(), computed once per ring and kept under key.  compute must
     be pure, so a race at worst computes it twice.  The kept object is
-    shared, so a caller whose result can change in place (a list, an
-    IsolatedRoot) returns a copy of it."""
+    shared, so a caller that returns a list returns a new one."""
     if key not in ring._cache:
         ring._cache[key] = compute()
     return ring._cache[key]
@@ -352,8 +350,7 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
 
     Elements often share p (13 noninvertible elements of SU(2)_14 have 9
     polynomials, those of Haagerup-Izumi rings one), so p is memoized per
-    index and its root per polynomial (_polynomial_root), and each call gets
-    its own copy of that root."""
+    index and its root per polynomial (_polynomial_root)."""
     if not 0 <= i < ring.rank:
         raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
     ring.require_verified()
@@ -385,20 +382,15 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
 def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
     """The largest real root of poly, isolated, promoted and refined to
     DEFAULT_WIDTH once per polynomial (memoized), then handed out as is when
-    it is a Quadratic, else as a fresh copy narrowed below width.
+    it is a Quadratic, else narrowed below width.
 
     A width coarser than DEFAULT_WIDTH keeps the DEFAULT_WIDTH interval:
-    width only narrows.  The copy is refined from a cell of the bisection
-    grid of its isolating interval, and intpoly.refine_interval stays on
+    width only narrows.  The memoized interval is a cell of the bisection
+    grid of the isolating interval, and intpoly.refine_interval stays on
     that grid, so it ends on the cell that refining the isolating interval
-    to width directly gives.  Narrowing a copy in place never changes what
-    another call returns."""
+    to width directly gives."""
     root = _memo(ring, ("root", poly), partial(largest_real_root, poly))
-    if isinstance(root, Quadratic):
-        return root
-    copy = IsolatedRoot._certified(root.poly, *root.interval())
-    copy.interval(width)
-    return copy
+    return root if isinstance(root, Quadratic) else root.narrowed(width)
 
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:

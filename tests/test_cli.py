@@ -460,6 +460,19 @@ def test_prime_p_above_limit_exits_2(capsys):
     assert f"limit {PRIME_MAX_P}" in err
 
 
+def test_prime_kmax_above_digit_limit_exits_2(capsys):
+    from fusionring.cli import PRIME_MAX_KMAX_DIGITS
+
+    assert PRIME_MAX_KMAX_DIGITS >= 41  # test_classify_prime_huge_kmax runs --kmax 10^40
+    start = time.perf_counter()
+    kmax = str(10**PRIME_MAX_KMAX_DIGITS)
+    code, out, err = run_cli(["classify", "prime", "--p", "99991", "--kmax", kmax, "--csv"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert f"limit {PRIME_MAX_KMAX_DIGITS}" in err
+
+
 def test_runtime_does_not_load_mpmath(tmp_path):
     # mpmath is a test dependency only, and numpy serves only the
     # FusionRing.tensor view: importing the package and running one command

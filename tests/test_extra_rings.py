@@ -88,10 +88,10 @@ def test_fpdim_isolates_each_polynomial_once_and_copies_its_root(monkeypatch):
     monkeypatch.setattr(intpoly, "isolate_real_roots", lambda p: calls.append(p) or isolate(p))
     dims = fpdim_all(ring)
     assert sorted(calls) == sorted(polys)
-    # each index has its own root: narrowing one changes no other, whether
-    # the other was made before the narrowing or after it
+    # indices that share a polynomial share its root: narrowing it changes no
+    # other result, whether made before the narrowing or after it
     before = dims[13].interval()
-    assert dims[1] is not dims[13] and dims[1].poly == dims[13].poly
+    assert dims[1].poly == dims[13].poly
     fr.fpdim_basis(ring, 1).interval(Fraction(1, 2**200))
     assert fr.fpdim_basis(ring, 13).interval() == before
     late = su2_ring(14)
@@ -121,6 +121,23 @@ def test_narrowing_a_returned_fpdim_changes_no_later_one():
     before = dumps_report(alg_to_dict(d))
     d.interval(Fraction(1, 2**200))
     assert dumps_report(alg_to_dict(fr.fpdim_basis(ring, 1))) == before
+
+
+def test_a_returned_root_prints_the_same_whatever_it_was_compared_with():
+    # a root is immutable: comparing it with a close rational or asking for a
+    # narrower interval leaves its `--json` bytes as they were
+    ring = load_ring(REPO_ROOT / "tests" / "golden" / "su2_level9.ring")
+    for d in (fr.fpdim_basis(ring, 1), fr.codegree_spectrum(ring)[0].value):
+        assert isinstance(d, IsolatedRoot)
+        before = dumps_report(alg_to_dict(d))
+        lo, hi = intpoly.refine_interval(d.poly, *d.interval(), Fraction(1, 2**100))
+        assert alg_cmp(d, lo) == 1 and alg_cmp(d, hi) == -1
+        assert dumps_report(alg_to_dict(d)) == before
+        d.interval(Fraction(1, 2**200))
+        assert dumps_report(alg_to_dict(d)) == before
+        for name in ("_lo", "_hi", "poly"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, lo)
 
 
 def test_cubic_total_and_codegrees_against_oracle():
