@@ -353,9 +353,11 @@ def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool:
     open interval, and neither endpoint is a root.  So a rational never
     equals it; an irrational Quadratic does iff it lies in the interval and
     its minimal polynomial divides the polynomial; and another IsolatedRoot
-    does iff the gcd of the two polynomials has a root in the intersection
-    of the intervals.  Each end of the intersection is an endpoint of one of
-    them, so no root of the gcd, and the Sturm count there is exact."""
+    does iff the gcd g of the two polynomials has a root in the intersection
+    (lo, hi) of the intervals.  g divides a square-free polynomial with at
+    most one root there, which is simple, and each of lo, hi is an endpoint
+    of one of the intervals, so no root of g: g has a root in (lo, hi)
+    exactly when it changes sign between them."""
     if isinstance(x, Quadratic):
         x, y = y, x
     if isinstance(y, Quadratic):
@@ -368,7 +370,7 @@ def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool:
     if lo >= hi:
         return False
     g = intpoly.poly_gcd(x.poly, y.poly)
-    return intpoly.degree(g) >= 1 and intpoly.count_real_roots(intpoly.sturm_chain(g), lo, hi) >= 1
+    return intpoly.sign_at(g, lo.numerator, lo.denominator) * intpoly.sign_at(g, hi.numerator, hi.denominator) < 0
 
 
 def alg_cmp(x, y) -> int:

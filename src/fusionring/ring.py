@@ -65,8 +65,9 @@ ENTRY_LIMIT = 2**63  # |c| < 2^63 for every structure constant: the int64 range
 # anything of that size is built.  Building and verifying take about rank^3
 # cells, and more time on noncommutative rings.  Measured at rank 200 (child
 # wall time and peak RSS, start-up included, 2-CPU Xeon): build group
-# 4.0 s and 178 MB, build neargroup 5.5 s and 178 MB, build haagerup-izumi
-# 41 s and 333 MB, most of it the associativity check.
+# 3.9-5.0 s and 178 MB, build neargroup 3.7-4.1 s and 178 MB, build
+# haagerup-izumi 4.1-5.3 s and 228 MB, build uniform over C10 x C10
+# 5.0-5.9 s and 228 MB.
 RANK_LIMIT = 200
 
 
@@ -260,32 +261,35 @@ def _associativity_witnesses(t: tuple, lefts):
     """((i, j, k, l), detail) wherever (b_i b_j) b_k and b_i (b_j b_k) differ
     at b_l, for i in lefts, in index order.
 
-    With digits of B bits, pack each row of a left factor i as
-    P[i][m] = sum_l c[i,m,l] 2^(B l) and each N_m as
-    W[m] = sum_{k,l} c[m,k,l] 2^(B (rank k + l)).  Digit (k, l) of
-    sum_m c[i,j,m] W[m] is the coefficient of b_l in (b_i b_j) b_k, and of
-    sum_{k,m} c[j,k,m] P[i][m] 2^(B rank k) the one in b_i (b_j b_k).  Both
-    are at most rank * cmax^2 in size, so with B = bit_length(2 rank
-    cmax^2 + 1) the digits of the difference lie below 2^B in size: the two
-    integers are equal exactly when every coefficient is.  Only a failing
-    (i, j) is expanded coefficient by coefficient."""
+    With digits of B bits, pack each product b_x b_y as the integer
+    P[x][y] = sum_l c[x,y,l] 2^(B l).  Digit l of sum_m c[i,j,m] P[m][k] is
+    the coefficient of b_l in (b_i b_j) b_k, and of sum_m c[j,k,m] P[i][m]
+    the one in b_i (b_j b_k).  Both are at most rank * cmax^2 in size, so
+    with B = bit_length(2 rank cmax^2 + 1) the digits of the difference lie
+    below 2^B in size: the two integers are equal exactly when every
+    coefficient is.  For each (i, j) the rank integers of each side are
+    compared as lists, and only a k where they differ is expanded
+    coefficient by coefficient."""
     n = len(t)
-    cmax = max(max(max(row), -min(row)) for mat in t for row in mat)
-    bits = (2 * n * cmax * cmax + 1).bit_length()
-    wide = [sum(c << (bits * (n * k + l)) for k, row in enumerate(mat) for l, c in enumerate(row) if c) for mat in t]
     nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in mat] for mat in t]
-    terms = [[(bits * n * k, m, c) for k, jk in enumerate(mat) for m, c in jk] for mat in nonzero]
+    cmax = max((abs(c) for mat in nonzero for row in mat for _, c in row), default=0)
+    bits = (2 * n * cmax * cmax + 1).bit_length()
+    packed = [[sum(c << (bits * l) for l, c in row) for row in mat] for mat in nonzero]
+    zero = [0] * n
     for i in lefts:
-        packed = [sum(c << (bits * l) for l, c in enumerate(row) if c) for row in t[i]]
+        pi = packed[i]
         for j in range(n):
             ij = nonzero[i][j]
-            if sum(c * wide[m] for m, c in ij) == sum(c * packed[m] << s for s, m, c in terms[j]):
+            # zip yields nothing when b_i b_j = 0
+            left = list(map(sum, zip(*(packed[m] if c == 1 else [c * p for p in packed[m]] for m, c in ij)))) or zero
+            right = [sum([c * pi[m] for m, c in jk]) for jk in nonzero[j]]
+            if left == right:
                 continue
-            for k, l in product(range(n), repeat=2):
-                left = sum(c * t[m][k][l] for m, c in ij)
-                right = sum(c * t[i][m][l] for m, c in nonzero[j][k])
-                if left != right:
-                    yield (i, j, k, l), f"{left} != {right}"
+            for k, l in product([k for k in range(n) if left[k] != right[k]], range(n)):
+                lhs = sum(c * t[m][k][l] for m, c in ij)
+                rhs = sum(c * t[i][m][l] for m, c in nonzero[j][k])
+                if lhs != rhs:
+                    yield (i, j, k, l), f"{lhs} != {rhs}"
 
 
 def algebra_generators(ring: FusionRing) -> tuple[int, ...]:

@@ -280,6 +280,17 @@ def sturm_chain_oracle(p) -> list:
     return chain
 
 
+def isolated_roots_equal_oracle(x, y) -> bool:
+    """Whether two IsolatedRoots are equal, by a Sturm count: the gcd of
+    their polynomials has a root in the intersection of their intervals,
+    whose ends are no roots of it."""
+    lo, hi = max(x._lo, y._lo), min(x._hi, y._hi)
+    if lo >= hi:
+        return False
+    g = poly_gcd_oracle(x.poly, y.poly)
+    return intpoly.degree(g) >= 1 and intpoly.count_real_roots(sturm_chain_oracle(g), lo, hi) >= 1
+
+
 def refine_interval_oracle(p, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
     """Bisection of a sign-change interval below width, in Fraction: halve
     until the width is at most `width`, keeping the half whose ends differ

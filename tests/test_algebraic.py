@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly_mul
+from conftest import isolated_roots_equal_oracle, poly_mul
 from fusionring import intpoly
 from fusionring.algebraic import (
     IsolatedRoot,
     Quadratic,
+    _structural_eq,
     alg_cmp,
     all_real_roots,
     largest_real_root,
@@ -210,6 +212,23 @@ def test_isolated_roots_of_products_compare_exactly():
     # sqrt(17)/3 = 1.374... lies in the plastic number's interval but is no root of p
     assert alg_cmp(plastic, Quadratic(0, Fraction(1, 3), 17)) == -1
     assert alg_cmp(Quadratic(0, Fraction(1, 3), 17), plastic) == 1
+
+
+def test_structural_equality_matches_sturm_oracle():
+    # every real root of p and of each product p q of two small irreducible
+    # polynomials, at its isolating interval and narrowed to 1/16: roots of
+    # p against roots of p q are equal where they share a factor
+    base = [(-2, 0, 1), (-3, 0, 1), (-1, -1, 1), (-1, -1, 0, 1), (1, -3, 0, 1), (1, 0, -10, 0, 1)]
+    roots = []
+    for p in base + [poly_mul(p, q) for p, q in combinations(base, 2)]:
+        sf, _, intervals = intpoly.isolate_real_roots(p)
+        for interval, width in product(intervals, (Fraction(4), Fraction(1, 16))):
+            roots.append(IsolatedRoot._certified(sf, *intpoly.refine_interval(sf, *interval, width)))
+    overlapping = [(x, y) for x, y in combinations(roots, 2) if max(x._lo, y._lo) < min(x._hi, y._hi)]
+    equal = [pair for pair in overlapping if _structural_eq(*pair)]
+    assert equal == [pair for pair in overlapping if isolated_roots_equal_oracle(*pair)]
+    assert any(x.poly != y.poly for x, y in equal)
+    assert len(equal) > 800 and len(overlapping) - len(equal) > 1500
 
 
 SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21]

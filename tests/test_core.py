@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     brute_force_associator_violations,
     cubic_chain_ring,
     generated_span_rank,
+    haagerup_izumi_oracle,
     s3_group,
     same_fusion_rules,
     su2_ring,
@@ -127,6 +129,74 @@ def test_verify_axioms_matches_oracle_on_unit_preserving_mutations():
         assert not any(v.axiom.startswith("unit") for v in got)
         failing += any(v.axiom == "associativity" for v in got)
     assert failing > 300
+
+
+def _mutated(ring, rng, low: int):
+    """ring with 1-3 entries c_ijk, i, j >= low, changed by small steps."""
+    t = [[list(row) for row in mat] for mat in ring.rows]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(low, ring.rank), rng.randrange(low, ring.rank)
+        t[i][j][rng.randrange(ring.rank)] += rng.choice((-2, -1, 1, 2, 5))
+    return fr.FusionRing(ring.labels, ring.dual, t)
+
+
+def test_verify_axioms_matches_oracle_on_mutated_rank_40_rings():
+    # a uniform two-orbit ring with |H| = 20 (rank 42) and HI C20 (rank 40);
+    # most mutations leave the unit intact and break associativity, so the
+    # generator pass fails, the full scan runs and witnesses reach the cap
+    bases = [fr.uniform_two_orbit((40,), [2], "inversion", 1), fr.haagerup_izumi((20,))]
+    rng = random.Random(2028)
+    capped = 0
+    for trial in range(12):
+        ring = bases[trial % 2]
+        broken = _mutated(ring, rng, 0 if trial % 4 == 3 else 1)
+        got = fr.verify_axioms(broken)
+        assert got == verify_axioms_oracle(broken), (trial, ring)
+        capped += sum(v.axiom == "associativity" for v in got) == 20
+    assert capped >= 6
+
+
+def test_verify_axioms_matches_oracle_on_a_mutated_su2_ring():
+    # SU(2)_16: products of up to 9 terms, and mutated coefficients other
+    # than 0 and 1, negative ones included
+    ring = su2_ring(16)
+    rng = random.Random(2029)
+    failing = 0
+    for trial in range(30):
+        broken = _mutated(ring, rng, trial % 2)
+        got = fr.verify_axioms(broken)
+        assert got == verify_axioms_oracle(broken), trial
+        failing += any(v.axiom == "associativity" for v in got)
+    assert failing > 20
+
+
+def test_verify_axioms_matches_oracle_at_the_widest_digits():
+    # (b_0 b_1) b_1 - b_0 (b_1 b_1) = 4 b_0 - b_1 packs to 0 in digits of
+    # 2 bits; B = bit_length(2 rank cmax^2 + 1) = 3 tells them apart
+    aliasing = fr.FusionRing("ab", [0, 1], [[[-1, 0], [-1, 1]], [[0, 0], [1, 1]]])
+    assert (0, 1, 1, 0) in [v.indices for v in fr.verify_axioms(aliasing)]
+    assert fr.verify_axioms(aliasing) == verify_axioms_oracle(aliasing)
+    # rank <= 4 with an entry 2^62 and a negative one: B reaches 128 bits,
+    # its largest
+    valid = fr.near_group((2,), 2**62)
+    assert fr.verify_axioms(valid) == verify_axioms_oracle(valid) == []
+    rng = random.Random(2030)
+    for trial in range(60):
+        n = rng.randint(2, 4)
+        base = fr.near_group((n - 1,) if n > 2 else (), 2**62) if trial % 2 else fr.group_ring((n,))
+        t = [[list(row) for row in mat] for mat in base.rows]
+        cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+        for (i, j, k), c in zip(rng.sample(cells, 3), (2**62, -rng.choice((1, 3, 2**62)), rng.choice((-1, 2, 2**61)))):
+            t[i][j][k] = c
+        broken = fr.FusionRing(base.labels, base.dual, t)
+        assert fr.verify_axioms(broken) == verify_axioms_oracle(broken), trial
+
+
+def test_rank_200_haagerup_izumi_verifies_in_seconds():
+    ring = fr.FusionRing(*haagerup_izumi_oracle((100,)))
+    start = time.perf_counter()
+    assert fr.verify_axioms(ring) == []
+    assert time.perf_counter() - start < 20
 
 
 def test_verify_axioms_with_a_broken_unit_matches_oracle():
