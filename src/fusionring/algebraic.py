@@ -425,43 +425,42 @@ def _promote_quadratic(
     poly: Poly, lo: Fraction, hi: Fraction, intervals: list[tuple[Fraction, Fraction]]
 ) -> Quadratic | None:
     """Find a monic quadratic factor x^2 - t*x - u of poly owning the
-    irrational root in (lo, hi), and return that root exactly.
+    irrational root alpha in (lo, hi), and return alpha exactly.
 
     Only applies to monic poly (minimal polynomials of integer matrices),
     where quadratic algebraic numbers are quadratic algebraic integers.  The
-    conjugate root is itself a root of poly, so the trace candidates t come
-    from pairing the target with each other isolated real root (`intervals`,
-    the isolating intervals of poly's irrational real roots, as
-    isolate_real_roots returns them); that keeps the search linear in the
-    degree instead of in the coefficient size.
+    conjugate beta is then another irrational root of poly, so it lies in one
+    of the other `intervals` (the isolating intervals of poly's irrational
+    real roots, as isolate_real_roots returns them), and t = alpha + beta and
+    u = alpha (alpha - t) are integers.  Every root lies in (-B, B), with
+    B = 2 + max|c_i| (beyond the Cauchy bound).  With alpha's interval
+    refined to width 1/(4B) and the other one to 1/4, the midpoints m, m' are
+    within 1/(8B) and 1/8 of alpha and beta, so m + m' is within 1/2 of t,
+    and m (m - t) = u + (m - alpha)(m + alpha - t) is within
+    (1/(8B)) (1 + |alpha| + |beta|) < 1/2 of u.  And alpha is the larger
+    root exactly when m > t/2, since |alpha - t/2| = sqrt(t^2 + 4u)/2 > 1/2.
+    Each root pair thus gives one candidate (t, u) and one exact division,
+    whatever the size of the roots; only the refinement grows, by O(log)
+    steps, with the bits of B.  The exact division and the final interval
+    test make every answer sound.
     """
     if poly[-1] != 1:
         return None
-    lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 2**20))
-    for olo, ohi in intervals:
-        # narrow the other root until the trace pins down at most one integer
+    others = [other for other in intervals if other != (lo, hi)]
+    lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 4 * (2 + max(map(abs, poly[:-1])))))
+    mid = (lo + hi) / 2
+    for olo, ohi in others:
         olo, ohi = intpoly.refine_interval(poly, olo, ohi, Fraction(1, 4))
-        for t in range(math.ceil(lo + olo), math.floor(hi + ohi) + 1):
-            # u = x^2 - t*x at the target root; the interval is narrow enough
-            # that at most a couple of integers qualify
-            vals = [lo * lo - t * lo, hi * hi - t * hi]
-            if lo < Fraction(t, 2) < hi:
-                vals.append(Fraction(t, 2) ** 2 - t * Fraction(t, 2))
-            for u in range(math.ceil(min(vals)), math.floor(max(vals)) + 1):
-                disc = t * t + 4 * u
-                if disc <= 0:
-                    continue
-                s = math.isqrt(disc)
-                if s * s == disc:
-                    continue  # rational roots were already ruled out
-                try:
-                    intpoly.poly_divexact(poly, (-u, -t, 1))
-                except ValueError:
-                    continue
-                for sign in (1, -1):
-                    cand = Quadratic(Fraction(t, 2), Fraction(sign, 2), disc)
-                    if _quad_in_open_interval(cand, lo, hi):
-                        return cand
+        t = round(mid + (olo + ohi) / 2)
+        u = round(mid * (mid - t))
+        try:
+            intpoly.poly_divexact(poly, (-u, -t, 1))
+            # Quadratic refuses t^2 + 4u < 0: a factor without real roots
+            cand = Quadratic(Fraction(t, 2), Fraction(1 if 2 * mid > t else -1, 2), t * t + 4 * u)
+        except ValueError:
+            continue
+        if _quad_in_open_interval(cand, lo, hi):
+            return cand
     return None
 
 

@@ -193,7 +193,8 @@ def _resolve_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
 class CharacterTable:
     """Exact character table: rows are characters, columns conjugacy classes.
 
-    Values live in Q(zeta_N) with N = root_order.  The identity class comes
+    Values live in Q(zeta_N) with N = root_order, unbounded here (table
+    files are bounded by ringfile.ROOT_ORDER_LIMIT).  The identity class comes
     first (size 1) and the trivial character is row 0.  Orthogonality takes
     one `Cyc.dot` per unordered pair of rows, the ring one per unordered
     triple (see `character_ring`).

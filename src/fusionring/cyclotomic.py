@@ -91,7 +91,9 @@ def _basis_images(N: int, M: int, step: int) -> tuple:
 
 
 class Cyc:
-    """Element of Q(zeta_N)."""
+    """Element of Q(zeta_N).  N has no bound here, though setting up a field
+    (Phi_N, and the power-basis images that conjugation reads) costs time
+    growing faster than N^2; table files bound it (ringfile.ROOT_ORDER_LIMIT)."""
 
     __slots__ = ("N", "coeffs")
 

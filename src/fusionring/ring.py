@@ -20,12 +20,13 @@ so clearing a returned list changes no later result.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Sequence
 
 from . import intpoly
@@ -530,42 +531,64 @@ def _orbit_structure(ring: FusionRing) -> OrbitStructure:
 
 @dataclass(frozen=True)
 class DimensionProfile:
-    """Shape of the FP-dimension spectrum when it is {1} or {1, d}."""
+    """Shape of the FP-dimension spectrum when it is {1} or {1, d}, with d
+    the positive root of d^2 = r d + s (None for a pointed ring)."""
 
     is_two_dimension: bool
-    d: AlgebraicReal | None = None
     r: int | None = None
     s: int | None = None
-    d_is_rational: bool | None = None
+
+    @property
+    def d(self) -> Quadratic | None:
+        return Quadratic(Fraction(self.r, 2), Fraction(1, 2), self.r**2 + 4 * self.s) if self.is_two_dimension else None
+
+    @property
+    def d_is_rational(self) -> bool | None:
+        return math.isqrt(self.r**2 + 4 * self.s) ** 2 == self.r**2 + 4 * self.s if self.is_two_dimension else None
 
 
 def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     """Profile (d, r, s) with d*d = r*d + s read off x x* for the smallest
-    noninvertible x.  Returns a profile with is_two_dimension=False for
-    pointed rings, and None when three or more distinct dimensions occur."""
+    noninvertible x: s and r are its coefficient sums on the invertibles and
+    on the rest.  Returns a profile with is_two_dimension=False for pointed
+    rings, and None when three or more distinct dimensions occur.
+
+    Let v be 1 on the invertibles and d on the rest.  The profile is
+    accepted exactly when v_i v_j = sum_k c[i,j,k] v_k in Z[d] for all i, j.
+    If it holds, then N_i v = v_i v with N_i nonnegative and v positive, so
+    v_i is the Perron root of N_i (Collatz-Wielandt): the FP dimensions are
+    1 and d.  Conversely, if every noninvertible has one FP dimension d',
+    then d'^2 = FPdim(x x*) = r d' + s, so d' is the positive root d, and
+    FPdim, a ring homomorphism, satisfies the identity.  The identity is
+    checked for left factors b_0 and the generators (`_generator_first`),
+    in integers: when r^2 + 4s is a square, d is an integer; otherwise both
+    sides are a + b d with integers 0 <= a, b, compared as a + b W for a
+    base W above every a, so as the pairs (a, b).  No root is isolated and
+    nothing is factored."""
     ring.require_verified()
     return _memo(ring, "profile", partial(_dimension_profile, ring))
 
 
 def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
-    noninv = [i for i in range(ring.rank) if not is_invertible(ring, i)]
-    if not noninv:
+    inv = [is_invertible(ring, i) for i in range(ring.rank)]
+    if all(inv):
         return DimensionProfile(False)
-    dims = {i: fpdim_basis(ring, i) for i in noninv}
-    d0 = dims[noninv[0]]
-    if any(alg_cmp(dims[i], d0) != 0 for i in noninv[1:]):
-        return None
-    x = noninv[0]
+    x = inv.index(False)
     row = ring.rows[x][ring.dual[x]]
-    s = sum(row[g] for g in range(ring.rank) if is_invertible(ring, g))
-    r = sum(row[y] for y in noninv)
-    # d solves d^2 = r d + s, so it is quadratic and the Perron promotion
-    # must have produced an exact Quadratic
-    if not isinstance(d0, Quadratic):
-        raise InternalInvariantError("two-dimension Perron root not promoted")
-    if (d0 * d0 - r * d0 - s).sign() != 0:
-        raise InternalInvariantError("two-dimension Perron root does not solve d^2 = r d + s")
-    return DimensionProfile(True, d0, r, s, d0.is_rational)
+    s = sum(c for c, g in zip(row, inv) if g)
+    r = sum(row) - s
+    profile = DimensionProfile(True, r, s)
+    # d itself, or W: every coefficient sum is below rank * ENTRY_LIMIT
+    d = (r + math.isqrt(r * r + 4 * s)) // 2 if profile.d_is_rational else 1 << (ring.rank * ENTRY_LIMIT).bit_length()
+    v = [1 if g else d for g in inv]
+    products = (1, d, s + r * d)  # v_i v_j by the number of noninvertibles among i, j
+
+    def failures(lefts):
+        for i, j in product(lefts, range(ring.rank)):
+            if sum(map(mul, ring.rows[i][j], v)) != products[(not inv[i]) + (not inv[j])]:
+                yield i, j
+
+    return profile if next(_generator_first(ring, failures), None) is None else None
 
 
 @dataclass(frozen=True)

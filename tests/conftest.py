@@ -14,10 +14,12 @@ matrix models), totients and square-free flags by sieving (the library
 factors), admissible square-free parts by a totient per candidate (the
 library carries phi along its search), the fusion-ring axioms on a
 numpy tensor with einsum associativity (the library compares packed integer
-rows), and cyclotomic products, conjugates and lifts as Fraction
-polynomials reduced one at a time by long division modulo a cyclotomic
-polynomial built here (the library sums unreduced convolutions, reduces once
-per sum and applies cached images of the power basis).
+rows), dimension profiles from every Perron root compared exactly (the
+library checks one integer identity and computes no root), and cyclotomic
+products, conjugates and lifts as Fraction polynomials reduced one at a time
+by long division modulo a cyclotomic polynomial built here (the library sums
+unreduced convolutions, reduces once per sum and applies cached images of
+the power basis).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fusionring.cyclotomic import Cyc, CycSqrt
 from fusionring.errors import FusionRingError, HypothesisError
 from fusionring.groups import FiniteGroup, abelian_group
 from fusionring.numtheory import factorize, is_prime, totient
-from fusionring.ring import Violation, global_multiplication_matrix
+from fusionring.ring import Violation, global_multiplication_matrix, noninvertible_indices
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -655,6 +657,28 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
             if mul(mats[i], mats[j]) != rhs:
                 failures.append((i, j))
     return failures
+
+
+def dimension_profile_oracle(ring) -> tuple | None:
+    """The dimension profile read off the FP dimensions themselves, as
+    (is_two_dimension, r, s, d, d_is_rational): every noninvertible's Perron
+    root is computed and compared exactly (the library decides from integers
+    alone, without a root).  None when the noninvertibles have more than one
+    dimension; all None after False for a pointed ring."""
+    noninv = noninvertible_indices(ring)
+    if not noninv:
+        return (False, None, None, None, None)
+    dims = [fr.fpdim_basis(ring, i) for i in noninv]
+    if any(fr.alg_cmp(dim, dims[0]) != 0 for dim in dims[1:]):
+        return None
+    x = noninv[0]
+    row = ring.rows[x][ring.dual[x]]
+    r = sum(row[y] for y in noninv)
+    s = sum(row) - r
+    d = dims[0]
+    # d^2 = r d + s, so d is quadratic and its root was promoted
+    assert isinstance(d, fr.Quadratic) and (d * d - r * d - s).sign() == 0
+    return (True, r, s, d, d.is_rational)
 
 
 @lru_cache(maxsize=None)

@@ -119,6 +119,21 @@ def test_largest_real_root():
     assert largest_real_root((-2, -2, 1)) == Quadratic(1, 1, 3)
 
 
+@pytest.mark.parametrize("t", [2**40, 2**62])
+def test_promotion_cost_does_not_grow_with_the_roots(t, monkeypatch):
+    # the roots of x^2 - t x - 1 lie about t apart, and one trace-norm
+    # candidate per pair of roots still finds the factor exactly
+    p = poly_mul((-1, -t, 1), (-1, -1, 0, 1))
+    divisors = []
+    divexact = intpoly.poly_divexact
+    monkeypatch.setattr(intpoly, "poly_divexact", lambda a, b: divisors.append(b) or divexact(a, b))
+    root = largest_real_root(p)
+    # at most one trial quadratic factor for each other irrational root
+    assert sum(len(q) == 3 for q in divisors) <= len(intpoly.isolate_real_roots(p)[2]) - 1
+    assert isinstance(root, Quadratic)
+    assert root == Quadratic(Fraction(t, 2), Fraction(1, 2), t * t + 4)
+
+
 def test_all_real_roots_sorted():
     p = poly_mul((-2, 0, 1), (-3, 1))  # sqrt2, -sqrt2, 3
     roots = all_real_roots(p)

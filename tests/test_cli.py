@@ -2,13 +2,15 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import fusionring as fr
 from conftest import cli_env, same_fusion_rules
+from fusionring.algebraic import Quadratic
 from fusionring.cli import main
-from fusionring.ringfile import dumps_ring, load_ring, loads_ring
+from fusionring.ringfile import alg_to_dict, dumps_ring, load_ring, loads_ring
 
 
 def run_cli(args, capsys):
@@ -538,3 +540,60 @@ def test_commands_load_only_what_they_run(argv, tmp_path):
     args = [a.format(ring=path) for a in argv]
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=cli_env())
     assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
+
+
+def run_cli_child(argv, timeout=30):
+    """`python -m fusionring.cli argv` in a child, killed after timeout
+    seconds, so that a command that no longer finishes fails the test."""
+    argv = [sys.executable, "-m", "fusionring.cli", *argv]
+    return subprocess.run(argv, capture_output=True, env=cli_env(), timeout=timeout)
+
+
+def test_fpdim_and_codegrees_finish_at_a_large_level(tmp_path):
+    # rho^2 = 1 + g + L rho: FPdim(rho) = (L + sqrt(L^2 + 8)) / 2, and the
+    # top codegree is the global dimension 2 + FPdim(rho)^2
+    level = 10**9
+    path = tmp_path / "ng.ring"
+    path.write_text(dumps_ring(fr.near_group((2,), level)))
+    disc = level * level + 8
+    proc = run_cli_child(["fpdim", str(path), "--json"])
+    assert proc.returncode == 0, proc.stderr
+    rho = json.loads(proc.stdout)["dims"][2]["value"]
+    assert rho == alg_to_dict(Quadratic(Fraction(level, 2), Fraction(1, 2), disc))
+    proc = run_cli_child(["codegrees", str(path), "--json"])
+    assert proc.returncode == 0, proc.stderr
+    values = [c["value"] for c in json.loads(proc.stdout)["spectrum"]]
+    assert alg_to_dict(Quadratic(Fraction(disc, 2), Fraction(level, 2), disc)) in values
+
+
+@pytest.mark.parametrize("argv", [["obstruct"], ["classify", "generic"]])
+def test_obstructions_finish_at_a_level_near_2_to_the_63(argv, tmp_path):
+    # r = L is odd and s = |G| = 2, so divisibility (s | r) eliminates; the
+    # profile is read from integers, so L^2 + 8 is never factored
+    level = 5612749431232643225
+    path = tmp_path / "ng.ring"
+    path.write_text(dumps_ring(fr.near_group((2,), level)))
+    proc = run_cli_child([*argv, str(path), "--json"])
+    assert proc.returncode == 10, proc.stderr
+    assert b'"outcome":"eliminates","test":"divisibility"' in proc.stdout
+
+
+def test_root_order_above_the_limit_exits_2_before_building_a_field(tmp_path, capsys, monkeypatch):
+    from fusionring import cyclotomic
+    from fusionring.ringfile import ROOT_ORDER_LIMIT
+
+    path = tmp_path / "t.table"
+    path.write_text(json.dumps({**TRIVIAL_TABLE, "root_order": ROOT_ORDER_LIMIT}))
+    assert run_cli(["build", "charring", "--table", str(path)], capsys)[0] == 0
+
+    def unbuilt(*args):
+        raise AssertionError("built a cyclotomic value above the root-order limit")
+
+    monkeypatch.setattr(cyclotomic, "Cyc", unbuilt)
+    path.write_text(json.dumps({**TRIVIAL_TABLE, "root_order": ROOT_ORDER_LIMIT + 1}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert f"root_order {ROOT_ORDER_LIMIT + 1} is above the limit {ROOT_ORDER_LIMIT}" in err

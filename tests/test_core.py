@@ -10,9 +10,11 @@ from conftest import (
     REPO_ROOT,
     brute_force_associator_violations,
     cubic_chain_ring,
+    dimension_profile_oracle,
     generated_span_rank,
     haagerup_izumi_oracle,
     s3_group,
+    s3_two_orbit_ring,
     same_fusion_rules,
     su2_ring,
     verify_axioms_oracle,
@@ -376,6 +378,59 @@ def test_dimension_profile_three_dims_marker():
     )
     ring = construct.character_ring(table)
     assert fr.dimension_profile(ring) is None
+
+
+def test_dimension_profile_agrees_with_the_perron_roots(small_corpus, two_orbit_corpus):
+    """The profile, decided from integers, against `dimension_profile_oracle`,
+    which computes and compares every FP dimension: over the small and
+    two-orbit corpora (rank <= 12), one ring from each builder, SU(2)_k for
+    k <= 14, the cubic chain ring (three dimensions), the S3 two-orbit ring
+    and the near-group C2 at level 2^40."""
+    rings = {**small_corpus, **two_orbit_corpus}
+    rings["Z[C2xC4]"] = fr.group_ring((2, 4))
+    rings["NG(C5,10)"] = fr.near_group((5,), 10)
+    rings["HI(C7)"] = fr.haagerup_izumi((7,))
+    rings["U(C12,C6,inv,1)"] = fr.uniform_two_orbit((12,), [6], "inversion", 1)
+    rings["ch(D12)"] = fr.character_ring(fr.dihedral_character_table(12))
+    rings["chD14"] = fr.dihedral_character_ring(14)
+    rings.update({f"SU(2)_{k}": su2_ring(k) for k in range(1, 15)})
+    rings["cubic chain"] = cubic_chain_ring()
+    rings["U(S3,C3)"] = s3_two_orbit_ring()
+    rings["NG(C2,2^40)"] = fr.near_group((2,), 2**40)
+    outcomes = set()
+    for name, ring in rings.items():
+        p = fr.dimension_profile(ring)
+        got = None if p is None else (p.is_two_dimension, p.r, p.s, p.d, p.d_is_rational)
+        assert got == dimension_profile_oracle(ring), name
+        outcomes.add(None if got is None else (got[0], got[4]))
+    # more than two dimensions, pointed, irrational d and integer d all occur
+    assert outcomes == {None, (False, None), (True, False), (True, True)}
+
+
+def test_dimension_profile_computes_no_root_and_factors_nothing(monkeypatch):
+    import fusionring.intpoly
+    import fusionring.numtheory
+    import fusionring.ring
+
+    rings = [
+        fr.near_group((2,), 5612749431232643225),
+        fr.haagerup_izumi((5,)),
+        fr.uniform_two_orbit((6,), [2], "inversion", 2),
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("the dimension profile computed a root or a factorization")
+
+    for module, name in (
+        (fusionring.ring, "fpdim_basis"),
+        (fusionring.ring, "alg_cmp"),
+        (fusionring.intpoly, "isolate_real_roots"),
+        (fusionring.numtheory, "factorize"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    profiles = [fr.dimension_profile(ring) for ring in rings]
+    got = [(p.r, p.s, p.d_is_rational) for p in profiles]
+    assert got == [(5612749431232643225, 2, False), (5, 1, False), (12, 3, False)]
 
 
 def test_two_orbit_data_examples():
