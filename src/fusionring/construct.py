@@ -35,11 +35,13 @@ def _order(spec) -> int:
     return spec.order if isinstance(spec, FiniteGroup) else math.prod(int(f) for f in spec)
 
 
-def _zeros(n: int) -> list:
-    """An n x n x n structure-constant tensor of zeros, as nested lists, once
-    n is within RANK_LIMIT."""
-    _check_rank(n)
-    return [[[0] * n for _ in range(n)] for _ in range(n)]
+def _rows(rank: int, g: FiniteGroup) -> list:
+    """The rows (see `ring`) of a ring on G and rank - |G| more basis
+    elements, once rank is within RANK_LIMIT: b_a b_b = b_ab for a, b in G,
+    and every other row empty, for the builder to fill."""
+    _check_rank(rank)
+    pad = [()] * (rank - g.order)
+    return [[((ab, 1),) for ab in row] + pad for row in g.table] + [[()] * rank for _ in pad]
 
 
 def group_ring(spec) -> FusionRing:
@@ -54,12 +56,7 @@ def group_ring(spec) -> FusionRing:
     else:
         _check_rank(_order(spec))
         g = as_group(spec)
-    n = g.order
-    tensor = _zeros(n)
-    for i in range(n):
-        for j in range(n):
-            tensor[i][j][g.mult(i, j)] = 1
-    ring = FusionRing(g.names, g.inverse, tensor)
+    ring = FusionRing._of_nonzeros(g.names, g.inverse, _rows(g.order, g))
     ring.require_verified()
     return ring
 
@@ -73,17 +70,13 @@ def near_group(spec, level: int) -> FusionRing:
     g = as_group(spec)
     n = g.order
     rho = n
-    tensor = _zeros(n + 1)
+    rows = _rows(n + 1, g)
     for i in range(n):
-        for j in range(n):
-            tensor[i][j][g.mult(i, j)] = 1
-        tensor[i][rho][rho] = 1
-        tensor[rho][i][rho] = 1
-        tensor[rho][rho][i] = 1
-    tensor[rho][rho][rho] = level
+        rows[i][rho] = rows[rho][i] = ((rho, 1),)
+    rows[rho][rho] = tuple((i, 1) for i in range(n)) + (((rho, level),) if level else ())
     labels = list(g.names) + ["rho"]
     dual = list(g.inverse) + [rho]
-    ring = FusionRing(labels, dual, tensor)
+    ring = FusionRing._of_nonzeros(labels, dual, rows)
     ring.require_verified()
     return ring
 
@@ -142,23 +135,18 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     n = g.order
     m = len(reps)
     rank = n + m
-    t = _zeros(rank)
-    for a in range(n):
-        for b in range(n):
-            t[a][b][g.mult(a, b)] = 1
+    rows = _rows(rank, g)
     for a in range(n):
         for i in range(m):
-            t[a][n + i][n + coset_of[g.mult(a, reps[i])]] = 1  # g . (rep x)
+            rows[a][n + i] = ((n + coset_of[g.mult(a, reps[i])], 1),)  # g . (rep x)
             # (rep x) . g  =  rep * theta-lift(g) * x
-            t[n + i][a][n + coset_of[g.mult(reps[i], reps[phi[proj[a]]])]] = 1
+            rows[n + i][a] = ((n + coset_of[g.mult(reps[i], reps[phi[proj[a]]])], 1),)
+    noninvertible = tuple((n + c, kappa) for c in range(m)) if kappa else ()
     for i in range(m):
         for j in range(m):
             base = g.mult(reps[i], reps[phi[j]])  # rep_i * theta(rep_j), up to H
-            for h in sub:
-                t[n + i][n + j][g.mult(base, h)] += 1
-            if kappa:
-                for c in range(m):
-                    t[n + i][n + j][n + c] += kappa
+            # the coset base H, each element once, then kappa on every y
+            rows[n + i][n + j] = tuple(sorted((g.mult(base, h), 1) for h in sub)) + noninvertible
 
     labels = list(g.names) + [f"x({g.names[r]})" for r in reps]
     dual = list(g.inverse)
@@ -166,7 +154,7 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
         # (rep_i x)* = rep_j x with coset(rep_j) = theta(coset(rep_i))^{-1}
         jq = quotient.inv(phi[i])
         dual.append(n + jq)
-    ring = FusionRing(labels, dual, t)
+    ring = FusionRing._of_nonzeros(labels, dual, rows)
     ring.require_verified()
     return ring
 
@@ -252,7 +240,7 @@ def character_ring(table: CharacterTable) -> FusionRing:
     table.validate()
     k = len(table.class_sizes)
     n = table.group_order
-    tensor = _zeros(k)
+    cells: list[list[dict]] = [[{} for _ in range(k)] for _ in range(k)]
     conj_rows = [tuple(v.conjugate() for v in row) for row in table.values]
     dual = []
     for i in range(k):
@@ -272,9 +260,9 @@ def character_ring(table: CharacterTable) -> FusionRing:
                 if mult.denominator != 1 or mult < 0:
                     raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{dual[l]})")
                 for a, b, c in permutations((i, j, l)):
-                    tensor[a][b][dual[c]] = int(mult)
-    labels = [f"chi{i}" for i in range(k)]
-    ring = FusionRing(labels, dual, tensor)
+                    cells[a][b][dual[c]] = int(mult)
+    rows = [[tuple(sorted((m, c) for m, c in cell.items() if c)) for cell in mat] for mat in cells]
+    ring = FusionRing._of_nonzeros([f"chi{i}" for i in range(k)], dual, rows)
     ring.require_verified()
     return ring
 

@@ -83,11 +83,29 @@ def _reduced_power(N: int, k: int) -> tuple:
 @lru_cache(maxsize=None)
 def _basis_images(N: int, M: int, step: int) -> tuple:
     """The images of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) in Q(zeta_M)
-    under zeta_N -> zeta_M^step, as their nonzero (index, coefficient)s."""
-    return tuple(
-        tuple((r, c) for r, c in enumerate(_reduced_power(M, i * step)) if c)
-        for i in range(_reducer(N)[0])
-    )
+    under zeta_N -> zeta_M^step, as their nonzero (index, coefficient)s.
+
+    Each image is the one before times zeta_M^step: every term a zeta_M^r
+    moves to zeta_M^e, e = (r + step) mod M, and a term that leaves the
+    power basis (e >= deg Phi_M) is replaced by the reduced zeta_M^e
+    (`_reduced_power`, cached).  A step costs O(deg Phi_M) operations per
+    term that leaves, and for step = -1 only the constant term leaves; a
+    reduction of each power from scratch cost O(M) rows of Phi_M."""
+    deg = _reducer(M)[0]
+    images = []
+    image = [(0, 1)]
+    for _ in range(_reducer(N)[0]):
+        images.append(tuple(image))
+        cs = [0] * deg
+        for r, a in image:
+            e = (r + step) % M
+            if e < deg:
+                cs[e] += a
+            else:
+                for t, c in enumerate(_reduced_power(M, e)):
+                    cs[t] += a * c
+        image = [(r, c) for r, c in enumerate(cs) if c]
+    return tuple(images)
 
 
 class Cyc:

@@ -27,11 +27,13 @@ class FiniteGroup:
             raise ValueError("table entries out of range")
         if any(tab[0][j] != j or tab[j][0] != j for j in range(n)):
             raise ValueError("index 0 must be the identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
-                        raise ValueError(f"non-associative at ({i},{j},{k})")
+        gens = _right_generators(tab)
+        if any(tab[tab[x][y]][s] != tab[x][tab[y][s]] for s in gens for x in range(n) for y in range(n)):
+            for i in range(n):  # name the first failing triple
+                for j in range(n):
+                    for k in range(n):
+                        if tab[tab[i][j]][k] != tab[i][tab[j][k]]:
+                            raise ValueError(f"non-associative at ({i},{j},{k})")
         inv = [None] * n
         for i in range(n):
             for j in range(n):
@@ -136,6 +138,35 @@ class FiniteGroup:
         table = [[which[self.mult(reps[i], reps[j])] for j in range(len(cosets))] for i in range(len(cosets))]
         q = FiniteGroup(table, names=[self.names[r] for r in reps])
         return q, [which[g] for g in range(self.order)]
+
+
+def _right_generators(tab: tuple) -> list[int]:
+    """Indices S such that every element is a product (..((0 s_1) s_2)..) s_r
+    of the identity 0 by elements of S, taken greedily: while some element
+    is not reached, the least one joins S, and the reached set is closed
+    under right multiplication by S.
+
+    Light's test, (x y) s = x (y s) for all x, y and every s in S, is then
+    exactly associativity, with 0 a two-sided identity.  Let A be the
+    elements a with (x y) a = x (y a) for all x, y.  The identity is in A,
+    and A is closed under products: for a, b in A, (x y)(a b) =
+    ((x y) a) b = (x (y a)) b = x ((y a) b) = x (y (a b)), using b in A
+    three times and a in A once.  The test puts S in A, so A holds every
+    (..((0 s_1) s_2)..) s_r, which is every element.  That is the argument
+    of `ring._generator_first`, with right factors."""
+    n = len(tab)
+    reached = [True] + [False] * (n - 1)
+    order = [0]  # the reached indices; grows while it is scanned
+    gens: list[int] = []
+    while len(order) < n:
+        gens.append(reached.index(False))
+        for x in order:
+            for s in gens:
+                y = tab[x][s]
+                if not reached[y]:
+                    reached[y] = True
+                    order.append(y)
+    return gens
 
 
 def abelian_group(factors: Sequence[int]) -> FiniteGroup:

@@ -358,9 +358,11 @@ def refine_interval(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
     return Fraction(a + l * w, d), Fraction(a + r * w, d)
 
 
-def krylov(matrix) -> tuple[Poly, list[list[int]]]:
+def krylov(rows) -> tuple[Poly, list[list[int]]]:
     """Minimal polynomial of e_0 under an n x n integer matrix A (n >= 1),
-    and the vectors e_0, e_0 A, ..., e_0 A^(d-1) below its degree d.
+    and the vectors e_0, e_0 A, ..., e_0 A^(d-1) below its degree d.  A is
+    given by its nonzeros: rows[j] holds the pairs (t, A[j][t]) with
+    A[j][t] != 0, as a ring's rows[i] gives N_i.
 
     Each vector e_0 A^k is reduced against the earlier ones by fraction-free
     elimination, carrying the polynomial in A that it stands for, and each
@@ -370,8 +372,7 @@ def krylov(matrix) -> tuple[Poly, list[list[int]]]:
     Gauss's lemma its monic multiple has integer coefficients.  O(d^2 n)
     integer operations plus d vector-matrix products.
     """
-    n = len(matrix)
-    sparse = [[(t, x) for t, x in enumerate(row) if x] for row in matrix]
+    n = len(rows)
     v = [1] + [0] * (n - 1)
     powers: list[list[int]] = []
     echelon: list[tuple[int, list[int]]] = []  # (pivot, row): row[:n] a vector, row[n:] its polynomial
@@ -392,6 +393,6 @@ def krylov(matrix) -> tuple[Poly, list[list[int]]]:
         w = [0] * n
         for j, c in enumerate(v):
             if c:
-                for t, x in sparse[j]:
+                for t, x in rows[j]:
                     w[t] += c * x
         v = w

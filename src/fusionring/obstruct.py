@@ -293,7 +293,7 @@ def near_group_shape(ring: FusionRing) -> tuple[int, int] | None:
     if len(noninv) != 1:
         return None
     x = noninv[0]
-    return ring.rank - 1, ring.rows[x][x][x]
+    return ring.rank - 1, dict(ring.rows[x][x]).get(x, 0)
 
 
 def run_all(ring: FusionRing) -> list[ObstructionVerdict]:

@@ -78,7 +78,7 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
 def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     m, mp, powers = global_krylov(ring)
     d = intpoly.degree(mp)
-    traces = [sum(mat[j][j] for j in range(ring.rank)) for mat in ring.rows]
+    traces = [sum(c for j, row in enumerate(mat) for k, c in row if k == j) for mat in ring.rows]
     s = [sum(c * t for c, t in zip(r, traces)) for r in powers]
     num = [sum(mp[i] * s[i - j - 1] for i in range(j + 1, d + 1)) for j in range(d)]
     dmp = intpoly.poly_derivative(mp)
@@ -350,8 +350,8 @@ def _product_failures(ring: FusionRing, model: IrrepModel, lefts):
     cells = [(r, s) for r in range(model.dim) for s in range(model.dim)]
     for i in lefts:
         for j in range(ring.rank):
-            ks = [k for k, c in enumerate(ring.rows[i][j]) if c]
-            minus_cs = [-ring.rows[i][j][k] for k in ks]
+            ks = [k for k, _ in ring.rows[i][j]]
+            minus_cs = [-c for _, c in ring.rows[i][j]]
             for r, s in cells:
                 xs = [*mats[i][r], *(mats[k][r][s] for k in ks)]
                 ys = [*(row[s] for row in mats[j]), *minus_cs]

@@ -6,11 +6,13 @@ c[i,j,0] = delta(j, dual(i)) hold.  This module verifies those axioms,
 computes Frobenius-Perron data exactly, and extracts the invertible-group /
 orbit structure that the obstruction layer consumes.
 
-A ring stores its structure constants once, as `rows`: nested tuples of
-Python ints with rows[i][j][k] = c[i,j,k], so rows[i] is the fusion matrix
-N_i and rows[i][j] the coefficient vector of the product of i and j.  Every
-computation here reads `rows` with plain loops and exact integers; entries
-are limited to |c| < 2^63.
+A ring stores its structure constants once, as their nonzeros: rows[i][j],
+the product of i and j, is the tuple of (k, c) pairs with c = c[i,j,k] != 0,
+in ascending k, and rows[i] is N_i.  Builders hand the pairs over; a dense
+tensor is checked cell by cell and only its nonzeros are kept.  Every
+computation here reads the pairs, with plain loops and exact integers;
+entries are limited to |c| < 2^63.  `fusion_matrix` and `tensor` are dense
+views, built on demand.
 
 All objects are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.  What a ring derives is kept
@@ -25,8 +27,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
-from operator import itemgetter, mul
+from itertools import compress, islice, product
 from typing import Sequence
 
 from . import intpoly
@@ -63,12 +64,12 @@ class Violation:
 ENTRY_LIMIT = 2**63  # |c| < 2^63 for every structure constant: the int64 range
 
 # The largest rank that a builder or a ring file may give, checked before
-# anything of that size is built.  Building and verifying take about rank^3
-# cells, and more time on noncommutative rings.  Measured at rank 200 (child
-# wall time and peak RSS, start-up included, 2-CPU Xeon): build group
-# 3.9-5.0 s and 178 MB, build neargroup 3.7-4.1 s and 178 MB, build
-# haagerup-izumi 4.1-5.3 s and 228 MB, build uniform over C10 x C10
-# 5.0-5.9 s and 228 MB.
+# anything of that size is built.  Building and verifying cost the nonzeros:
+# rank^2 for group rings and near-groups, about rank^3 / 8 for Haagerup-Izumi
+# rings; ring files stay dense.  Measured at rank 200 (child wall time and
+# peak RSS, start-up included, 2-CPU Xeon): build group 1.1-1.4 s and 119 MB,
+# build neargroup 1.2-1.5 s and 119 MB, build haagerup-izumi 2.3-3.3 s and
+# 127 MB, build uniform over C10 x C10 2.5-3.2 s and 127 MB.
 RANK_LIMIT = 200
 
 
@@ -81,6 +82,23 @@ class FusionRing:
     """Basis labels, duality involution, and structure constants `rows`."""
 
     def __init__(self, labels: Sequence[str], dual: Sequence[int], tensor):
+        self._set_basis(labels, dual)
+        self.rows = _as_rows(tensor, self.rank)
+
+    @classmethod
+    def _of_nonzeros(cls, labels: Sequence[str], dual: Sequence[int], rows) -> "FusionRing":
+        """The ring with these rows of (k, c) pairs, in ascending k with c a
+        nonzero int, as builders write them: only `_entry` checks them."""
+        ring = cls.__new__(cls)
+        ring._set_basis(labels, dual)
+        ring.rows = rows = tuple(map(tuple, rows))
+        if max((abs(c) for mat in rows for row in mat for _, c in row), default=0) >= ENTRY_LIMIT:
+            for i, j in product(range(ring.rank), repeat=2):  # the first one, in index order
+                for k, c in rows[i][j]:
+                    _entry(c, (i, j, k))
+        return ring
+
+    def _set_basis(self, labels, dual) -> None:
         labels = tuple(str(x) for x in labels)
         rank = len(labels)
         if rank < 1:
@@ -96,7 +114,6 @@ class FusionRing:
         dual = ints
         if len(dual) != rank:
             raise MalformedRingError("dual length must equal rank")
-        self.rows = _as_rows(tensor, rank)
         self.labels = labels
         self.rank = rank
         self.dual = dual
@@ -104,11 +121,11 @@ class FusionRing:
 
     @property
     def tensor(self):
-        """A view for numpy-style callers: a read-only int64 array equal to
-        `rows`, built on each access.  The library reads `rows`."""
+        """A dense view for numpy-style callers: a read-only int64 array of
+        c[i,j,k], built on each access.  The library reads `rows`."""
         import numpy as np
 
-        arr = np.array(self.rows, dtype=np.int64)
+        arr = np.array([[_dense(row, self.rank) for row in mat] for mat in self.rows], dtype=np.int64)
         arr.setflags(write=False)
         return arr
 
@@ -116,7 +133,7 @@ class FusionRing:
         """N_i = [c(i, j, k)]_{j,k}, the matrix of left multiplication by i."""
         if not 0 <= i < self.rank:
             raise IndexError(f"basis index {i} out of range")
-        return self.rows[i]
+        return tuple(tuple(_dense(row, self.rank)) for row in self.rows[i])
 
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
@@ -140,9 +157,17 @@ def _memo(ring: FusionRing, key, compute):
     return ring._cache[key]
 
 
+def _dense(pairs, rank: int) -> list:
+    """The coefficient list of the sum of the (k, c) pairs."""
+    out = [0] * rank
+    for k, c in pairs:
+        out[k] += c
+    return out
+
+
 def _as_rows(tensor, rank: int) -> tuple:
-    """tensor (nested sequences or a numpy array) as rows of ints, checked for
-    shape (rank, rank, rank), integral entries and |c| < ENTRY_LIMIT."""
+    """The nonzeros of tensor (nested sequences or a numpy array), checked
+    for shape (rank, rank, rank) and, cell by cell, by `_entry`."""
     if hasattr(tensor, "tolist"):  # numpy array
         tensor = tensor.tolist()
 
@@ -153,9 +178,9 @@ def _as_rows(tensor, rank: int) -> tuple:
 
     def row_of(i: int, j: int, row) -> tuple:
         row = part(row, f"[{i}][{j}]")
-        if all(type(c) is int for c in row) and -ENTRY_LIMIT < min(row) and max(row) < ENTRY_LIMIT:
-            return tuple(row)
-        return tuple(_entry(c, (i, j, k)) for k, c in enumerate(row))
+        if not (set(map(type, row)) == {int} and -ENTRY_LIMIT < min(row) and max(row) < ENTRY_LIMIT):
+            row = [_entry(c, (i, j, k)) for k, c in enumerate(row)]
+        return tuple(compress(enumerate(row), row))
 
     return tuple(
         tuple(row_of(i, j, row) for j, row in enumerate(part(mat, f"[{i}]")))
@@ -194,16 +219,20 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
     t = ring.rows
     n = ring.rank
     d = ring.dual
-    square = partial(product, range(n), repeat=2)
     out: list[Violation] = []
 
     def report(axiom: str, witnesses) -> None:
         out.extend(Violation(axiom, idx, detail) for idx, detail in islice(witnesses, 20))
 
-    negative = ((i, j, row) for i, mat in enumerate(t) for j, row in enumerate(mat) if min(row) < 0)
-    report("nonnegativity", (((i, j, k), f"c={c}") for i, j, row in negative for k, c in enumerate(row) if c < 0))
-    report("unit-left", (((0, j, k), f"c={t[0][j][k]}") for j, k in square() if t[0][j][k] != (j == k)))
-    report("unit-right", (((i, 0, k), f"c={t[i][0][k]}") for i, k in square() if t[i][0][k] != (i == k)))
+    def differ(i: int, j: int, want: tuple) -> list:
+        """(k, c[i,j,k], coefficient k of want) where row (i, j) and want differ"""
+        if t[i][j] == want:
+            return []
+        return [(k, a, b) for k, (a, b) in enumerate(zip(_dense(t[i][j], n), _dense(want, n))) if a != b]
+
+    report("nonnegativity", (((i, j, k), f"c={c}") for i, mat in enumerate(t) for j, row in enumerate(mat) for k, c in row if c < 0))
+    report("unit-left", (((0, j, k), f"c={a}") for j in range(n) for k, a, _ in differ(0, j, ((j, 1),))))
+    report("unit-right", (((i, 0, k), f"c={a}") for i in range(n) for k, a, _ in differ(i, 0, ((i, 1),))))
 
     if sorted(d) != list(range(n)):
         out.append(Violation("dual-permutation", tuple(d), "not a permutation"))
@@ -214,22 +243,14 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
     if d[0] != 0:
         out.append(Violation("dual-fixes-unit", (0,), f"dual(0)={d[0]}"))
 
-    # pairing c[i,j,0] = 1 iff j = dual(i)
-    report("duality-pairing", (((i, j, 0), f"c={t[i][j][0]}") for i, j in square() if t[i][j][0] != (j == d[i])))
+    # pairing c[i,j,0] = 1 iff j = dual(i): c[i,j,0] is in the first pair
+    at_unit = ((i, j, row[0][1] if row and row[0][0] == 0 else 0) for i, mat in enumerate(t) for j, row in enumerate(mat))
+    report("duality-pairing", (((i, j, 0), f"c={c}") for i, j, c in at_unit if c != (j == d[i])))
     # anti-involution c[i,j,k] = c[dual(j),dual(i),dual(k)]: row (i, j)
-    # against row (dual j, dual i) permuted by dual, expanded only on a
-    # mismatch (at rank 1 itemgetter gives a bare int, so the row expands)
-    permuted = itemgetter(*d)
-    report(
-        "anti-involution",
-        (
-            ((i, j, k), f"c={t[i][j][k]} vs dual {t[d[j]][d[i]][d[k]]}")
-            for i, j in square()
-            if t[i][j] != permuted(t[d[j]][d[i]])
-            for k in range(n)
-            if t[i][j][k] != t[d[j]][d[i]][d[k]]
-        ),
-    )
+    # against row (dual j, dual i) with each dual(k) moved to k
+    moved = sorted(range(n), key=d.__getitem__)  # moved[d[k]] = k
+    duals = ((i, j, tuple(sorted([(moved[k], c) for k, c in t[d[j]][d[i]]]))) for i, j in product(range(n), repeat=2))
+    report("anti-involution", (((i, j, k), f"c={a} vs dual {b}") for i, j, want in duals for k, a, b in differ(i, j, want)))
     report("associativity", _generator_first(ring, partial(_associativity_witnesses, t)))
     return out
 
@@ -272,25 +293,23 @@ def _associativity_witnesses(t: tuple, lefts):
     compared as lists, and only a k where they differ is expanded
     coefficient by coefficient."""
     n = len(t)
-    nonzero = [[[(m, c) for m, c in enumerate(row) if c] for row in mat] for mat in t]
-    cmax = max((abs(c) for mat in nonzero for row in mat for _, c in row), default=0)
+    cmax = max((abs(c) for mat in t for row in mat for _, c in row), default=0)
     bits = (2 * n * cmax * cmax + 1).bit_length()
-    packed = [[sum(c << (bits * l) for l, c in row) for row in mat] for mat in nonzero]
+    packed = [[sum(c << (bits * l) for l, c in row) for row in mat] for mat in t]
     zero = [0] * n
     for i in lefts:
         pi = packed[i]
         for j in range(n):
-            ij = nonzero[i][j]
+            ij = t[i][j]
             # zip yields nothing when b_i b_j = 0
             left = list(map(sum, zip(*(packed[m] if c == 1 else [c * p for p in packed[m]] for m, c in ij)))) or zero
-            right = [sum([c * pi[m] for m, c in jk]) for jk in nonzero[j]]
+            right = [sum([c * pi[m] for m, c in jk]) for jk in t[j]]
             if left == right:
                 continue
-            for k, l in product([k for k in range(n) if left[k] != right[k]], range(n)):
-                lhs = sum(c * t[m][k][l] for m, c in ij)
-                rhs = sum(c * t[i][m][l] for m, c in nonzero[j][k])
-                if lhs != rhs:
-                    yield (i, j, k, l), f"{lhs} != {rhs}"
+            for k in [k for k in range(n) if left[k] != right[k]]:
+                lhs = _dense(((l, c * x) for m, c in ij for l, x in t[m][k]), n)
+                rhs = _dense(((l, c * x) for m, c in t[j][k] for l, x in t[i][m]), n)
+                yield from (((i, j, k, l), f"{a} != {b}") for l, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
 def algebra_generators(ring: FusionRing) -> tuple[int, ...]:
@@ -310,13 +329,12 @@ def _generators(ring: FusionRing) -> tuple[int, ...]:
     generate, since b_s, b_a and every known term do; so k joins K.  When no
     product peels, the least index outside K joins S (and K).  Every element
     of K is thus in that algebra, and the loop ends with K the whole basis.
-    Only integer supports are read; the result is memoized."""
+    Only the supports of the rows are read; the result is memoized."""
     return _memo(ring, "generators", partial(_peel_generators, ring))
 
 
 def _peel_generators(ring: FusionRing) -> tuple[int, ...]:
     n = ring.rank
-    support = [[[k for k, c in enumerate(row) if c] for row in mat] for mat in ring.rows]
     known = [True] + [False] * (n - 1)
     order = [0]  # the known indices, in the order they became known
     gens: list[int] = []
@@ -330,7 +348,7 @@ def _peel_generators(ring: FusionRing) -> tuple[int, ...]:
             peeled = False
             for g in gens:
                 for a in order:  # grows while it is scanned, which is intended
-                    unknown = [k for k in support[g][a] if not known[k]]
+                    unknown = [k for k, _ in ring.rows[g][a] if not known[k]]
                     if len(unknown) == 1:
                         known[unknown[0]] = True
                         order.append(unknown[0])
@@ -400,32 +418,26 @@ def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
     """Matrix of multiplication by R = sum_x x x* (symmetric, PSD):
-    M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l], summed over the nonzeros of each
-    column l of each N_x.
+    M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l].
 
-    Row j is the product R b_j on a verified ring: its b_k coefficient is
-    sum_{x,l} c[x*,j,l] c[x,l,k], and Frobenius reciprocity c[x,l,k] =
-    c[x*,k,l] with x -> x* turns that into M[j][k]."""
-    n = ring.rank
-    m = [[0] * n for _ in range(n)]
-    for mat in ring.rows:
-        for l in range(n):
-            col = [(j, row[l]) for j, row in enumerate(mat) if row[l]]
-            for j, a in col:
-                for k, b in col:
-                    m[j][k] += a * b
-    return m
+    Row j is computed as the product R b_j = sum_x x (x* b_j), from the
+    nonzeros of the products: its b_k coefficient is sum_{x,l} c[x*,j,l]
+    c[x,l,k], and Frobenius reciprocity c[x,l,k] = c[x*,k,l] with x -> x*
+    turns that into M[j][k] on a verified ring."""
+    ring.require_verified()
+    t, d, n = ring.rows, ring.dual, ring.rank
+    return [_dense(((k, c * e) for x in range(n) for m, c in t[d[x]][j] for k, e in t[x][m]), n) for j in range(n)]
 
 
 def global_krylov(ring: FusionRing) -> tuple:
     """(M, mp, powers): M = global_multiplication_matrix(ring) and
-    (mp, powers) = intpoly.krylov(M), memoized, with M and powers as tuples
-    of rows so that no caller can change them; fpdim_total and
-    represent.codegree_spectrum both read it."""
+    (mp, powers) = intpoly.krylov of the nonzeros of M, memoized, with M and
+    powers as tuples of rows so that no caller can change them; fpdim_total
+    and represent.codegree_spectrum both read it."""
 
     def compute() -> tuple:
         m = global_multiplication_matrix(ring)
-        mp, powers = intpoly.krylov(m)
+        mp, powers = intpoly.krylov([tuple(compress(enumerate(row), row)) for row in m])
         return tuple(map(tuple, m)), mp, tuple(map(tuple, powers))
 
     return _memo(ring, "global_krylov", compute)
@@ -433,8 +445,7 @@ def global_krylov(ring: FusionRing) -> tuple:
 
 def is_invertible(ring: FusionRing, i: int) -> bool:
     """x invertible iff x x* = 1 on the nose."""
-    row = ring.rows[i][ring.dual[i]]
-    return row[0] == 1 and not any(row[1:])
+    return ring.rows[i][ring.dual[i]] == ((0, 1),)
 
 
 @dataclass(frozen=True)
@@ -469,24 +480,18 @@ def _actions(ring: FusionRing) -> tuple:
     of the basis, memoized.  The group table, the orbits and stabilizers,
     theta and the coset labels of a two-orbit ring are all read off them.
 
-    On a verified ring the entries are nonnegative, so a row summing to 1 is
-    one basis element with coefficient 1, which g x and x g always are."""
+    On a verified ring g x and x g are one basis element y, the single pair
+    (y, 1): the b_0 coefficient of (g x)(g x)* = g (x x*) g* is 1 by
+    Frobenius reciprocity, and it is the sum of the squared coefficients of
+    g x."""
     return _memo(ring, "actions", partial(_action_tables, ring))
 
 
 def _action_tables(ring: FusionRing) -> tuple:
     t = ring.rows
     indices = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
-
-    def image(g: int, x: int, row: tuple) -> int:
-        if sum(row) != 1:
-            raise NotAFusionRingError(
-                [Violation("invertible-action", (g, x), "product by invertible not a basis element")]
-            )
-        return row.index(1)
-
-    left = tuple(tuple(image(g, x, t[g][x]) for x in range(ring.rank)) for g in indices)
-    right = tuple(tuple(image(g, x, t[x][g]) for x in range(ring.rank)) for g in indices)
+    left = tuple(tuple(t[g][x][0][0] for x in range(ring.rank)) for g in indices)
+    right = tuple(tuple(t[x][g][0][0] for x in range(ring.rank)) for g in indices)
     return indices, left, right
 
 
@@ -575,8 +580,8 @@ def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
         return DimensionProfile(False)
     x = inv.index(False)
     row = ring.rows[x][ring.dual[x]]
-    s = sum(c for c, g in zip(row, inv) if g)
-    r = sum(row) - s
+    s = sum(c for k, c in row if inv[k])
+    r = sum(c for _, c in row) - s
     profile = DimensionProfile(True, r, s)
     # d itself, or W: every coefficient sum is below rank * ENTRY_LIMIT
     d = (r + math.isqrt(r * r + 4 * s)) // 2 if profile.d_is_rational else 1 << (ring.rank * ENTRY_LIMIT).bit_length()
@@ -585,7 +590,7 @@ def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
 
     def failures(lefts):
         for i, j in product(lefts, range(ring.rank)):
-            if sum(map(mul, ring.rows[i][j], v)) != products[(not inv[i]) + (not inv[j])]:
+            if sum(c * v[k] for k, c in ring.rows[i][j]) != products[(not inv[i]) + (not inv[j])]:
                 yield i, j
 
     return profile if next(_generator_first(ring, failures), None) is None else None
@@ -666,9 +671,9 @@ def _two_orbit_data(ring: FusionRing) -> TwoOrbitData:
             raise ThetaInconsistentError("coset involution does not square to identity")
         # uniform test: x x* = sum_{h in H} h + kappa * sum_{noninv} y, one
         # kappa for every x in the orbit
-        rows = [ring.rows[x][ring.dual[x]] for x in noninv_orbit]
-        kappas = {row[y] for row in rows for y in noninv_orbit}
-        if len(kappas) == 1 and all(row[g] == (g in stab) for row in rows for g in inv.indices):
+        rows = [dict(ring.rows[x][ring.dual[x]]) for x in noninv_orbit]
+        kappas = {row.get(y, 0) for row in rows for y in noninv_orbit}
+        if len(kappas) == 1 and all(row.get(g, 0) == (g in stab) for row in rows for g in inv.indices):
             (uniform_coeff,) = kappas
     uniform_k = None
     if uniform_coeff is not None and uniform_coeff % len(stab) == 0:

@@ -23,15 +23,15 @@ from typing import TYPE_CHECKING
 
 from .algebraic import IsolatedRoot, Quadratic
 from .errors import MalformedRingError
-from .ring import FusionRing, _check_rank
+from .ring import FusionRing, _check_rank, _dense
 
 if TYPE_CHECKING:
     from .construct import CharacterTable
 
-# a table's values live in Q(zeta_N), N = root_order, and setting up that
-# field took 1.4 s at N = 1015, the slowest N <= 1024 tried, but 15 s at
-# N = 1995 and 38 s at N = 2145: a one-class table, 2-CPU Xeon, start-up
-# included
+# a table's values live in Q(zeta_N), N = root_order.  Setting up that field
+# takes 0.1 s at N = 1015, 0.3 s at N = 1995, 0.4 s at N = 2145 and 1.3 s at
+# N = 4620 (a one-class table, 2-CPU Xeon, start-up included); what a larger
+# N costs in validating a table and building its ring is not measured yet
 ROOT_ORDER_LIMIT = 1024
 
 
@@ -40,7 +40,7 @@ def ring_to_dict(ring: FusionRing) -> dict:
         "rank": ring.rank,
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "tensor": [[list(row) for row in mat] for mat in ring.rows],
+        "tensor": [[_dense(row, ring.rank) for row in mat] for mat in ring.rows],
     }
 
 

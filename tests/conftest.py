@@ -38,7 +38,7 @@ import pytest
 
 import fusionring as fr
 from fusionring import intpoly
-from fusionring.cyclotomic import Cyc, CycSqrt
+from fusionring.cyclotomic import Cyc, CycSqrt, _reduce, cyclotomic_poly
 from fusionring.errors import FusionRingError, HypothesisError
 from fusionring.groups import FiniteGroup, abelian_group
 from fusionring.numtheory import factorize, is_prime, totient
@@ -53,6 +53,18 @@ class CertificationError(FusionRingError):
 
 def same_fusion_rules(a: fr.FusionRing, b: fr.FusionRing) -> bool:
     return a.rank == b.rank and a.dual == b.dual and a.rows == b.rows
+
+
+def dense_rows(ring: fr.FusionRing) -> tuple:
+    """The structure constants as a dense rank x rank x rank tuple, one
+    fusion matrix per basis element."""
+    return tuple(map(ring.fusion_matrix, range(ring.rank)))
+
+
+def nonzero_rows(matrix) -> list:
+    """A dense integer matrix as the rows of nonzero (t, x) pairs that
+    `intpoly.krylov` reads."""
+    return [tuple((t, x) for t, x in enumerate(row) if x) for row in matrix]
 
 
 def cli_env() -> dict[str, str]:
@@ -544,6 +556,28 @@ def numeric_eigs(matrix) -> list[float]:
     return sorted(float(x) for x in np.linalg.eigvalsh(np.asarray(matrix, dtype=float)))
 
 
+def group_table_associativity_oracle(table) -> tuple | None:
+    """The first (i, j, k) in index order with (i j) k != i (j k) in a
+    multiplication table, by the full triple loop (the library tests right
+    factors in a generating set first); None for an associative table."""
+    n = len(table)
+    for i, j, k in product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (i, j, k)
+    return None
+
+
+def basis_images_oracle(N: int, M: int, step: int) -> tuple:
+    """The images of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) under
+    zeta_N -> zeta_M^step as nonzero (index, coefficient) pairs, each power
+    zeta_M^(i step) reduced from scratch (the library steps from one image
+    to the next)."""
+    return tuple(
+        tuple((r, c) for r, c in enumerate(_reduce([0] * (i * step % M) + [1], M)) if c)
+        for i in range(len(cyclotomic_poly(N)) - 1)
+    )
+
+
 def brute_force_associator_violations(ring) -> list[tuple]:
     """Direct triple-product enumeration: coefficients of (b_i b_j) b_k and
     b_i (b_j b_k) computed by plain loops, no einsum."""
@@ -651,8 +685,9 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
 
     failures = []
     for i in range(ring.rank) if lefts is None else lefts:
+        n_i = ring.fusion_matrix(i)
         for j in range(ring.rank):
-            terms = [(k, ck) for k, ck in enumerate(ring.rows[i][j]) if ck]
+            terms = [(k, ck) for k, ck in enumerate(n_i[j]) if ck]
             rhs = tuple(tuple(sum((mats[k][r][c] * ck for k, ck in terms), start=zero) for c in range(d)) for r in range(d))
             if mul(mats[i], mats[j]) != rhs:
                 failures.append((i, j))
@@ -672,7 +707,7 @@ def dimension_profile_oracle(ring) -> tuple | None:
     if any(fr.alg_cmp(dim, dims[0]) != 0 for dim in dims[1:]):
         return None
     x = noninv[0]
-    row = ring.rows[x][ring.dual[x]]
+    row = ring.fusion_matrix(x)[ring.dual[x]]
     r = sum(row[y] for y in noninv)
     s = sum(row) - r
     d = dims[0]
@@ -769,10 +804,11 @@ def generated_span_rank(ring, gens) -> int:
         return vec
 
     queue = [v for v in ([int(k == s) for k in range(n)] for s in (0, *gens)) if insert(v)]
+    mats = {s: ring.fusion_matrix(s) for s in gens}
     while queue:
         vec = queue.pop()
         for s in gens:
-            prod = [sum(vec[a] * ring.rows[s][a][k] for a in range(n) if vec[a]) for k in range(n)]
+            prod = [sum(vec[a] * mats[s][a][k] for a in range(n) if vec[a]) for k in range(n)]
             new = insert(prod)
             if new is not None:
                 queue.append(new)

@@ -170,7 +170,16 @@ def test_entries_beyond_the_limit_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["build", "neargroup", "--group", "2", "--level", str(2**70)], capsys)
     assert code == 2 and "2^63" in err and out == ""
     code, out, err = run_cli(["build", "neargroup", "--group", "2", "--level", str(2**63 - 1)], capsys)
-    assert code == 0 and loads_ring(out).rows[2][2][2] == 2**63 - 1
+    assert code == 0 and loads_ring(out).fusion_matrix(2)[2][2] == 2**63 - 1
+
+
+def test_uniform_coefficient_beyond_the_limit_exits_2(capsys):
+    # kappa = k |H| = 2^62 * 2 = 2^63: a builder's nonzeros pass the entry
+    # check that a ring file's cells do
+    code, out, err = run_cli(["build", "uniform", "--group", "2", "--stab", "all", "--k", str(2**62)], capsys)
+    assert code == 2 and "2^63" in err and out == ""
+    code, out, err = run_cli(["build", "uniform", "--group", "2", "--stab", "all", "--k", str(2**62 - 1)], capsys)
+    assert code == 0 and loads_ring(out).fusion_matrix(2)[2][2] == 2**63 - 2
 
 
 def test_obstruct_exit_codes(tmp_path, capsys):
@@ -412,10 +421,10 @@ def test_builders_above_the_rank_limit_exit_2_before_building_a_group(argv, caps
     from fusionring.ring import RANK_LIMIT
 
     def unbuilt(*args):
-        raise AssertionError("built a group or a tensor above the rank limit")
+        raise AssertionError("built a group or the rows of a ring above the rank limit")
 
     monkeypatch.setattr(construct, "abelian_group", unbuilt)
-    monkeypatch.setattr(construct, "_zeros", unbuilt)
+    monkeypatch.setattr(construct, "_rows", unbuilt)
     start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
     assert time.perf_counter() - start < 5
@@ -425,7 +434,7 @@ def test_builders_above_the_rank_limit_exit_2_before_building_a_group(argv, caps
 
 
 def test_uniform_rank_checked_before_the_tensor(capsys):
-    # |G| + 1 = 102 passes the first check; |G| + |G/H| = 202 stops at _zeros
+    # |G| + 1 = 102 passes the first check; |G| + |G/H| = 202 stops at _rows
     start = time.perf_counter()
     code, out, err = run_cli(["build", "uniform", "--group", "101", "--k", "1"], capsys)
     assert time.perf_counter() - start < 5

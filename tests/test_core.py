@@ -1,6 +1,7 @@
 import ast
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     REPO_ROOT,
     brute_force_associator_violations,
     cubic_chain_ring,
+    dense_rows,
     dimension_profile_oracle,
     generated_span_rank,
     haagerup_izumi_oracle,
@@ -26,6 +28,7 @@ from fusionring.errors import (
     NotTwoOrbitError,
 )
 from fusionring.ring import algebra_generators, is_invertible, noninvertible_indices
+from fusionring.ringfile import dumps_ring, loads_ring
 
 
 def test_group_ring_axioms_clean():
@@ -60,13 +63,16 @@ def test_malformed_rejected_before_checking():
 def test_structure_constants_checked_on_construction():
     rows = ((1, 0), (0, 1)), ((0, 1), (1, 0))
     c2 = fr.FusionRing(["e", "g"], [0, 1], rows)
-    assert c2.rows == rows and same_fusion_rules(c2, fr.group_ring((2,)))
+    assert dense_rows(c2) == rows and same_fusion_rules(c2, fr.group_ring((2,)))
+    # only the nonzeros are kept, as (k, c) pairs in ascending k
+    assert c2.rows == ((((0, 1),), ((1, 1),)), (((1, 1),), ((0, 1),)))
     # numpy arrays and integral floats convert to the same exact rows
-    assert fr.FusionRing(["e", "g"], [0, 1], np.array(rows)).rows == rows
-    assert fr.FusionRing(["e", "g"], [0, 1], np.array(rows, dtype=float)).rows == rows
-    assert type(c2.rows[1][1][0]) is int
+    assert fr.FusionRing(["e", "g"], [0, 1], np.array(rows)).rows == c2.rows
+    from_floats = fr.FusionRing(["e", "g"], [0, 1], np.array(rows, dtype=float))
+    assert from_floats.rows == c2.rows
+    assert type(c2.rows[1][1][0][1]) is int and type(from_floats.rows[1][1][0][1]) is int
     edge = fr.FusionRing(["a"], [0], [[[2**63 - 1]]])
-    assert edge.rows == (((2**63 - 1,),),)
+    assert edge.rows == ((((0, 2**63 - 1),),),)
     for value in (2**63, -(2**63), 2**70):
         with pytest.raises(MalformedRingError, match=r"2\^63"):
             fr.FusionRing(["a"], [0], [[[value]]])
@@ -79,6 +85,29 @@ def test_structure_constants_checked_on_construction():
     # the numpy view equals the rows and cannot be written through
     view = c2.tensor
     assert view.tolist() == [[list(r) for r in m] for m in rows] and not view.flags.writeable
+
+
+def test_rows_are_the_nonzeros_whichever_way_a_ring_is_built(small_corpus, two_orbit_corpus, spectra_corpus):
+    # builders hand their pairs over; the dense constructor and a ring file
+    # keep the nonzeros of the cells: all three give the same rows
+    for ring in [*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values()]:
+        for row in (row for mat in ring.rows for row in mat):
+            ks = [k for k, _ in row]
+            assert ks == sorted(set(ks)) and all(type(c) is int and c != 0 for _, c in row), ring
+        assert fr.FusionRing(ring.labels, ring.dual, ring.tensor.tolist()).rows == ring.rows, ring
+        assert loads_ring(dumps_ring(ring)).rows == ring.rows, ring
+
+
+def test_group_ring_c200_builds_without_a_dense_tensor():
+    # measured peak 12.3 MiB; a dense 200^3 tensor holds 8e6 references of
+    # 8 bytes, 61 MiB, before any tuple header
+    tracemalloc.start()
+    try:
+        fr.group_ring((200,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_verify_axioms_matches_oracle_on_families(small_corpus, two_orbit_corpus):
@@ -95,7 +124,7 @@ def test_verify_axioms_matches_oracle_on_mutated_rings(small_corpus, two_orbit_c
     rng = random.Random(2024)
     for trial in range(400):
         ring = bases[rng.randrange(len(bases))]
-        t = [[list(row) for row in mat] for mat in ring.rows]
+        t = ring.tensor.tolist()
         for _ in range(rng.randint(1, 3)):
             i, j, k = (rng.randrange(ring.rank) for _ in range(3))
             t[i][j][k] += rng.choice((-2, -1, 1, 2, 5))
@@ -121,7 +150,7 @@ def test_verify_axioms_matches_oracle_on_unit_preserving_mutations():
     failing = 0
     for trial in range(400):
         ring = bases[trial % len(bases)]
-        t = [[list(row) for row in mat] for mat in ring.rows]
+        t = ring.tensor.tolist()
         for _ in range(rng.randint(1, 3)):
             i, j, k = rng.randrange(1, ring.rank), rng.randrange(1, ring.rank), rng.randrange(ring.rank)
             t[i][j][k] += rng.choice((-2, -1, 1, 2, 5))
@@ -135,7 +164,7 @@ def test_verify_axioms_matches_oracle_on_unit_preserving_mutations():
 
 def _mutated(ring, rng, low: int):
     """ring with 1-3 entries c_ijk, i, j >= low, changed by small steps."""
-    t = [[list(row) for row in mat] for mat in ring.rows]
+    t = ring.tensor.tolist()
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randrange(low, ring.rank), rng.randrange(low, ring.rank)
         t[i][j][rng.randrange(ring.rank)] += rng.choice((-2, -1, 1, 2, 5))
@@ -186,7 +215,7 @@ def test_verify_axioms_matches_oracle_at_the_widest_digits():
     for trial in range(60):
         n = rng.randint(2, 4)
         base = fr.near_group((n - 1,) if n > 2 else (), 2**62) if trial % 2 else fr.group_ring((n,))
-        t = [[list(row) for row in mat] for mat in base.rows]
+        t = base.tensor.tolist()
         cells = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
         for (i, j, k), c in zip(rng.sample(cells, 3), (2**62, -rng.choice((1, 3, 2**62)), rng.choice((-1, 2, 2**61)))):
             t[i][j][k] = c
@@ -219,7 +248,7 @@ def test_verify_axioms_with_a_broken_unit_matches_oracle():
 
 def test_verify_axioms_caps_witnesses_in_index_order():
     ring = fr.group_ring((8,))
-    t = [[list(row) for row in mat] for mat in ring.rows]
+    t = ring.tensor.tolist()
     t[1][1][2] += 1  # g * g = 2 g^2: associativity fails at 24 triples (i, j, k)
     broken = fr.FusionRing(ring.labels, ring.dual, t)
     assert len(brute_force_associator_violations(broken)) > 20
@@ -231,7 +260,7 @@ def test_verify_axioms_caps_witnesses_in_index_order():
 
 def test_verify_axioms_stops_at_a_non_permutation_dual():
     ring = fr.near_group((3,), 3)
-    broken = fr.FusionRing(ring.labels, [0, 2, 2, 3], ring.rows)
+    broken = fr.FusionRing(ring.labels, [0, 2, 2, 3], ring.tensor)
     got = fr.verify_axioms(broken)
     assert got == verify_axioms_oracle(broken)
     assert got[-1].axiom == "dual-permutation"
@@ -570,7 +599,7 @@ def test_two_orbit_quotient_and_basis_cosets(two_orbit_corpus):
                 assert y in coset, (name, y)
             else:
                 unit = tuple(int(k == y) for k in range(ring.rank))
-                assert all(ring.rows[g][x0] == unit for g in coset), (name, y)
+                assert all(ring.fusion_matrix(g)[x0] == unit for g in coset), (name, y)
         hash(data)  # every field is immutable
 
 

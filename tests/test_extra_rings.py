@@ -17,6 +17,7 @@ from conftest import (
     characters_commutative,
     charpoly_oracle,
     cubic_chain_ring,
+    nonzero_rows,
     numeric_eigs,
     s3_two_orbit_ring,
     su2_ring,
@@ -140,7 +141,7 @@ def test_cubic_total_and_codegrees_against_oracle():
     assert isinstance(total, IsolatedRoot)
     assert abs(float(total) - 9.2958969432) < 1e-9
     m = global_multiplication_matrix(ring)
-    assert intpoly.krylov(m)[0] == intpoly.squarefree_part(charpoly_oracle(m))
+    assert intpoly.krylov(nonzero_rows(m))[0] == intpoly.squarefree_part(charpoly_oracle(m))
     assert_codegrees_match_yun_oracle(ring)
     spectrum = fr.codegree_spectrum(ring)
     approx = sorted(float(e.value) for e in spectrum for _ in range(e.eigen_multiplicity))

@@ -1,16 +1,21 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    basis_images_oracle,
     cyc_conjugate_oracle,
     cyc_lift_oracle,
     cyc_mul_oracle,
     cycsqrt_mul_oracle,
+    d4_group,
+    group_table_associativity_oracle,
+    q8_group,
     s3_group,
 )
-from fusionring.cyclotomic import Cyc, CycSqrt, cyclotomic_poly
+from fusionring.cyclotomic import Cyc, CycSqrt, _basis_images, cyclotomic_poly
 from fusionring.groups import (
     FiniteGroup,
     abelian_group,
@@ -53,6 +58,41 @@ def test_s3_nonabelian_and_quotient():
     assert proj[0] == 0
     two = next(s for s in (g.subgroup_generated([i]) for i in range(6)) if len(s) == 2)
     assert not g.is_normal(two)
+
+
+def test_group_tables_with_seeded_defects_match_the_triple_loop():
+    # one to three entries off the identity row and column changed: a table
+    # is rejected as non-associative exactly when the full triple loop finds
+    # a triple, and the message names the first one it finds
+    bases = [abelian_group(f) for f in ((5,), (2, 4), (3, 3), (12,), (2, 2, 2))]
+    bases += [s3_group(), d4_group(), q8_group()]
+    rng = random.Random(21)
+    rejected = kept = 0
+    for trial in range(300):
+        g = bases[trial % len(bases)]
+        n = g.order
+        table = [list(row) for row in g.table]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
+            if rng.random() < 0.5:
+                table[i][j] = rng.randrange(n)
+            else:  # a swap keeps every row a permutation
+                k = rng.randrange(1, n)
+                table[i][j], table[i][k] = table[i][k], table[i][j]
+        first = group_table_associativity_oracle(table)
+        if first is None:
+            try:
+                FiniteGroup(table)
+            except ValueError as exc:
+                assert "non-associative" not in str(exc), trial
+            kept += 1
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"non-associative at ({first[0]},{first[1]},{first[2]})")):
+                FiniteGroup(table)
+            rejected += 1
+    assert rejected > 200 and kept > 0
+    for g in bases:
+        assert group_table_associativity_oracle(g.table) is None
 
 
 def test_character_exponents_c4():
@@ -101,6 +141,13 @@ def test_cyclotomic_poly():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_basis_images_by_stepping_match_reduction_from_scratch():
+    # conjugation (step -1) and the lifts into Q(zeta_2N), Q(zeta_3N)
+    for N in range(1, 301):
+        for M, step in ((N, -1), (2 * N, 2), (3 * N, 3)):
+            assert _basis_images(N, M, step) == basis_images_oracle(N, M, step), (N, M, step)
 
 
 def test_cyc_arithmetic():

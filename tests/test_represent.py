@@ -12,6 +12,7 @@ from conftest import (
     characters_commutative,
     charpoly_oracle,
     crosscheck_uniform_rings,
+    nonzero_rows,
     numeric_eigs,
     su2_ring,
     verify_irrep_oracle,
@@ -51,7 +52,7 @@ def test_global_krylov_once_per_ring(monkeypatch):
         fr.fpdim_total(ring)
         represent.codegree_spectrum(ring)
         fr.fpdim_total(ring, width=Fraction(1, 2**100))
-        assert calls.count(m) == 1
+        assert calls == [nonzero_rows(m)]
 
 
 def test_global_krylov_rows_cannot_be_changed():
@@ -275,7 +276,7 @@ def test_verify_irrep_needs_a_generating_set():
     # check over {0, rho} accepts this non-homomorphism
     ring = fr.near_group((4,), 4)
     rho = 4
-    assert ring.rows[1][1][2] == 1  # g2 = g1^2
+    assert ring.fusion_matrix(1)[1][2] == 1  # g2 = g1^2
     one, minus = CycSqrt.of(1, 1, u=1), CycSqrt.of(1, 1, u=-1)
     values = [one, one, minus, minus, CycSqrt.of(1, 1)]
     model = IrrepModel(1, tuple(((v,),) for v in values), "test", 1, 1)
@@ -429,7 +430,7 @@ def test_spectrum_against_oracle_small():
     for build in (lambda: fr.near_group((3,), 2), lambda: fr.haagerup_izumi((2,))):
         ring = build()
         m = global_multiplication_matrix(ring)
-        assert intpoly.krylov(m)[0] == intpoly.squarefree_part(charpoly_oracle(m))
+        assert intpoly.krylov(nonzero_rows(m))[0] == intpoly.squarefree_part(charpoly_oracle(m))
         assert_codegrees_match_yun_oracle(ring)
         approx = sorted(float(e.value) for e in fr.codegree_spectrum(ring) for _ in range(e.eigen_multiplicity))
         assert np.allclose(approx, numeric_eigs(m), atol=1e-8)
