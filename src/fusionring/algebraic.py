@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Union
 
 from . import intpoly
@@ -374,14 +373,24 @@ def _structural_eq(x: AlgebraicReal, y: AlgebraicReal) -> bool:
 
 
 def alg_cmp(x, y) -> int:
-    """Total order on exact reals: -1, 0, or +1."""
+    """Total order on exact reals: -1, 0, or +1.
+
+    Two Quadratics x = a1 + b1 sqrt(D1), y = a2 + b2 sqrt(D2), in one field
+    or not, rational or not, are compared on their components: x - y = s - t
+    with s = (a1 - a2) + b1 sqrt(D1) and t = b2 sqrt(D2).  Unequal signs of s
+    and t decide; equal ones give s - t the sign of s times that of
+    s^2 - t^2 = (a1 - a2)^2 + b1^2 D1 - b2^2 D2 + 2 (a1 - a2) b1 sqrt(D1),
+    a sign test in Q(sqrt(D1)) that builds no Quadratic.
+    """
     x = ensure_algebraic(x)
     y = ensure_algebraic(y)
     if isinstance(x, Quadratic) and isinstance(y, Quadratic):
-        if x.D == y.D or x.is_rational or y.is_rational:
-            d = x - y
-            return quad_sign(d.a, d.b, d.D)
-        return _cmp_across_fields(x, y)
+        a = x.a - y.a
+        s_sign = quad_sign(a, x.b, x.D)
+        t_sign = (y.b > 0) - (y.b < 0)
+        if s_sign != t_sign:
+            return 1 if s_sign > t_sign else -1
+        return s_sign * quad_sign(a * a + x.b * x.b * x.D - y.b * y.b * y.D, 2 * a * x.b, x.D)
     if _structural_eq(x, y):
         return 0
     width = Fraction(1, 16)
@@ -394,18 +403,6 @@ def alg_cmp(x, y) -> int:
             return 1
         # not equal: refinement separates them
         width /= 256
-
-
-def _cmp_across_fields(x: Quadratic, y: Quadratic) -> int:
-    """Sign of x - y = s - t for irrationals x, y with D1 != D2, where
-    s = (a1 - a2) + b1 sqrt(D1) and t = b2 sqrt(D2): unequal signs decide, else
-    s - t has the sign of s times that of s^2 - t^2 in Q(sqrt(D1)), not 0."""
-    s = Quadratic(x.a - y.a, x.b, x.D)
-    s_sign = s.sign()
-    t_sign = 1 if y.b > 0 else -1
-    if s_sign != t_sign:
-        return 1 if s_sign > t_sign else -1
-    return s_sign * (s * s - y.b * y.b * y.D).sign()
 
 
 def _exact_root(
@@ -469,24 +466,24 @@ def _quad_in_open_interval(q: Quadratic, lo: Fraction, hi: Fraction) -> bool:
 
 
 def largest_real_root(poly: Poly) -> AlgebraicReal:
-    """Largest real root of an integer polynomial (square-free part is taken)."""
+    """Largest real root of an integer polynomial (square-free part is taken).
+
+    No rational root lies inside an isolating interval, so the order of
+    the roots is read off isolation, and only an irrational largest root is
+    built and promoted."""
     sf, rational, intervals = intpoly.isolate_real_roots(poly)
     if not rational and not intervals:
         raise ValueError("polynomial has no real roots")
-    best: AlgebraicReal | None = None
-    if rational:
-        best = Quadratic(rational[-1])
-    if intervals:
-        cand = _exact_root(sf, intervals[-1], intervals)
-        if best is None or alg_cmp(cand, best) > 0:
-            best = cand
-    return best
+    if intervals and (not rational or rational[-1] < intervals[-1][0]):
+        return _exact_root(sf, intervals[-1], intervals)
+    return Quadratic(rational[-1])
 
 
 def all_real_roots(poly: Poly) -> list[AlgebraicReal]:
-    """All distinct real roots of an integer polynomial, ascending."""
+    """All distinct real roots of an integer polynomial, ascending: as in
+    largest_real_root, a rational root sorts before an interval exactly when
+    it is below the interval's left end."""
     sf, rational, intervals = intpoly.isolate_real_roots(poly)
-    roots: list[AlgebraicReal] = [Quadratic(r) for r in rational]
-    roots.extend(_exact_root(sf, interval, intervals) for interval in intervals)
-    roots.sort(key=cmp_to_key(alg_cmp))
-    return roots
+    roots = [(r, Quadratic(r)) for r in rational]
+    roots += [(interval[0], _exact_root(sf, interval, intervals)) for interval in intervals]
+    return [root for _, root in sorted(roots, key=lambda entry: entry[0])]

@@ -3,9 +3,10 @@
 Polynomials are tuples of coefficients, lowest degree first.  The routines
 here supply everything the algebraic-number layer needs: Krylov minimal
 polynomials of integer matrices, exact division over Z, square-free parts
-and gcds on integer pseudo-remainders, Sturm chains, bisection-based
-real-root isolation with integer sign tests, and refinement of isolating
-intervals by Newton steps on the bisection grid.  Rationals enter only as
+and gcds on integer pseudo-remainders, Sturm chains, real-root isolation
+by bisection on one dyadic grid with half-open Sturm counts and integer
+sign tests, one integer test for rational roots, and refinement of
+isolating intervals by Newton steps on that grid.  Rationals enter only as
 interval endpoints and roots, and as coefficients that primitive() clears.
 No floating point anywhere.
 """
@@ -184,9 +185,10 @@ def sign_variations_at(chain: list[Poly], a: int, b: int) -> int:
 
 
 def count_real_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the open interval (lo, hi).
+    """Number of distinct real roots in the half-open interval (lo, hi].
 
-    Endpoints must not be roots of chain[0].
+    chain is the Sturm chain of a square-free polynomial; either endpoint
+    may be a root (see isolate_real_roots).
     """
     return sign_variations_at(chain, lo.numerator, lo.denominator) - sign_variations_at(
         chain, hi.numerator, hi.denominator
@@ -205,8 +207,16 @@ def isolate_real_roots(p: Poly) -> tuple[Poly, list[Fraction], list[tuple[Fracti
     are sorted ascending, and together they hold every real root.
 
     Bisection starts from (-B, B), B = 2 + max|c_i|/|c_n| (beyond the Cauchy
-    bound), in integers: a stack entry (a, b, d, va, vb) is the interval
-    (a/d, b/d) with the chain's sign variations va, vb at its ends.
+    bound), in integers: a stack entry (a, b, d, va, vb) is the cell
+    (a/d, b/d] with the chain's sign variations va, vb at its ends, so every
+    interval returned is a cell of the one dyadic grid of (-B, B).  The cell
+    holds va - vb roots even when an end is a root.  The variations V(x)
+    change only as x passes a root, where they drop by one; and at a root
+    c, V(c) is already the value just right of c, because the zero of sf at
+    c is skipped and just right of c, sf and sf' have the same sign.  A
+    one-root cell gives a rational root when its right end is one, is
+    bisected again when its left end is one, and is otherwise an isolating
+    interval, unless _rational_root_in finds its root rational.
     """
     p = squarefree_part(p)
     if degree(p) < 1:
@@ -221,79 +231,46 @@ def isolate_real_roots(p: Poly) -> tuple[Poly, list[Fraction], list[tuple[Fracti
         a, b, d, va, vb = stack.pop()
         if va == vb:
             continue
-        if va - vb == 1 and sign_at(p, a, d) * sign_at(p, b, d) < 0:
-            # check for a rational (hence integer, if p is monic) root first
-            lo, hi = Fraction(a, d), Fraction(b, d)
-            r = _rational_root_in(p, lo, hi)
-            if r is None:
-                intervals.append((lo, hi))
-            else:
-                rational.append(r)
-            continue
+        if va - vb == 1:
+            if sign_at(p, b, d) == 0:
+                rational.append(Fraction(b, d))
+                continue
+            if sign_at(p, a, d):
+                lo, hi = Fraction(a, d), Fraction(b, d)
+                r = _rational_root_in(p, lo, hi)
+                if r is None:
+                    intervals.append((lo, hi))
+                else:
+                    rational.append(r)
+                continue
         a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
-        if sign_at(p, m, d) == 0:
-            rational.append(Fraction(m, d))
-            e = min(m - a, b - m)
-            s, vlo, vhi = _root_free_radius(p, chain, m, d, e)
-            stack.append((a * s, m * s - e, d * s, va, vlo))
-            stack.append((m * s + e, b * s, d * s, vhi, vb))
-        else:
-            vm = sign_variations_at(chain, m, d)
-            stack.append((a, m, d, va, vm))
-            stack.append((m, b, d, vm, vb))
+        vm = sign_variations_at(chain, m, d)
+        stack.append((a, m, d, va, vm))
+        stack.append((m, b, d, vm, vb))
     rational.sort()
     intervals.sort()
     return p, rational, intervals
 
 
-def _root_free_radius(p: Poly, chain: list[Poly], m: int, d: int, e: int) -> tuple[int, int, int]:
-    """The least s in 4, 8, 16, ... for which ((m s - e)/(d s), (m s + e)/(d s))
-    holds no root of p besides m/d, nor at its ends; returns s and the
-    chain's sign variations at both ends."""
-    s = 4
-    while True:
-        lo, hi = m * s - e, m * s + e
-        if sign_at(p, lo, d * s) and sign_at(p, hi, d * s):
-            vlo, vhi = sign_variations_at(chain, lo, d * s), sign_variations_at(chain, hi, d * s)
-            if vlo - vhi == 1:
-                return s, vlo, vhi
-        s *= 2
-
-
 def _rational_root_in(p: Poly, a: Fraction, b: Fraction) -> Fraction | None:
-    """Rational root of p in (a, b), if any; p has a single root there.
+    """The root of primitive p in (a, b) if it is rational, else None; p
+    has a single root there, and neither end is a root.
 
-    Any rational root has denominator dividing the leading coefficient L, and
-    two distinct rationals with denominators <= L differ by at least 1/L^2;
-    after narrowing the interval below that, the root (if rational) is the
-    unique smallest-denominator rational inside, found by a Stern-Brocot walk.
+    A rational root c/q of p has q | L, L the leading coefficient, so L
+    times the root is an integer.  With (a, b) narrowed to width at most
+    1/(2L), L times its midpoint is within 1/4 of L times the root, so
+    c = round(L mid) is that integer when the root is rational.  c/L is
+    accepted only when it lies in the interval and is a root: a root of p
+    elsewhere is not the one in (a, b).
     """
-    v = 0
-    while p[v] == 0:
-        v += 1
-    if v:
-        if a < 0 < b:
-            return Fraction(0)
-        p = p[v:]  # same roots except 0, which is outside (a, b)
-    lead = abs(int(p[-1]))
-    a, b = refine_interval(p, a, b, Fraction(1, 2 * lead * lead))
+    lead = p[-1]
+    a, b = refine_interval(p, a, b, Fraction(1, 2 * lead))
     if a == b:
         return a
-    cand = _simplest_in(a, b)
-    if cand.denominator <= lead and sign_at(p, cand.numerator, cand.denominator) == 0:
-        return cand
+    r = Fraction(round(lead * (a + b) / 2), lead)
+    if a < r < b and sign_at(p, r.numerator, r.denominator) == 0:
+        return r
     return None
-
-
-def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in [lo, hi]."""
-    fl = math.floor(lo)
-    if lo == fl:
-        return Fraction(fl)
-    if fl + 1 <= hi:
-        return Fraction(fl + 1)
-    inner = _simplest_in(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / inner
 
 
 def refine_interval(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

@@ -408,10 +408,12 @@ def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
     it is a Quadratic, else narrowed below width.
 
     A width coarser than DEFAULT_WIDTH keeps the DEFAULT_WIDTH interval:
-    width only narrows.  The memoized interval is a cell of the bisection
-    grid of the isolating interval, and intpoly.refine_interval stays on
+    width only narrows.  The isolating interval is a cell of the one dyadic
+    grid of (-B, B) that intpoly.isolate_real_roots bisects, the memoized
+    interval is a finer cell of it, and intpoly.refine_interval stays on
     that grid, so it ends on the cell that refining the isolating interval
-    to width directly gives."""
+    to width directly gives: the printed interval depends only on poly and
+    width."""
     root = _memo(ring, ("root", poly), partial(largest_real_root, poly))
     return root if isinstance(root, Quadratic) else root.narrowed(width)
 

@@ -330,6 +330,55 @@ def refine_interval_oracle(p, lo: Fraction, hi: Fraction, width: Fraction) -> tu
     return lo, hi
 
 
+def rational_root_in_oracle(p, a: Fraction, b: Fraction) -> Fraction | None:
+    """Rational root of primitive p in (a, b), if any; p has a single root
+    there, and neither end is a root.
+
+    Any rational root has denominator dividing the leading coefficient L, and
+    two distinct rationals with denominators <= L differ by at least 1/L^2;
+    after narrowing the interval below that, the root (if rational) is the
+    unique smallest-denominator rational inside, found by a Stern-Brocot walk.
+    """
+    v = 0
+    while p[v] == 0:
+        v += 1
+    if v:
+        if a < 0 < b:
+            return Fraction(0)
+        p = p[v:]  # same roots except 0, which is outside (a, b)
+    lead = abs(int(p[-1]))
+    a, b = refine_interval_oracle(p, a, b, Fraction(1, 2 * lead * lead))
+    if a == b:
+        return a
+    cand = _simplest_in(a, b)
+    if cand.denominator <= lead and intpoly.sign_at(p, cand.numerator, cand.denominator) == 0:
+        return cand
+    return None
+
+
+def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with the smallest denominator in [lo, hi]."""
+    fl = math.floor(lo)
+    if lo == fl:
+        return Fraction(fl)
+    if fl + 1 <= hi:
+        return Fraction(fl + 1)
+    inner = _simplest_in(1 / (hi - fl), 1 / (lo - fl))
+    return fl + 1 / inner
+
+
+def on_isolation_grid(poly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether (lo, hi) is a cell of the dyadic grid of (-B, B) on which
+    intpoly.isolate_real_roots bisects the square-free primitive poly,
+    B = 2 + max|c_i|/|c_n|: 2B/(hi - lo) is a power of two and
+    (lo + B)/(hi - lo) an integer."""
+    d = abs(poly[-1])
+    bound = Fraction(2 * d + max(abs(c) for c in poly[:-1]), d)
+    cells, offset = 2 * bound / (hi - lo), (lo + bound) / (hi - lo)
+    n = cells.numerator
+    return cells.denominator == 1 and n & (n - 1) == 0 and offset.denominator == 1
+
+
 def is_squarefree(n: int) -> bool:
     if n < 1:
         raise ValueError("is_squarefree expects n >= 1")

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionring as fr
 from conftest import isolated_roots_equal_oracle, poly_mul
-from fusionring import intpoly
+from fusionring import intpoly, numtheory
 from fusionring.algebraic import (
     IsolatedRoot,
     Quadratic,
@@ -17,6 +18,7 @@ from fusionring.algebraic import (
     all_real_roots,
     largest_real_root,
 )
+from fusionring.represent import codegree_spectrum
 
 
 def test_quadratic_normalization():
@@ -275,3 +277,41 @@ def test_alg_cmp_across_fields_matches_mpmath(a1, b1, d1, b2, d2, digits, nudge)
     x, y = Quadratic(a1, b1, d1), Quadratic(a2, b2, d2)
     assert alg_cmp(x, y) == want
     assert alg_cmp(y, x) == -want
+
+
+@given(
+    st.integers(-50, 50),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0] + SQUAREFREE),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 30),
+    st.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_alg_cmp_in_one_field_and_against_rationals_matches_mpmath(a1, b1, d, b2, digits, nudge):
+    # y = a2 + b2 sqrt(d) in the field of x, or y = a2 rational against x,
+    # with a2 rounded so that x and y agree to about `digits` decimals
+    den = 10**digits
+    for y_b in (b2, 0):
+        with mpmath.workdps(200):
+            gap = a1 + b1 * mpmath.sqrt(d) - y_b * mpmath.sqrt(d)
+            a2 = Fraction(int(mpmath.floor(gap * den)) + nudge, den)
+            diff = gap - mpmath.mpf(a2.numerator) / a2.denominator
+            want = 0 if abs(diff) < mpmath.mpf(10) ** -150 else 1 if diff > 0 else -1
+        x, y = Quadratic(a1, b1, d), Quadratic(a2, y_b, d)
+        assert alg_cmp(x, y) == want
+        assert alg_cmp(y, x) == -want
+        assert alg_cmp(x, x) == 0
+
+
+def test_codegree_spectrum_of_a_huge_near_group_factors_twice(monkeypatch):
+    # near_group((2,), L) at L = 10^18: promoting the two irrational
+    # codegrees factors the 73-digit discriminant of their quadratic once
+    # each, and sorting and comparing them must not factor it again
+    ring = fr.near_group((2,), 10**18)
+    calls = []
+    factorize = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or factorize(n))
+    spectrum = codegree_spectrum(ring)
+    assert len(calls) <= 2
+    assert len(spectrum) == 3

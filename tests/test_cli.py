@@ -4,10 +4,11 @@ import sys
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import fusionring as fr
-from conftest import cli_env, same_fusion_rules
+from conftest import cli_env, on_isolation_grid, same_fusion_rules, su2_ring
 from fusionring.algebraic import Quadratic
 from fusionring.cli import main
 from fusionring.ringfile import alg_to_dict, dumps_ring, load_ring, loads_ring
@@ -213,6 +214,36 @@ def test_fpdim_json_exact_triples(tmp_path, capsys):
     assert doc["total"] == {"a": "6", "b": "2", "D": 3}
     assert doc["dims"][2]["value"] == {"a": "1", "b": "1", "D": 3}
     assert "." not in out  # no floats in machine output
+
+
+def test_fpdim_json_of_su2_prints_sine_ratios_on_the_isolation_grid(tmp_path, capsys):
+    """FPdim(j/2) of SU(2)_k is sin((j+1) pi/(k+2)) / sin(pi/(k+2)), and the
+    global dimension is (k+2) / (2 sin^2(pi/(k+2))): every printed value
+    holds it, checked at 100 digits, and every printed interval is at most
+    2^-64 wide and a cell of the grid that isolation bisects."""
+    with mpmath.workdps(100):
+        for k in range(1, 21):
+            path = tmp_path / f"su2_{k}.ring"
+            path.write_text(dumps_ring(su2_ring(k)))
+            code, out, err = run_cli(["fpdim", str(path), "--json"], capsys)
+            assert code == 0
+            doc = json.loads(out)
+            s = mpmath.sin(mpmath.pi / (k + 2))
+            want = [mpmath.sin((j + 1) * mpmath.pi / (k + 2)) / s for j in range(k + 1)]
+            values = [entry["value"] for entry in doc["dims"]] + [doc["total"]]
+            for value, exact in zip(values, want + [(k + 2) / (2 * s * s)], strict=True):
+                if "poly" in value:
+                    lo, hi = Fraction(value["lo"]), Fraction(value["hi"])
+                    assert 0 < hi - lo <= Fraction(1, 2**64)
+                    assert on_isolation_grid(value["poly"], lo, hi), (k, value)
+                    assert _mpf(lo) < exact < _mpf(hi)
+                else:
+                    got = _mpf(Fraction(value["a"])) + _mpf(Fraction(value["b"])) * mpmath.sqrt(value["D"])
+                    assert abs(got - exact) < mpmath.mpf(10) ** -90, (k, value)
+
+
+def _mpf(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def test_codegrees_json(tmp_path, capsys):

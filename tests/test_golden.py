@@ -2,10 +2,11 @@
 bytes and exit codes with the recording (see tests/golden/record.py)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, on_isolation_grid
 from fusionring.cli import main
 
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -20,3 +21,28 @@ def test_golden_output(case, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert code == EXIT_CODES[case["name"]]
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+def _isolated_values(doc):
+    """Every printed isolated root (a dict with poly, lo and hi) in a JSON document."""
+    if isinstance(doc, dict):
+        if "poly" in doc:
+            yield doc
+        else:
+            for value in doc.values():
+                yield from _isolated_values(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _isolated_values(value)
+
+
+def test_golden_isolated_roots_are_cells_of_the_isolation_grid():
+    """Every interval a recorded --json output prints is a cell of the dyadic
+    grid of (-B, B) that isolate_real_roots bisects for its polynomial."""
+    roots = []
+    for case in CASES:
+        if "--json" in case["argv"]:
+            roots += _isolated_values(json.loads((GOLDEN / f"{case['name']}.out").read_text()))
+    assert len(roots) > 50
+    for root in roots:
+        assert on_isolation_grid(root["poly"], Fraction(root["lo"]), Fraction(root["hi"])), root

@@ -12,10 +12,12 @@ import fusionring as fr
 from conftest import (
     charpoly_oracle,
     nonzero_rows,
+    on_isolation_grid,
     poly_divexact_oracle,
     poly_divmod_oracle,
     poly_gcd_oracle,
     poly_mul,
+    rational_root_in_oracle,
     refine_interval_oracle,
     squarefree_decomposition_oracle,
     sturm_chain_oracle,
@@ -89,6 +91,109 @@ def test_isolate_non_monic_rational_roots():
     _, rational, intervals = intpoly.isolate_real_roots(p)
     assert rational == [Fraction(-2, 3), Fraction(1, 2)]
     assert len(intervals) == 2
+
+
+def test_isolate_keeps_a_rational_root_outside_the_interval():
+    # (x - 2)(x^2 - 17x + 34): the root (17 - sqrt 153)/2 = 2.315... lies
+    # within 1/2 of the rational root 2, so round(L mid)/L is 2 on its
+    # narrowed interval, a root of p that is not the one inside
+    p = poly_mul((-2, 1), (34, -17, 1))
+    sf, rational, intervals = intpoly.isolate_real_roots(p)
+    assert sf == p and rational == [Fraction(2)] and len(intervals) == 2
+    assert intervals[0][0] > 2
+    # non-monic, L = 2: (2x - 1)(x^2 + x - 1), whose root 1/phi = 0.618...
+    # lies within 1/4 of 1/2 = round(2 mid)/2
+    p = poly_mul((-1, 2), (-1, 1, 1))
+    sf, rational, intervals = intpoly.isolate_real_roots(p)
+    assert sf == p and rational == [Fraction(1, 2)] and len(intervals) == 2
+    lo, hi = intpoly.refine_interval(p, *intervals[1], Fraction(1, 4))
+    assert Fraction(round(lo + hi), 2) == Fraction(1, 2) < lo
+    for lo, hi in intervals:
+        assert intpoly._rational_root_in(p, lo, hi) is None
+        fr.IsolatedRoot(p, lo, hi)
+
+
+def _seeded_products(seed: int, count: int) -> list:
+    """Products of two to four small integer factors of degree 1 to 3, seeded,
+    with rational roots of denominators up to 4 among them, plus products
+    with roots on bisection midpoints, such as x (2x - 1)(x^2 - 2)."""
+    rng = random.Random(seed)
+    polys = [
+        poly_mul(poly_mul((0, 1), (-1, 2)), (-2, 0, 1)),
+        poly_mul(poly_mul((3, 4), (-1, 1)), (-3, 0, 1)),
+        poly_mul(poly_mul((-1, 2), (1, 4)), (-5, 0, 2)),
+        poly_mul((-2, 1), (34, -17, 1)),
+        poly_mul((-1, 2), (-1, 1, 1)),
+    ]
+    while len(polys) < count:
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            if rng.random() < 0.5:
+                factors.append((rng.randint(-6, 6), rng.randint(1, 4)))
+            else:
+                f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 3))] + [rng.randint(1, 3)]
+                factors.append(tuple(f))
+        polys.append(reduce(poly_mul, factors, (1,)))
+    return polys
+
+
+def test_rational_root_in_matches_stern_brocot_oracle(monkeypatch):
+    """Every interval on which isolate_real_roots asks for a rational root,
+    over seeded products, and a window around each rational root it finds:
+    the integer test agrees with the Stern-Brocot walk, and the rational
+    roots found are all the roots."""
+    asked = []
+    rational_root_in = intpoly._rational_root_in
+    monkeypatch.setattr(
+        intpoly, "_rational_root_in", lambda p, a, b: asked.append((p, a, b)) or rational_root_in(p, a, b)
+    )
+    found = 0
+    for f in _seeded_products(22, 300):
+        sf, rational, intervals = intpoly.isolate_real_roots(f)
+        chain = intpoly.sturm_chain(sf)
+        bound = Fraction(2 * abs(sf[-1]) + max(map(abs, sf[:-1])), abs(sf[-1]))
+        assert len(rational) + len(intervals) == intpoly.count_real_roots(chain, -bound, bound)
+        for r in rational:
+            assert intpoly.sign_at(sf, r.numerator, r.denominator) == 0
+            # a window around r that holds no other root, nor at its ends
+            e = Fraction(1, 3)
+            while intpoly.count_real_roots(chain, r - e, r + e) != 1 or not (
+                intpoly.poly_eval(sf, r - e) and intpoly.poly_eval(sf, r + e)
+            ):
+                e /= 3
+            asked.append((sf, r - e, r + e))
+        found += len(rational)
+    assert found > 200 and len(asked) > 1000
+    for p, a, b in asked:
+        assert rational_root_in(p, a, b) == rational_root_in_oracle(p, a, b), (p, a, b)
+
+
+def _grid_corpus(two_orbit_corpus) -> set:
+    """Square-free parts of the seeded products, of the Krylov polynomials of
+    every N_i and M of SU(2)_k, k <= 20, Haagerup-Izumi C3 to C8 and the
+    near-groups of the two-orbit corpus."""
+    rings = [su2_ring(k) for k in range(1, 21)] + [fr.haagerup_izumi((n,)) for n in range(3, 9)]
+    rings += [ring for name, ring in two_orbit_corpus.items() if name.startswith("NG")]
+    polys = set(_seeded_products(22, 300))
+    for ring in rings:
+        polys.update(intpoly.krylov(ring.rows[i])[0] for i in range(ring.rank))
+        polys.add(intpoly.krylov(nonzero_rows(global_multiplication_matrix(ring)))[0])
+    return polys
+
+
+def test_isolated_intervals_are_cells_of_one_dyadic_grid(two_orbit_corpus):
+    """Every interval isolate_real_roots returns, and every interval its
+    root hands out at 2^-64 and 2^-256, is a cell of the dyadic grid of
+    (-B, B): rational roots on bisection midpoints do not shift it."""
+    count = 0
+    for f in _grid_corpus(two_orbit_corpus):
+        sf, _, intervals = intpoly.isolate_real_roots(f)
+        for lo, hi in intervals:
+            root = fr.IsolatedRoot._certified(sf, lo, hi)
+            for width in (hi - lo, Fraction(1, 2**64), Fraction(1, 2**256)):
+                assert on_isolation_grid(sf, *root.interval(width)), (sf, lo, hi, width)
+            count += 1
+    assert count > 1000
 
 
 def test_refine_interval():
