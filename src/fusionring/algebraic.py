@@ -70,6 +70,17 @@ class Quadratic:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "D", D)
 
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, D: int) -> "Quadratic":
+        """a + b sqrt(D) for Fractions a, b and a D that is already 0 or
+        square-free, as every Quadratic's is: nothing is factored, and only
+        b == 0 is folded to D = 0."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "a", a)
+        object.__setattr__(out, "b", b)
+        object.__setattr__(out, "D", D if b else 0)
+        return out
+
     def __setattr__(self, *args):
         raise AttributeError("Quadratic is immutable")
 
@@ -105,12 +116,12 @@ class Quadratic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Quadratic(self.a + o.a, self.b + o.b, self._common_D(o))
+        return Quadratic._make(self.a + o.a, self.b + o.b, self._common_D(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quadratic(-self.a, -self.b, self.D)
+        return Quadratic._make(-self.a, -self.b, self.D)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -126,7 +137,7 @@ class Quadratic:
         if o is None:
             return NotImplemented
         D = self._common_D(o)
-        return Quadratic(self.a * o.a + self.b * o.b * D, self.a * o.b + self.b * o.a, D)
+        return Quadratic._make(self.a * o.a + self.b * o.b * D, self.a * o.b + self.b * o.a, D)
 
     __rmul__ = __mul__
 
@@ -137,7 +148,7 @@ class Quadratic:
         norm = o.a * o.a - o.b * o.b * (o.D if o.D else self.D)
         if norm == 0:
             raise ZeroDivisionError
-        inv = Quadratic(o.a / norm, -o.b / norm, o.D)
+        inv = Quadratic._make(o.a / norm, -o.b / norm, o.D)
         return self * inv
 
     def __rtruediv__(self, other):
@@ -156,7 +167,7 @@ class Quadratic:
         return out
 
     def conjugate(self) -> "Quadratic":
-        return Quadratic(self.a, -self.b, self.D)
+        return Quadratic._make(self.a, -self.b, self.D)
 
     # -- comparisons -----------------------------------------------------
 
@@ -405,24 +416,30 @@ def alg_cmp(x, y) -> int:
         width /= 256
 
 
-def _exact_root(
-    sf: Poly, interval: tuple[Fraction, Fraction], intervals: list[tuple[Fraction, Fraction]]
-) -> AlgebraicReal:
-    """The root of sf in `interval`, one of the `intervals` that
-    isolate_real_roots returned with sf, which certified them: a Quadratic
-    when a monic quadratic factor of sf owns it, else an IsolatedRoot
-    refined below DEFAULT_WIDTH."""
-    q = _promote_quadratic(sf, *interval, intervals)
-    if q is not None:
-        return q
-    return IsolatedRoot._certified(sf, *interval).narrowed(DEFAULT_WIDTH)
+def _exact_roots(
+    sf: Poly, wanted: list[tuple[Fraction, Fraction]], intervals: list[tuple[Fraction, Fraction]]
+) -> list[AlgebraicReal]:
+    """The roots of sf in the `wanted` intervals, some of the `intervals`
+    that isolate_real_roots returned with sf, which certified them: a
+    Quadratic when a monic quadratic factor of sf owns it, else an
+    IsolatedRoot refined below DEFAULT_WIDTH.  The conjugate of a promoted
+    root is kept for the interval that holds it, which is not promoted
+    again, so a pair of roots costs one promotion and one square-free D."""
+    exact = {}
+    for interval in wanted:
+        if interval not in exact:
+            found = _promote_quadratic(sf, *interval, intervals)
+            exact.update(found or {interval: IsolatedRoot._certified(sf, *interval).narrowed(DEFAULT_WIDTH)})
+    return [exact[interval] for interval in wanted]
 
 
 def _promote_quadratic(
     poly: Poly, lo: Fraction, hi: Fraction, intervals: list[tuple[Fraction, Fraction]]
-) -> Quadratic | None:
+) -> dict | None:
     """Find a monic quadratic factor x^2 - t*x - u of poly owning the
-    irrational root alpha in (lo, hi), and return alpha exactly.
+    irrational root alpha in (lo, hi), and return alpha exactly, as
+    {(lo, hi): alpha}, with {other: beta} added when the conjugate beta lies
+    in the other interval that gave the factor.
 
     Only applies to monic poly (minimal polynomials of integer matrices),
     where quadratic algebraic numbers are quadratic algebraic integers.  The
@@ -439,15 +456,17 @@ def _promote_quadratic(
     Each root pair thus gives one candidate (t, u) and one exact division,
     whatever the size of the roots; only the refinement grows, by O(log)
     steps, with the bits of B.  The exact division and the final interval
-    test make every answer sound.
+    tests make every answer sound: the factor's other root t - alpha is a
+    root of poly, so it is the one isolated in an interval that holds it.
     """
     if poly[-1] != 1:
         return None
-    others = [other for other in intervals if other != (lo, hi)]
+    interval = (lo, hi)
+    others = [other for other in intervals if other != interval]
     lo, hi = intpoly.refine_interval(poly, lo, hi, Fraction(1, 4 * (2 + max(map(abs, poly[:-1])))))
     mid = (lo + hi) / 2
-    for olo, ohi in others:
-        olo, ohi = intpoly.refine_interval(poly, olo, ohi, Fraction(1, 4))
+    for other in others:
+        olo, ohi = intpoly.refine_interval(poly, *other, Fraction(1, 4))
         t = round(mid + (olo + ohi) / 2)
         u = round(mid * (mid - t))
         try:
@@ -457,7 +476,11 @@ def _promote_quadratic(
         except ValueError:
             continue
         if _quad_in_open_interval(cand, lo, hi):
-            return cand
+            found = {interval: cand}
+            beta = cand.conjugate()
+            if _quad_in_open_interval(beta, olo, ohi):
+                found[other] = beta
+            return found
     return None
 
 
@@ -475,7 +498,7 @@ def largest_real_root(poly: Poly) -> AlgebraicReal:
     if not rational and not intervals:
         raise ValueError("polynomial has no real roots")
     if intervals and (not rational or rational[-1] < intervals[-1][0]):
-        return _exact_root(sf, intervals[-1], intervals)
+        return _exact_roots(sf, intervals[-1:], intervals)[0]
     return Quadratic(rational[-1])
 
 
@@ -485,5 +508,5 @@ def all_real_roots(poly: Poly) -> list[AlgebraicReal]:
     it is below the interval's left end."""
     sf, rational, intervals = intpoly.isolate_real_roots(poly)
     roots = [(r, Quadratic(r)) for r in rational]
-    roots += [(interval[0], _exact_root(sf, interval, intervals)) for interval in intervals]
+    roots += [(interval[0], root) for interval, root in zip(intervals, _exact_roots(sf, intervals, intervals))]
     return [root for _, root in sorted(roots, key=lambda entry: entry[0])]

@@ -5,11 +5,14 @@ Elements are coefficient vectors in the power basis 1, zeta, ...,
 zeta^(deg Phi_N - 1), always reduced modulo the N-th cyclotomic polynomial,
 so structural equality is field equality.
 
-There is one product kernel, `_mul_acc`.  `Cyc.dot` and `CycSqrt.dot` add
-the unreduced convolutions of a whole sum x_1 y_1 + ... + x_m y_m and
-reduce modulo Phi_N once; a single product is the sum with one term.
-Conjugation and the embedding into Q(zeta_M) are linear maps, applied
-through cached images of the power basis.
+Products go through `_mul_acc`: `Cyc.dot` and `CycSqrt.dot` add the
+unreduced convolutions of a whole sum x_1 y_1 + ... + x_m y_m and reduce
+modulo Phi_N once; a single product is the sum with one term.  Conjugation
+and the embedding into Q(zeta_M) are linear maps, applied through cached
+images of the power basis.  `packed_modulus` decides whether a whole
+integer polynomial is 0 modulo Phi_N by one divisibility of integers, with
+no convolution and no reduction; `represent.verify_irrep` checks each cell
+of a model that way.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def _reduce(cs: list, N: int) -> tuple:
 
 
 def _mul_acc(acc: list, a: tuple, b: tuple) -> None:
-    """acc += a * b as polynomials, unreduced: the one product kernel."""
+    """acc += a * b as polynomials, unreduced: the kernel of the dot products."""
     nonzero = [(j, y) for j, y in enumerate(b) if y]
     if nonzero:
         for i, x in enumerate(a):
@@ -78,6 +81,35 @@ def _mul_acc(acc: list, a: tuple, b: tuple) -> None:
 def _reduced_power(N: int, k: int) -> tuple:
     """zeta_N^k reduced mod Phi_N as a coefficient tuple."""
     return _reduce([0] * (k % N) + [1], N)
+
+
+@lru_cache(maxsize=None)
+def _reduction_growth(N: int) -> int:
+    """G(N) = sum over k < 2 deg Phi_N - 1 of the largest |coefficient| of
+    zeta_N^k reduced: reducing a polynomial of degree < 2 deg Phi_N - 1
+    multiplies the bound on its coefficients by at most G(N)."""
+    return sum(max(map(abs, _reduced_power(N, k))) for k in range(2 * _reducer(N)[0] - 1))
+
+
+def packed_modulus(N: int, bound: int) -> tuple[int, int]:
+    """(B, Phi_N(2^B)) such that an integer polynomial W of degree
+    < 2 deg Phi_N - 1 with coefficients at most `bound` in absolute value is
+    0 modulo Phi_N exactly when Phi_N(2^B) divides W(2^B).
+
+    Let f = deg Phi_N, X = 2^B and S the sum of |c| over the coefficients c
+    of Phi_N below its leading one; B is the least with X > 2 b + S, where
+    b = bound G(N) (`_reduction_growth`).  Phi_N is
+    monic, so W = Q Phi_N + R with Q, R in Z[x] and deg R < f, and R is the
+    sum of w_k (x^k mod Phi_N), so its coefficients are at most b.  If
+    R = 0, Phi_N(X) divides W(X) = Q(X) Phi_N(X).  Otherwise let r_m be
+    its top nonzero coefficient.  As X - 1 > b,
+    |R(X)| >= X^m - b (X^m - 1)/(X - 1) > 0, and as X/(X - 1) <= 2,
+    |R(X)| <= b (X^f - 1)/(X - 1) < 2 b X^(f-1) < (X - S) X^(f-1)
+    <= Phi_N(X).  So 0 < |R(X)| < Phi_N(X), Phi_N(X) does not divide
+    R(X) = W(X) - Q(X) Phi_N(X), and so it does not divide W(X)."""
+    low = _reducer(N)[1]
+    B = (2 * bound * _reduction_growth(N) + sum(abs(c) for _, c in low)).bit_length()
+    return B, sum(c << (B * i) for i, c in enumerate(cyclotomic_poly(N)))
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,15 @@ noninvertible basis elements acting through sqrt(|H|).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, partial
 
 from . import intpoly
 from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
-from .cyclotomic import Cyc, CycSqrt
+from .cyclotomic import Cyc, CycSqrt, packed_modulus
 from .errors import HypothesisError, InternalInvariantError
 from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
@@ -343,18 +345,49 @@ def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
 
 def _product_failures(ring: FusionRing, model: IrrepModel, lefts):
     """The pairs (i, j), i in lefts, where psi(i) psi(j) and
-    sum_k c[i,j,k] psi(k) differ, in index order.  Each entry of their
-    difference is one `CycSqrt.dot`, reduced once, and it is zero exactly
-    when the two entries are equal componentwise."""
-    mats = model.matrices
-    cells = [(r, s) for r in range(model.dim) for s in range(model.dim)]
+    sum_k c[i,j,k] psi(k) differ, in index order.
+
+    Every entry u + v sqrt(D) of the model is packed once: with L the lcm
+    of the denominators of all coefficients, u and v become the integers
+    sum_e L u_e 2^(B e) and sum_e L v_e 2^(B e).  Cell (r, s) of
+    L^2 (psi(i) psi(j) - sum_k c[i,j,k] psi(k)) then has the parts
+    U = sum_t (u_rt u'_ts + D v_rt v'_ts) - L sum_k c[i,j,k] u^k_rs and
+    V = sum_t (v_rt u'_ts + u_rt v'_ts) - L sum_k c[i,j,k] v^k_rs, each an
+    integer polynomial of degree < 2 deg Phi_N - 1 at x = 2^B, with
+    coefficients at most dim deg(Phi_N) cmax^2 (1 + max(D, 1))
+    + L cmax max_(i,j) sum_k c[i,j,k], where cmax is the largest scaled
+    coefficient.  B is chosen for that bound (`cyclotomic.packed_modulus`),
+    so the cell is equal componentwise exactly when Phi_N(2^B) divides U
+    and V."""
+    entries = [e for mat in model.matrices for row in mat for e in row]
+    N, D = entries[0].u.N, entries[0].D
+    if any(e.u.N != N or e.v.N != N or e.D != D for e in entries):
+        raise ValueError("mixed CycSqrt fields")
+    vectors = {x.coeffs for e in entries for x in (e.u, e.v)}
+    coeffs = [c for vec in vectors for c in vec]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    cmax = int(max(map(abs, coeffs)) * L)
+    dim = model.dim
+    row_sum = _memo(ring, "row_sum", lambda: max(sum(c for _, c in row) for mat in ring.rows for row in mat))
+    B, modulus = packed_modulus(N, dim * len(entries[0].u.coeffs) * cmax * cmax * (1 + max(D, 1)) + L * cmax * row_sum)
+    packed = {vec: sum(int(c * L) << (B * e) for e, c in enumerate(vec) if c) for vec in vectors}
+    # u[r][s][k], v[r][s][k]: the parts of entry (r, s) of psi(k)
+    u = [[[packed[m[r][s].u.coeffs] for m in model.matrices] for s in range(dim)] for r in range(dim)]
+    v = [[[packed[m[r][s].v.coeffs] for m in model.matrices] for s in range(dim)] for r in range(dim)]
+    # column s of each psi(j) as (u_0s, u_1s, ..., v_0s, v_1s, ...)
+    cols = [list(zip(*(u[t][s] for t in range(dim)), *(v[t][s] for t in range(dim)))) for s in range(dim)]
+    cells = [(r, s) for r in range(dim) for s in range(dim)]
+    mul = operator.mul
     for i in lefts:
+        # row r of psi(i) as (u_r0, ..., D v_r0, ...) and as (v_r0, ..., u_r0, ...)
+        rows_u = [(*(u[r][t][i] for t in range(dim)), *(D * v[r][t][i] for t in range(dim))) for r in range(dim)]
+        rows_v = [(*(v[r][t][i] for t in range(dim)), *(u[r][t][i] for t in range(dim))) for r in range(dim)]
         for j in range(ring.rank):
-            ks = [k for k, _ in ring.rows[i][j]]
-            minus_cs = [-c for _, c in ring.rows[i][j]]
+            terms = ring.rows[i][j]
             for r, s in cells:
-                xs = [*mats[i][r], *(mats[k][r][s] for k in ks)]
-                ys = [*(row[s] for row in mats[j]), *minus_cs]
-                if not CycSqrt.dot(xs, ys).is_zero:
+                ku, kv, col = u[r][s], v[r][s], cols[s][j]
+                U = sum(map(mul, rows_u[r], col)) - L * sum([c * ku[k] for k, c in terms])
+                V = sum(map(mul, rows_v[r], col)) - L * sum([c * kv[k] for k, c in terms])
+                if U % modulus or V % modulus:
                     yield (i, j)
                     break

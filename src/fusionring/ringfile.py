@@ -35,15 +35,6 @@ if TYPE_CHECKING:
 ROOT_ORDER_LIMIT = 1024
 
 
-def ring_to_dict(ring: FusionRing) -> dict:
-    return {
-        "rank": ring.rank,
-        "labels": list(ring.labels),
-        "dual": list(ring.dual),
-        "tensor": [[_dense(row, ring.rank) for row in mat] for mat in ring.rows],
-    }
-
-
 def ring_from_dict(doc) -> FusionRing:
     if not isinstance(doc, dict):
         raise MalformedRingError("ring document must be a JSON object")
@@ -59,7 +50,12 @@ def ring_from_dict(doc) -> FusionRing:
 
 
 def dumps_ring(ring: FusionRing) -> str:
-    return json.dumps(ring_to_dict(ring), sort_keys=True, separators=(",", ":")) + "\n"
+    """The canonical document, written one fusion matrix at a time: the
+    bytes of json.dumps with sorted keys of the whole document, whose last
+    key is "tensor", without holding all rank^2 dense rows at once."""
+    head = json.dumps({"dual": list(ring.dual), "labels": list(ring.labels), "rank": ring.rank}, sort_keys=True, separators=(",", ":"))
+    matrices = (json.dumps([_dense(row, ring.rank) for row in mat], separators=(",", ":")) for mat in ring.rows)
+    return head[:-1] + ',"tensor":[' + ",".join(matrices) + "]}\n"
 
 
 def loads_ring(text: str) -> FusionRing:

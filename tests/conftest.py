@@ -61,6 +61,13 @@ def dense_rows(ring: fr.FusionRing) -> tuple:
     return tuple(map(ring.fusion_matrix, range(ring.rank)))
 
 
+def ring_to_dict(ring: fr.FusionRing) -> dict:
+    """The ring document as one dict with the whole dense tensor: its
+    json.dumps with sorted keys is the oracle for `ringfile.dumps_ring`,
+    which writes the tensor one fusion matrix at a time."""
+    return {"rank": ring.rank, "labels": list(ring.labels), "dual": list(ring.dual), "tensor": dense_rows(ring)}
+
+
 def nonzero_rows(matrix) -> list:
     """A dense integer matrix as the rows of nonzero (t, x) pairs that
     `intpoly.krylov` reads."""
@@ -723,8 +730,9 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
     sum_k c[i,j,k] psi(k), in index order, by plain matrix loops (the
     library checks {0} + algebra_generators first).  `lefts` restricts i.
     Entries are single CycSqrt products added one at a time, not the
-    library's sums of unreduced products; the single product is checked
-    against `cycsqrt_mul_oracle` in the tests of the kernel."""
+    library's packed integers tested for divisibility by Phi_N(2^B); the
+    single product is checked against `cycsqrt_mul_oracle` in the tests of
+    the kernel."""
     mats = model.matrices
     zero = mats[0][0][0] * 0
     d = model.dim

@@ -304,14 +304,29 @@ def test_alg_cmp_in_one_field_and_against_rationals_matches_mpmath(a1, b1, d, b2
         assert alg_cmp(x, x) == 0
 
 
-def test_codegree_spectrum_of_a_huge_near_group_factors_twice(monkeypatch):
-    # near_group((2,), L) at L = 10^18: promoting the two irrational
-    # codegrees factors the 73-digit discriminant of their quadratic once
-    # each, and sorting and comparing them must not factor it again
+def test_codegree_spectrum_of_a_huge_near_group_factors_once(monkeypatch):
+    # near_group((2,), L) at L = 10^18: promoting one irrational codegree
+    # factors the 73-digit discriminant of their quadratic; the other is its
+    # conjugate, and sorting and comparing them factor nothing more
     ring = fr.near_group((2,), 10**18)
     calls = []
     factorize = numtheory.factorize
     monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or factorize(n))
     spectrum = codegree_spectrum(ring)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert len(spectrum) == 3
+    assert spectrum[0].value == spectrum[1].value.conjugate()
+
+
+def test_quadratic_arithmetic_factors_no_radicand_again(monkeypatch):
+    # a Quadratic's D is square-free, so its conjugate, negation, sums and
+    # products reuse it: only the constructor factors
+    calls = []
+    factorize = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or factorize(n))
+    q = Quadratic(1, 1, 10**36 + 8)
+    results = [q.conjugate(), -q, q + 1, q * q, q - q, q / q]
+    assert len(calls) == 1
+    a, b, D = q.a, q.b, q.D
+    want = [(a, -b, D), (-a, -b, D), (a + 1, b, D), (a * a + b * b * D, 2 * a * b, D), (0, 0, 0), (1, 0, 0)]
+    assert [(x.a, x.b, x.D) for x in results] == want

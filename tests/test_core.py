@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from conftest import (
     generated_span_rank,
     haagerup_izumi_oracle,
     s3_group,
+    ring_to_dict,
     s3_two_orbit_ring,
     same_fusion_rules,
     su2_ring,
@@ -85,6 +87,18 @@ def test_structure_constants_checked_on_construction():
     # the numpy view equals the rows and cannot be written through
     view = c2.tensor
     assert view.tolist() == [[list(r) for r in m] for m in rows] and not view.flags.writeable
+
+
+def test_dumps_ring_writes_the_bytes_of_the_whole_document(small_corpus, two_orbit_corpus, spectra_corpus):
+    # one json.dumps per fusion matrix gives the bytes of one json.dumps of
+    # the whole document, for every builder, the dense constructor and a
+    # label that JSON escapes
+    rings = [*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values()]
+    rings += [su2_ring(5), cubic_chain_ring(), fr.haagerup_izumi((5,)), fr.uniform_two_orbit((6,), [2], "inversion", 2)]
+    rings.append(fr.FusionRing(["1", 'ρ"'], [0, 1], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]))
+    for ring in rings:
+        want = json.dumps(ring_to_dict(ring), sort_keys=True, separators=(",", ":")) + "\n"
+        assert dumps_ring(ring) == want, ring.labels
 
 
 def test_rows_are_the_nonzeros_whichever_way_a_ring_is_built(small_corpus, two_orbit_corpus, spectra_corpus):

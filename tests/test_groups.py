@@ -12,10 +12,11 @@ from conftest import (
     cycsqrt_mul_oracle,
     d4_group,
     group_table_associativity_oracle,
+    poly_mul,
     q8_group,
     s3_group,
 )
-from fusionring.cyclotomic import Cyc, CycSqrt, _basis_images, cyclotomic_poly
+from fusionring.cyclotomic import Cyc, CycSqrt, _basis_images, _reduce, _reduced_power, cyclotomic_poly, packed_modulus
 from fusionring.groups import (
     FiniteGroup,
     abelian_group,
@@ -202,6 +203,38 @@ def test_cyc_kernel_matches_fraction_polynomial_oracle():
         Cyc.dot([Cyc.one(3), Cyc.one(3)], [Cyc.one(3), Cyc.one(6)])
     with pytest.raises(ValueError):
         CycSqrt.dot([CycSqrt.of(3, 2, u=1)], [CycSqrt.of(3, 5, u=1)])
+
+
+def test_packed_zero_test_matches_reduction():
+    # W = Q Phi_N + R of degree < 2 deg Phi_N - 1, with R zero, small, or
+    # as large as the bound allows: Phi_N(2^B) divides W(2^B) exactly when
+    # W reduces to zero.  Phi_105 has a coefficient -2.
+    rng = random.Random(29)
+    for N in (1, 2, 3, 4, 8, 12, 15, 30, 105):
+        phi = cyclotomic_poly(N)
+        deg = len(phi) - 1
+        size = 2 * deg - 1
+        cases = []
+        for _ in range(30):
+            qphi = poly_mul([rng.randint(-3, 3) for _ in range(deg - 1)], phi)
+            r = rng.choice(([0] * deg, [rng.choice((0, 0, 1, -1)) for _ in range(deg)], [rng.randint(-50, 50) for _ in range(deg)]))
+            cases.append([a + b for a, b in zip(qphi + (0,) * (size - len(qphi)), r + [0] * (size - deg))])
+        for bound in (1, 5, 2**40):
+            cases.append([rng.choice((-bound, bound)) for _ in range(size)])
+            for at in {0, deg // 2, deg - 1}:
+                # w_k = +-bound with the sign of x^k mod Phi_N at `at`: the
+                # remainder's coefficient there is as large as it can be
+                at_coeffs = [_reduced_power(N, k)[at] for k in range(size)]
+                cases.append([bound * ((c > 0) - (c < 0)) for c in at_coeffs])
+        for w in cases:
+            bound = max(map(abs, w))
+            B, modulus = packed_modulus(N, bound)
+            rem = _reduce(list(w), N)
+            # the room the proof needs: 2^B > 2 max|R| + the sum of |Phi_N|'s lower coefficients
+            assert 2**B > 2 * max(map(abs, rem)) + sum(map(abs, phi[:-1])), (N, w)
+            packed = sum(c << (B * k) for k, c in enumerate(w))
+            assert (packed % modulus == 0) == (not any(rem)), (N, w)
+        assert any(not any(_reduce(list(w), N)) for w in cases), N
 
 
 def test_cyc_rational_hashes_like_its_fraction():

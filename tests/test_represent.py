@@ -271,6 +271,33 @@ def test_verify_irrep_matches_oracle_on_spectra_rings(spectra_uniform_corpus):
             _assert_agrees(ring, _non_unital(model), failing=True)
 
 
+def test_verify_irrep_matches_oracle_on_nudged_corpus_models(spectra_uniform_corpus, two_orbit_corpus):
+    # every model of the benchmark's uniform rings and of the two-orbit
+    # corpus, with one entry's u or v part moved by +-1 or +-2, and the
+    # D+- models (rational r/2 parts) also by 1/2: the packed check names
+    # the same failing pairs as the all-pairs scan
+    rng = random.Random(31)
+    checked = 0
+    for name, ring in {**spectra_uniform_corpus, **two_orbit_corpus}.items():
+        try:
+            models = fr.uniform_irreps(ring)
+        except HypothesisError:
+            continue
+        for model in models:
+            steps = [rng.choice((1, -1, 2, -2))]
+            if model.source_tag in (represent.SOURCE_D_PLUS, represent.SOURCE_D_MINUS):
+                steps.append(Fraction(1, 2))
+            for step in steps:
+                b, r, c = rng.randrange(ring.rank), rng.randrange(model.dim), rng.randrange(model.dim)
+                part = {"u": step} if rng.random() < 0.5 else {"v": step}
+                mat = [list(row) for row in model.matrices[b]]
+                mat[r][c] = mat[r][c] + CycSqrt.of(model.root_order, model.radicand, **part)
+                nudged = _with_matrix(model, b, tuple(map(tuple, mat)))
+                assert fr.verify_irrep(ring, nudged) == verify_irrep_oracle(ring, nudged), (name, model.source_tag, b, r, c, part)
+                checked += 1
+    assert checked >= 200
+
+
 def test_verify_irrep_needs_a_generating_set():
     # near-group C4: rho alone generates only span{1, rho, sum g}, so a
     # check over {0, rho} accepts this non-homomorphism
