@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import Sequence
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _reduction_growth, balanced_residue, pack
 from .errors import MalformedRingError
 from .groups import FiniteGroup, abelian_group, is_automorphism
 from .ring import FusionRing, _check_rank
@@ -182,10 +183,12 @@ class CharacterTable:
     """Exact character table: rows are characters, columns conjugacy classes.
 
     Values live in Q(zeta_N) with N = root_order, unbounded here (table
-    files are bounded by ringfile.ROOT_ORDER_LIMIT).  The identity class comes
-    first (size 1) and the trivial character is row 0.  Orthogonality takes
-    one `Cyc.dot` per unordered pair of rows, the ring one per unordered
-    triple (see `character_ring`).
+    files are bounded by ringfile.ROOT_ORDER_LIMIT and TABLE_WORK_LIMIT).
+    The identity class comes first (size 1) and the trivial character is
+    row 0.  `validate` checks orthogonality by one integer sum per unordered
+    pair of rows: with values and conjugates packed (`cyclotomic.pack`),
+    L^2 (sum_c |c| chi_i(c) conj(chi_j(c)) - |G| delta_ij) has coefficients
+    at most |G| (deg Phi_N cmax^2 + L^2), as class sizes are >= 1.
     """
 
     group_order: int
@@ -199,6 +202,11 @@ class CharacterTable:
             raise MalformedRingError("character table must be square")
         if any(len(row) != k for row in self.values):
             raise MalformedRingError("ragged character table")
+        if any(v.N != self.root_order for row in self.values for v in row):
+            raise MalformedRingError(f"character values must lie in Q(zeta_{self.root_order})")
+        for c, size in enumerate(self.class_sizes):
+            if size < 1:
+                raise MalformedRingError(f"class {c} has size {size}, below 1")
         if sum(self.class_sizes) != self.group_order:
             raise MalformedRingError("class sizes must sum to the group order")
         if self.class_sizes[0] != 1:
@@ -213,12 +221,14 @@ class CharacterTable:
             dims.append(int(d.as_fraction()))
         if sum(d * d for d in dims) != self.group_order:
             raise MalformedRingError("sum of squared degrees must equal the group order")
-        weighted = [tuple(v.conjugate() * size for v, size in zip(row, self.class_sizes)) for row in self.values]
+        n, f = self.group_order, len(self.values[0][0].coeffs)
+        conj = [[v.conjugate() for v in row] for row in self.values]
+        L, modulus, _, packed = pack(self.root_order, (v.coeffs for row in (*self.values, *conj) for v in row), lambda L, cmax: n * (f * cmax * cmax + L * L))
+        at = [[packed[v.coeffs] for v in row] for row in self.values]
+        weighted = [[size * packed[v.coeffs] for v, size in zip(row, self.class_sizes)] for row in conj]
         for i in range(k):
             for j in range(i, k):
-                ip = Cyc.dot(self.values[i], weighted[j])
-                want = Fraction(self.group_order if i == j else 0)
-                if not ip.is_rational or ip.as_fraction() != want:
+                if (sum(map(mul, at[i], weighted[j])) - (L * L * n if i == j else 0)) % modulus:
                     raise MalformedRingError(f"orthogonality fails for rows ({i},{j})")
 
     def degrees(self) -> tuple[int, ...]:
@@ -232,35 +242,40 @@ def character_ring(table: CharacterTable) -> FusionRing:
     T(i, j, l) = (1/|G|) sum_c |c| chi_i(c) chi_j(c) chi_l(c) is symmetric
     in i, j and l, and conj(chi_l) = chi_dual(l), so
     c_{i,j,dual(l)} = <chi_i chi_j, chi_dual(l)> = T(i, j, l) for every
-    order of the three indices.  One inner product per unordered triple
-    i <= j <= l, a single `Cyc.dot` of the pairwise product chi_i chi_j
-    against the weighted row |c| chi_l(c), fills the entries of all six
-    orders: k^3/6 sums, each reduced once."""
+    order of the three indices: one sum per unordered triple i <= j <= l
+    fills the entries of all six orders, k^3/6 sums.
+
+    With the values packed (`cyclotomic.pack`), chi_i(c) chi_j(c) reads as
+    L^2 chi_i(c) chi_j(c) reduced, coefficients at most f cmax^2 G(N) for
+    f = deg Phi_N (`cyclotomic.balanced_residue`); its sum against |c| chi_l(c)
+    has coefficients at most |G| f^2 G(N) cmax^3 and reads as the rational
+    L^3 |G| T(i, j, l), or as a residue above `limit` if T is irrational."""
     _check_rank(len(table.class_sizes))
     table.validate()
     k = len(table.class_sizes)
     n = table.group_order
     cells: list[list[dict]] = [[{} for _ in range(k)] for _ in range(k)]
-    conj_rows = [tuple(v.conjugate() for v in row) for row in table.values]
-    dual = []
-    for i in range(k):
-        matches = [j for j in range(k) if table.values[j] == conj_rows[i]]
-        if len(matches) != 1:
-            raise MalformedRingError(f"conjugate of character {i} missing from table")
-        dual.append(matches[0])
-    weighted = [tuple(v * size for v, size in zip(row, table.class_sizes)) for row in table.values]
+    where = {row: j for j, row in enumerate(table.values)}  # orthogonal rows are distinct
+    dual = [where.get(tuple(v.conjugate() for v in row)) for row in table.values]
+    if None in dual:
+        raise MalformedRingError(f"conjugate of character {dual.index(None)} missing from table")
+    f, growth = len(table.values[0][0].coeffs), _reduction_growth(table.root_order)
+    L, modulus, limit, packed = pack(table.root_order, (v.coeffs for row in table.values for v in row), lambda L, cmax: n * f * f * growth * cmax**3)
+    at = [[packed[v.coeffs] for v in row] for row in table.values]
+    weighted = [[size * p for p, size in zip(row, table.class_sizes)] for row in at]
+    scale = L**3 * n
     for i in range(k):
         for j in range(i, k):
-            prod = [a * b for a, b in zip(table.values[i], table.values[j])]
+            prod = [balanced_residue(a * b, modulus) for a, b in zip(at[i], at[j])]
             for l in range(j, k):
-                ip = Cyc.dot(prod, weighted[l])
-                if not ip.is_rational:
+                rho = balanced_residue(sum(map(mul, prod, weighted[l])), modulus)
+                if abs(rho) > limit:
                     raise MalformedRingError(f"non-rational multiplicity at ({i},{j},{dual[l]})")
-                mult = ip.as_fraction() / n
-                if mult.denominator != 1 or mult < 0:
-                    raise MalformedRingError(f"non-integral multiplicity {mult} at ({i},{j},{dual[l]})")
+                mult, rem = divmod(rho, scale)
+                if rem or mult < 0:
+                    raise MalformedRingError(f"non-integral multiplicity {Fraction(rho, scale)} at ({i},{j},{dual[l]})")
                 for a, b, c in permutations((i, j, l)):
-                    cells[a][b][dual[c]] = int(mult)
+                    cells[a][b][dual[c]] = mult
     rows = [[tuple(sorted((m, c) for m, c in cell.items() if c)) for cell in mat] for mat in cells]
     ring = FusionRing._of_nonzeros([f"chi{i}" for i in range(k)], dual, rows)
     ring.require_verified()

@@ -3,24 +3,26 @@ real square root.
 
 Elements are coefficient vectors in the power basis 1, zeta, ...,
 zeta^(deg Phi_N - 1), always reduced modulo the N-th cyclotomic polynomial,
-so structural equality is field equality.
+so structural equality is field equality.  A product is one convolution
+reduced modulo Phi_N; conjugation and the embedding into Q(zeta_M) are
+linear maps, applied through cached images of the power basis.
 
-Products go through `_mul_acc`: `Cyc.dot` and `CycSqrt.dot` add the
-unreduced convolutions of a whole sum x_1 y_1 + ... + x_m y_m and reduce
-modulo Phi_N once; a single product is the sum with one term.  Conjugation
-and the embedding into Q(zeta_M) are linear maps, applied through cached
-images of the power basis.  `packed_modulus` decides whether a whole
-integer polynomial is 0 modulo Phi_N by one divisibility of integers, with
-no convolution and no reduction; `represent.verify_irrep` checks each cell
-of a model that way.
+The identities that the library checks (irrep models, character tables
+and rings) multiply no elements: `pack` turns each coefficient vector into
+its value at x = 2^B (Kronecker substitution), so a sum of products is one
+integer, which is 0 modulo Phi_N exactly when Phi_N(2^B) divides it
+(`packed_modulus`) and whose residue nearest 0 is the sum reduced
+(`balanced_residue`).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import intpoly
 from .intpoly import Poly
@@ -67,16 +69,6 @@ def _reduce(cs: list, N: int) -> tuple:
     return tuple(cs[:deg]) + (0,) * (deg - len(cs))
 
 
-def _mul_acc(acc: list, a: tuple, b: tuple) -> None:
-    """acc += a * b as polynomials, unreduced: the kernel of the dot products."""
-    nonzero = [(j, y) for j, y in enumerate(b) if y]
-    if nonzero:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nonzero:
-                    acc[i + j] += x * y
-
-
 @lru_cache(maxsize=None)
 def _reduced_power(N: int, k: int) -> tuple:
     """zeta_N^k reduced mod Phi_N as a coefficient tuple."""
@@ -94,22 +86,55 @@ def _reduction_growth(N: int) -> int:
 def packed_modulus(N: int, bound: int) -> tuple[int, int]:
     """(B, Phi_N(2^B)) such that an integer polynomial W of degree
     < 2 deg Phi_N - 1 with coefficients at most `bound` in absolute value is
-    0 modulo Phi_N exactly when Phi_N(2^B) divides W(2^B).
+    0 modulo Phi_N exactly when Phi_N(2^B) divides W(2^B), and the residue
+    of W(2^B) nearest 0 is R(2^B) for R = W mod Phi_N (`balanced_residue`).
 
     Let f = deg Phi_N, X = 2^B and S the sum of |c| over the coefficients c
-    of Phi_N below its leading one; B is the least with X > 2 b + S, where
-    b = bound G(N) (`_reduction_growth`).  Phi_N is
-    monic, so W = Q Phi_N + R with Q, R in Z[x] and deg R < f, and R is the
-    sum of w_k (x^k mod Phi_N), so its coefficients are at most b.  If
-    R = 0, Phi_N(X) divides W(X) = Q(X) Phi_N(X).  Otherwise let r_m be
-    its top nonzero coefficient.  As X - 1 > b,
-    |R(X)| >= X^m - b (X^m - 1)/(X - 1) > 0, and as X/(X - 1) <= 2,
-    |R(X)| <= b (X^f - 1)/(X - 1) < 2 b X^(f-1) < (X - S) X^(f-1)
-    <= Phi_N(X).  So 0 < |R(X)| < Phi_N(X), Phi_N(X) does not divide
-    R(X) = W(X) - Q(X) Phi_N(X), and so it does not divide W(X)."""
+    of Phi_N below its leading one; B is the least with X > 4 b + S, where
+    b = bound G(N) (`_reduction_growth`).  Phi_N is monic, so W = Q Phi_N + R
+    with Q, R in Z[x] and deg R < f, and R is the sum of w_k (x^k mod Phi_N),
+    so its coefficients are at most b.  As X/(X - 1) <= 2,
+    |R(X)| <= b (X^f - 1)/(X - 1) < 2 b X^(f-1) < (X - S) X^(f-1)/2
+    <= Phi_N(X)/2.  If R = 0, Phi_N(X) divides W(X) = Q(X) Phi_N(X).
+    Otherwise let r_m be its top nonzero coefficient; as X - 1 > b,
+    |R(X)| >= X^m - b (X^m - 1)/(X - 1) > 0.  So 0 < |R(X)| < Phi_N(X),
+    Phi_N(X) does not divide R(X) = W(X) - Q(X) Phi_N(X), and so it does not
+    divide W(X).  In both cases R(X) = W(X) - Q(X) Phi_N(X) lies strictly
+    between -Phi_N(X)/2 and Phi_N(X)/2."""
     low = _reducer(N)[1]
-    B = (2 * bound * _reduction_growth(N) + sum(abs(c) for _, c in low)).bit_length()
+    B = (4 * bound * _reduction_growth(N) + sum(abs(c) for _, c in low)).bit_length()
     return B, sum(c << (B * i) for i, c in enumerate(cyclotomic_poly(N)))
+
+
+def balanced_residue(w: int, modulus: int) -> int:
+    """The residue rho of w modulo `modulus` with -modulus/2 < rho <= modulus/2.
+
+    With (B, modulus) = `packed_modulus(N, bound)`, b = bound G(N) and
+    w = W(X), X = 2^B, for W as there, rho = R(X) for R = W mod Phi_N, as
+    R(X) is congruent to W(X) and lies in that range (proof there).  So the
+    product of two packed elements with coefficients at most c, where
+    deg Phi_N c^2 <= bound, reads as their reduced product packed.  And R
+    is a rational t exactly when |rho| <= b, and then t = rho: if R = t,
+    |t| <= b; if R has degree m >= 1, then as (X^m - 1)/(X - 1) < 2 X^(m-1)
+    and X > 4 b, |rho| >= X^m - b (X^m - 1)/(X - 1) > X - 2 b > b."""
+    rho = w % modulus
+    return rho - modulus if 2 * rho > modulus else rho
+
+
+def pack(N: int, vectors, bound: Callable[[int, int], int]) -> tuple[int, int, int, dict]:
+    """(L, Phi_N(2^B), bound G(N), {vector: packed integer}) for coefficient
+    vectors (a_0, a_1, ...) of elements of Q(zeta_N), each packed as
+    sum_e L a_e 2^(B e), where L is the lcm of the denominators of all their
+    coefficients.  bound(L, cmax), with cmax the largest |L a_e|, must bound
+    the coefficients of every integer polynomial whose value at 2^B the
+    caller tests with the modulus (`packed_modulus`) or reads with
+    `balanced_residue`; bound G(N) bounds a rational read that way."""
+    vectors = set(vectors)
+    coeffs = [c for vec in vectors for c in vec]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    b = bound(L, int(max(map(abs, coeffs)) * L))
+    B, modulus = packed_modulus(N, b)
+    return L, modulus, b * _reduction_growth(N), {vec: sum(int(c * L) << (B * e) for e, c in enumerate(vec) if c) for vec in vectors}
 
 
 @lru_cache(maxsize=None)
@@ -205,21 +230,15 @@ class Cyc:
     def __rsub__(self, other):
         return (-self) + other
 
-    @staticmethod
-    def dot(xs, ys) -> "Cyc":
-        """x_1 y_1 + ... + x_m y_m for equally long, nonempty sequences of
-        elements of one Q(zeta_N), reduced once."""
-        N = xs[0].N
-        acc = [0] * (2 * _reducer(N)[0] - 1)
-        for x, y in zip(xs, ys, strict=True):
-            if x.N != N or y.N != N:
-                raise ValueError(f"mixed cyclotomic orders {N}, {x.N} and {y.N}")
-            _mul_acc(acc, x.coeffs, y.coeffs)
-        return Cyc._reduced(N, _reduce(acc, N))
-
     def __mul__(self, other):
         if isinstance(other, Cyc):
-            return Cyc.dot((self,), (other,))
+            self._check(other)
+            acc = [0] * (2 * len(self.coeffs) - 1)
+            for j, y in enumerate(other.coeffs):
+                if y:
+                    for i, x in enumerate(self.coeffs, j):
+                        acc[i] += x * y
+            return Cyc._reduced(self.N, _reduce(acc, self.N))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         other = _norm_num(other)
@@ -325,38 +344,14 @@ class CycSqrt:
     def __neg__(self) -> "CycSqrt":
         return CycSqrt._make(-self.u, -self.v, self.D)
 
-    @staticmethod
-    def dot(xs, ys) -> "CycSqrt":
-        """x_1 y_1 + ... + x_m y_m for equally long, nonempty sequences of
-        elements of one Q(zeta_N, sqrt(D)), where a y may also be an int or
-        a Fraction.  Both parts of the sum are reduced once, and products
-        with a zero part, which most entries have, are skipped."""
-        N, D = xs[0].u.N, xs[0].D
-        size = 2 * _reducer(N)[0] - 1
-        u, vv, v = [0] * size, [0] * size, [0] * size
-        for x, y in zip(xs, ys, strict=True):
-            yu, yv, yD, yN = (y.u.coeffs, y.v.coeffs, y.D, y.u.N) if isinstance(y, CycSqrt) else ((y,), (), D, N)
-            if x.D != D or x.u.N != N or yD != D or yN != N:
-                raise ValueError("mixed CycSqrt fields")
-            xu, xv = x.u.coeffs, x.v.coeffs
-            if any(xu):
-                _mul_acc(u, xu, yu)
-                if any(yv):
-                    _mul_acc(v, xu, yv)
-            if any(xv):
-                _mul_acc(v, xv, yu)
-                if any(yv):
-                    _mul_acc(vv, xv, yv)
-        if any(vv):
-            u = [a + D * b for a, b in zip(u, vv)]
-        return CycSqrt._make(Cyc._reduced(N, _reduce(u, N)), Cyc._reduced(N, _reduce(v, N)), D)
-
     def __mul__(self, other):
-        if isinstance(other, Cyc):
+        if isinstance(other, (int, Fraction, Cyc)):
             return CycSqrt._make(self.u * other, self.v * other, self.D)
-        if not isinstance(other, (int, Fraction, CycSqrt)):
+        if not isinstance(other, CycSqrt):
             return NotImplemented
-        return CycSqrt.dot((self,), (other,))
+        self._check(other)
+        u = self.u * other.u + self.v * other.v * self.D
+        return CycSqrt._make(u, self.u * other.v + self.v * other.u, self.D)
 
     __rmul__ = __mul__
 

@@ -13,7 +13,6 @@ noninvertible basis elements acting through sqrt(|H|).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from functools import cmp_to_key, partial
 
 from . import intpoly
 from .algebraic import AlgebraicReal, Quadratic, alg_cmp, all_real_roots
-from .cyclotomic import Cyc, CycSqrt, packed_modulus
+from .cyclotomic import Cyc, CycSqrt, pack
 from .errors import HypothesisError, InternalInvariantError
 from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
@@ -245,10 +244,6 @@ SOURCE_D_PLUS = "one_dimensional_d_plus"
 SOURCE_D_MINUS = "one_dimensional_d_minus"
 
 
-def _mat_scale(a, c):
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     """All irreducible representations of a uniform two-orbit ring with
     abelian invertibles and self-dual noninvertibles, as exact matrices.
@@ -304,13 +299,11 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
             continue  # replaced by the two dimension characters below
         nq = rep.N
         zero = Cyc.zero(nq)
-        sqrt_h = CycSqrt(zero, Cyc.one(nq), h_size)
         mats = []
         for b in range(ring.rank):
             # g acts as (gH, 0), and g x_0 as (gH, 1) scaled by sqrt(|H|)
             base = rep.matrix(data.basis_coset[b], 0 if b in at else 1)
-            lifted = tuple(tuple(CycSqrt(v, zero, h_size) for v in row) for row in base)
-            mats.append(lifted if b in at else _mat_scale(lifted, sqrt_h))
+            mats.append(tuple(tuple(CycSqrt(v, zero, h_size) if b in at else CycSqrt(zero, v, h_size) for v in row) for row in base))
         models.append(IrrepModel(rep.dim, tuple(mats), SOURCE_SEMIDIRECT, nq, h_size))
 
     # the two one-dimensional characters sending x to the roots of
@@ -347,30 +340,23 @@ def _product_failures(ring: FusionRing, model: IrrepModel, lefts):
     """The pairs (i, j), i in lefts, where psi(i) psi(j) and
     sum_k c[i,j,k] psi(k) differ, in index order.
 
-    Every entry u + v sqrt(D) of the model is packed once: with L the lcm
-    of the denominators of all coefficients, u and v become the integers
-    sum_e L u_e 2^(B e) and sum_e L v_e 2^(B e).  Cell (r, s) of
+    The parts u and v of every entry u + v sqrt(D) of the model are packed
+    once, scaled by L (`cyclotomic.pack`).  Cell (r, s) of
     L^2 (psi(i) psi(j) - sum_k c[i,j,k] psi(k)) then has the parts
     U = sum_t (u_rt u'_ts + D v_rt v'_ts) - L sum_k c[i,j,k] u^k_rs and
     V = sum_t (v_rt u'_ts + u_rt v'_ts) - L sum_k c[i,j,k] v^k_rs, each an
     integer polynomial of degree < 2 deg Phi_N - 1 at x = 2^B, with
     coefficients at most dim deg(Phi_N) cmax^2 (1 + max(D, 1))
     + L cmax max_(i,j) sum_k c[i,j,k], where cmax is the largest scaled
-    coefficient.  B is chosen for that bound (`cyclotomic.packed_modulus`),
-    so the cell is equal componentwise exactly when Phi_N(2^B) divides U
-    and V."""
+    coefficient.  So the cell is equal componentwise exactly when Phi_N(2^B)
+    divides U and V (`cyclotomic.packed_modulus`)."""
     entries = [e for mat in model.matrices for row in mat for e in row]
     N, D = entries[0].u.N, entries[0].D
     if any(e.u.N != N or e.v.N != N or e.D != D for e in entries):
         raise ValueError("mixed CycSqrt fields")
-    vectors = {x.coeffs for e in entries for x in (e.u, e.v)}
-    coeffs = [c for vec in vectors for c in vec]
-    L = math.lcm(*(c.denominator for c in coeffs))
-    cmax = int(max(map(abs, coeffs)) * L)
-    dim = model.dim
+    dim, f = model.dim, len(entries[0].u.coeffs)
     row_sum = _memo(ring, "row_sum", lambda: max(sum(c for _, c in row) for mat in ring.rows for row in mat))
-    B, modulus = packed_modulus(N, dim * len(entries[0].u.coeffs) * cmax * cmax * (1 + max(D, 1)) + L * cmax * row_sum)
-    packed = {vec: sum(int(c * L) << (B * e) for e, c in enumerate(vec) if c) for vec in vectors}
+    L, modulus, _, packed = pack(N, (x.coeffs for e in entries for x in (e.u, e.v)), lambda L, cmax: dim * f * cmax * cmax * (1 + max(D, 1)) + L * cmax * row_sum)
     # u[r][s][k], v[r][s][k]: the parts of entry (r, s) of psi(k)
     u = [[[packed[m[r][s].u.coeffs] for m in model.matrices] for s in range(dim)] for r in range(dim)]
     v = [[[packed[m[r][s].v.coeffs] for m in model.matrices] for s in range(dim)] for r in range(dim)]

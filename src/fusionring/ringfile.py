@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from .algebraic import IsolatedRoot, Quadratic
 from .errors import MalformedRingError
+from .numtheory import totient
 from .ring import FusionRing, _check_rank, _dense
 
 if TYPE_CHECKING:
@@ -30,9 +31,15 @@ if TYPE_CHECKING:
 
 # a table's values live in Q(zeta_N), N = root_order.  Setting up that field
 # takes 0.1 s at N = 1015, 0.3 s at N = 1995, 0.4 s at N = 2145 and 1.3 s at
-# N = 4620 (a one-class table, 2-CPU Xeon, start-up included); what a larger
-# N costs in validating a table and building its ring is not measured yet
+# N = 4620 (a one-class table, 2-CPU Xeon, start-up included)
 ROOT_ORDER_LIMIT = 1024
+# validating a table and building its ring take one product of packed values
+# per class and unordered triple of rows: about rank^4 phi(N) / 6 products
+# of integers with phi(N) digits.  Measured per unit of rank^4 phi(N) on a
+# 2-CPU Xeon, start-up included: 7 ns for the dihedral table of D120
+# (N = 120), 10 ns for C2^7 (N = 2), and 45-54 ns for dihedral tables lifted
+# to N = 1000 and 1024, the largest fields, where the products dominate
+TABLE_WORK_LIMIT = 60_000_000
 
 
 def ring_from_dict(doc) -> FusionRing:
@@ -94,6 +101,9 @@ def load_character_table(path: str) -> CharacterTable:
     if not isinstance(sizes, list) or not all(map(_is_int, sizes)):
         raise MalformedRingError("class_sizes must be a list of integers")
     _check_rank(len(sizes))  # the rank of the character ring
+    work = len(sizes) ** 4 * totient(N)
+    if work > TABLE_WORK_LIMIT:
+        raise MalformedRingError(f"table work rank^4 * phi(root_order) = {work} is above the limit {TABLE_WORK_LIMIT}")
     if not isinstance(values, list) or not all(isinstance(row, list) for row in values):
         raise MalformedRingError("values must be a list of rows, each a list")
     rows = []

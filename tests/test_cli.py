@@ -637,3 +637,39 @@ def test_root_order_above_the_limit_exits_2_before_building_a_field(tmp_path, ca
     assert code == 2
     assert out == ""
     assert f"root_order {ROOT_ORDER_LIMIT + 1} is above the limit {ROOT_ORDER_LIMIT}" in err
+
+
+def test_table_work_above_the_limit_exits_2_before_building_a_field(tmp_path, capsys, monkeypatch):
+    # rank^4 phi(root_order) takes no value just above the limit, so these
+    # are the least ranks above it over Q and over Q(zeta_1024) (phi = 512);
+    # one rank less is within it and goes on to validation, which rejects
+    # the empty values
+    from fusionring import cyclotomic
+    from fusionring.ringfile import TABLE_WORK_LIMIT
+
+    def unbuilt(*args):
+        raise AssertionError("built a cyclotomic value above the table work limit")
+
+    monkeypatch.setattr(cyclotomic, "Cyc", unbuilt)
+    path = tmp_path / "t.table"
+    for rank, N, phi in ((89, 1, 1), (19, 1024, 512)):
+        assert (rank - 1) ** 4 * phi <= TABLE_WORK_LIMIT < rank**4 * phi
+        for n in (rank - 1, rank):
+            path.write_text(json.dumps({"group_order": n, "root_order": N, "class_sizes": [1] * n, "values": []}))
+            start = time.perf_counter()
+            code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+            assert time.perf_counter() - start < 5
+            assert code == 2
+            assert out == ""
+            limit = f"table work rank^4 * phi(root_order) = {n**4 * phi} is above the limit {TABLE_WORK_LIMIT}"
+            assert (limit in err) == (n == rank), err
+            assert n == rank or "character table must be square" in err
+
+
+def test_class_sizes_below_1_exit_2(tmp_path, capsys):
+    path = tmp_path / "t.table"
+    path.write_text(json.dumps({**S3_TABLE, "class_sizes": [1, 5, 0]}))
+    code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "class 2 has size 0, below 1" in err

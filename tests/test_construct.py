@@ -239,11 +239,43 @@ def test_extraspecial_character_ring_via_generic_ingestion():
 
 
 def test_character_ring_matches_triple_loop_oracle():
-    # one inner product per unordered triple, reduced once, against
-    # <chi_i chi_j, chi_l> for every ordered triple in Fraction polynomials
-    for table in (fr.dihedral_character_table(n) for n in range(3, 31)):
+    # one packed sum per unordered triple, against <chi_i chi_j, chi_l> for
+    # every ordered triple in Fraction polynomials; the last table is D15's
+    # lifted to Q(zeta_105), whose Phi_105 has a coefficient -2
+    d15 = fr.dihedral_character_table(15)
+    lifted = CharacterTable(30, 105, d15.class_sizes, tuple(tuple(v.lift(105) for v in row) for row in d15.values))
+    for table in (*(fr.dihedral_character_table(n) for n in range(3, 31)), lifted):
         ring = fr.character_ring(table)
-        assert (dense_rows(ring), ring.dual) == character_ring_oracle(table), table.group_order
+        assert (dense_rows(ring), ring.dual) == character_ring_oracle(table), table.root_order
+
+
+def test_character_ring_rejects_a_non_integral_multiplicity():
+    # orthogonal rows with a value -1/2 (so the packing scales by L = 2):
+    # <chi_1 chi_1, chi_1> = (8 + 4 (-1/2)^3) / 5 = 3/2
+    rows = ((Cyc.one(1), Cyc.one(1)), (Cyc.rational(1, 2), Cyc.rational(1, Fraction(-1, 2))))
+    table = CharacterTable(5, 1, (1, 4), rows)
+    table.validate()
+    with pytest.raises(MalformedRingError) as err:
+        fr.character_ring(table)
+    assert str(err.value) == "non-integral multiplicity 3/2 at (1,1,1)"
+
+
+def test_character_table_rejects_class_sizes_below_1():
+    # the S3 table with sizes that still sum to 6 and start with 1
+    rows = tuple(tuple(Cyc.rational(1, v) for v in row) for row in ((1, 1, 1), (1, -1, 1), (2, 0, -1)))
+    for sizes, bad in (((1, 5, 0), "class 2 has size 0"), ((1, 6, -1), "class 2 has size -1"), ((1, -1, 6), "class 1 has size -1")):
+        with pytest.raises(MalformedRingError) as err:
+            CharacterTable(6, 1, sizes, rows).validate()
+        assert str(err.value) == f"{bad}, below 1"
+    CharacterTable(6, 1, (1, 3, 2), rows).validate()
+
+
+def test_character_table_values_lie_in_its_field():
+    rows = tuple(tuple(Cyc.rational(1, v) for v in row) for row in ((1, 1, 1), (1, -1, 1), (2, 0, -1)))
+    with pytest.raises(MalformedRingError) as err:
+        CharacterTable(6, 3, (1, 3, 2), rows).validate()
+    assert str(err.value) == "character values must lie in Q(zeta_3)"
+    CharacterTable(6, 3, (1, 3, 2), tuple(tuple(v.lift(3) for v in row) for row in rows)).validate()
 
 
 def test_near_group_accepts_nonabelian():

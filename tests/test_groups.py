@@ -9,6 +9,7 @@ from conftest import (
     cyc_conjugate_oracle,
     cyc_lift_oracle,
     cyc_mul_oracle,
+    cyc_reduce_oracle,
     cycsqrt_mul_oracle,
     d4_group,
     group_table_associativity_oracle,
@@ -16,7 +17,17 @@ from conftest import (
     q8_group,
     s3_group,
 )
-from fusionring.cyclotomic import Cyc, CycSqrt, _basis_images, _reduce, _reduced_power, cyclotomic_poly, packed_modulus
+from fusionring.cyclotomic import (
+    Cyc,
+    CycSqrt,
+    _basis_images,
+    _reduce,
+    _reduced_power,
+    balanced_residue,
+    cyclotomic_poly,
+    pack,
+    packed_modulus,
+)
 from fusionring.groups import (
     FiniteGroup,
     abelian_group,
@@ -177,32 +188,31 @@ def test_cyc_rationality():
 
 
 def test_cyc_kernel_matches_fraction_polynomial_oracle():
-    # products, sums of up to 20 products, conjugates and lifts for every
-    # N <= 60, with int and with Fraction coefficients, against Fraction
-    # polynomials reduced one product at a time by long division
+    # products, conjugates and lifts for every N <= 60, with int and with
+    # Fraction coefficients, against Fraction polynomials reduced by long
+    # division; CycSqrt products by the four-product formula over those
+    # (zero parts and scalars: test_cycsqrt_mul_matches_four_product_formula)
     rng = random.Random(2026)
     for N in range(1, 61):
         deg = len(cyclotomic_poly(N)) - 1
         for choices in ((0, 0, 1, -1, 2, -3, 7), (0, 1, Fraction(1, 2), Fraction(-5, 3), -2)):
             xs = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
             ys = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
-            products = [cyc_mul_oracle(x, y) for x, y in zip(xs, ys)]
-            assert (xs[0] * ys[0]).coeffs == products[0], N
-            for m in (2, 5, 20):
-                assert Cyc.dot(xs[:m], ys[:m]).coeffs == tuple(map(sum, zip(*products[:m]))), (N, m)
+            for x, y in zip(xs, ys):
+                assert (x * y).coeffs == cyc_mul_oracle(x, y), N
             assert xs[1].conjugate().coeffs == cyc_conjugate_oracle(xs[1]), N
             for M in (N, 2 * N, 3 * N):
                 assert xs[2].lift(M).coeffs == cyc_lift_oracle(xs[2], M), (N, M)
             # u and v parts of both factors nonzero, D not a square
-            a = [CycSqrt(xs[0], xs[1], 3), CycSqrt(xs[2], xs[3], 3)]
-            b = [CycSqrt(ys[0], ys[1], 3), CycSqrt(ys[2], ys[3], 3)]
-            want = cycsqrt_mul_oracle(a[0], b[0])
-            assert a[0] * b[0] == want, N
-            assert CycSqrt.dot(a, b) == want + cycsqrt_mul_oracle(a[1], b[1]), N
+            for a, b in ((xs[0], xs[1]), (xs[2], xs[3])):
+                x, y = CycSqrt(a, b, 3), CycSqrt(ys[0], ys[1], 3)
+                assert x * y == cycsqrt_mul_oracle(x, y), N
     with pytest.raises(ValueError):
-        Cyc.dot([Cyc.one(3), Cyc.one(3)], [Cyc.one(3), Cyc.one(6)])
+        Cyc.one(3) * Cyc.one(6)
     with pytest.raises(ValueError):
-        CycSqrt.dot([CycSqrt.of(3, 2, u=1)], [CycSqrt.of(3, 5, u=1)])
+        CycSqrt.of(3, 2, u=1) * CycSqrt.of(3, 5, u=1)
+    with pytest.raises(ValueError):
+        CycSqrt.of(3, 2, u=1) * CycSqrt.of(6, 2, u=1)
 
 
 def test_packed_zero_test_matches_reduction():
@@ -235,6 +245,48 @@ def test_packed_zero_test_matches_reduction():
             packed = sum(c << (B * k) for k, c in enumerate(w))
             assert (packed % modulus == 0) == (not any(rem)), (N, w)
         assert any(not any(_reduce(list(w), N)) for w in cases), N
+
+
+def test_balanced_residue_reads_reductions_and_rationals():
+    # integer W of degree < 2 deg Phi_N - 1, evaluated at 2^B: the residue
+    # nearest 0 modulo Phi_N(2^B) is W mod Phi_N packed with signed digits,
+    # and W mod Phi_N is rational exactly when that residue is at most
+    # `limit` in size.  Products of two elements, multiples of Phi_N plus a
+    # rational, and all-+-bound W, among them constants at the bound (for
+    # N = 1 and 2, limit = bound, so the read-out is tight there).
+    rng = random.Random(24)
+    for N in (*range(1, 61), 105):
+        phi = cyclotomic_poly(N)
+        deg = len(phi) - 1
+        size = 2 * deg - 1
+
+        def padded(w):
+            return list(w) + [0] * (size - len(w))
+
+        cases = []
+        for c in (1, 3, 2**20):
+            a, b = ([rng.randint(-c, c) for _ in range(deg)] for _ in range(2))
+            cases.append(padded(poly_mul(a, b)))
+            for t in (0, 1, -c, rng.randint(-c, c)):
+                q = [rng.randint(-c, c) for _ in range(deg - 1)]
+                cases.append(padded([t] if deg == 1 else [x + (e == 0) * t for e, x in enumerate(poly_mul(q, phi))]))
+        for bound in (1, 5, 2**40):
+            cases += [padded([bound]), padded([-bound]), [rng.choice((-bound, bound)) for _ in range(size)]]
+            for at in {0, deg - 1}:
+                at_coeffs = [_reduced_power(N, k)[at] for k in range(size)]
+                cases.append([bound * ((x > 0) - (x < 0)) for x in at_coeffs])
+        for w in cases:
+            assert len(w) == size, (N, w)
+            bound = max(1, *map(abs, w))
+            B, modulus = packed_modulus(N, bound)
+            limit = pack(N, [(1,)], lambda L, cmax: bound)[2]
+            # the room the proof needs: 2^B > 4 limit + the sum of |Phi_N|'s lower coefficients
+            assert 2**B > 4 * limit + sum(map(abs, phi[:-1])), (N, w)
+            rem = cyc_reduce_oracle(w, N)
+            rho = balanced_residue(sum(x << (B * k) for k, x in enumerate(w)), modulus)
+            assert rho == sum(x << (B * k) for k, x in enumerate(rem)), (N, w)
+            assert (abs(rho) <= limit) == (not any(rem[1:])), (N, w)
+        assert any(not any(cyc_reduce_oracle(w, N)[1:]) for w in cases), N
 
 
 def test_cyc_rational_hashes_like_its_fraction():
