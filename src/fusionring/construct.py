@@ -2,10 +2,10 @@
 
 Group rings, near-group rings R(G, level), Haagerup-Izumi rings, general
 uniform two-orbit rings, and character rings of finite groups (with a
-closed-form dihedral table generator).  Every builder runs the axiom checker
-on its output; uniform_two_orbit treats an associativity failure as a
-legitimate result and reports it, since not every parameter choice yields a
-fusion ring.
+closed-form dihedral table generator).  Every builder's ring is verified as
+it is made (`FusionRing._of_nonzeros`); uniform_two_orbit treats an
+associativity failure as a legitimate result and reports it, since not every
+parameter choice yields a fusion ring.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ def group_ring(spec) -> FusionRing:
     else:
         _check_rank(_order(spec))
         g = as_group(spec)
-    ring = FusionRing._of_nonzeros(g.names, g.inverse, _rows(g.order, g))
-    ring.require_verified()
-    return ring
+    return FusionRing._of_nonzeros(g.names, g.inverse, _rows(g.order, g))
 
 
 def near_group(spec, level: int) -> FusionRing:
@@ -77,9 +75,7 @@ def near_group(spec, level: int) -> FusionRing:
     rows[rho][rho] = tuple((i, 1) for i in range(n)) + (((rho, level),) if level else ())
     labels = list(g.names) + ["rho"]
     dual = list(g.inverse) + [rho]
-    ring = FusionRing._of_nonzeros(labels, dual, rows)
-    ring.require_verified()
-    return ring
+    return FusionRing._of_nonzeros(labels, dual, rows)
 
 
 def haagerup_izumi(spec) -> FusionRing:
@@ -128,9 +124,7 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     sub = _resolve_subgroup(g, stabilizer_gens)
     quotient, proj = g.quotient(sub)
     phi = _resolve_theta(quotient, theta)
-    cosets = g.left_cosets(sub)
-    reps = [min(c) for c in cosets]  # lexicographically least under the encoding
-    coset_of = {e: idx for idx, c in enumerate(cosets) for e in c}
+    reps = [min(c) for c in g.left_cosets(sub)]  # lexicographically least under the encoding
     kappa = k * len(sub)
 
     n = g.order
@@ -139,9 +133,9 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     rows = _rows(rank, g)
     for a in range(n):
         for i in range(m):
-            rows[a][n + i] = ((n + coset_of[g.mult(a, reps[i])], 1),)  # g . (rep x)
+            rows[a][n + i] = ((n + proj[g.mult(a, reps[i])], 1),)  # g . (rep x)
             # (rep x) . g  =  rep * theta-lift(g) * x
-            rows[n + i][a] = ((n + coset_of[g.mult(reps[i], reps[phi[proj[a]]])], 1),)
+            rows[n + i][a] = ((n + proj[g.mult(reps[i], reps[phi[proj[a]]])], 1),)
     noninvertible = tuple((n + c, kappa) for c in range(m)) if kappa else ()
     for i in range(m):
         for j in range(m):
@@ -150,14 +144,9 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
             rows[n + i][n + j] = tuple(sorted((g.mult(base, h), 1) for h in sub)) + noninvertible
 
     labels = list(g.names) + [f"x({g.names[r]})" for r in reps]
-    dual = list(g.inverse)
-    for i in range(m):
-        # (rep_i x)* = rep_j x with coset(rep_j) = theta(coset(rep_i))^{-1}
-        jq = quotient.inv(phi[i])
-        dual.append(n + jq)
-    ring = FusionRing._of_nonzeros(labels, dual, rows)
-    ring.require_verified()
-    return ring
+    # (rep_i x)* = rep_j x with coset(rep_j) = theta(coset(rep_i))^{-1}
+    dual = list(g.inverse) + [n + quotient.inv(phi[i]) for i in range(m)]
+    return FusionRing._of_nonzeros(labels, dual, rows)
 
 
 def _resolve_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
@@ -188,7 +177,7 @@ class CharacterTable:
     row 0.  `validate` checks orthogonality by one integer sum per unordered
     pair of rows: with values and conjugates packed (`cyclotomic.pack`),
     L^2 (sum_c |c| chi_i(c) conj(chi_j(c)) - |G| delta_ij) has coefficients
-    at most |G| (deg Phi_N cmax^2 + L^2), as class sizes are >= 1.
+    at most |G| (deg Phi_N cmax^2 + L^2) unreduced, as class sizes are >= 1.
     """
 
     group_order: int
@@ -246,10 +235,12 @@ def character_ring(table: CharacterTable) -> FusionRing:
     fills the entries of all six orders, k^3/6 sums.
 
     With the values packed (`cyclotomic.pack`), chi_i(c) chi_j(c) reads as
-    L^2 chi_i(c) chi_j(c) reduced, coefficients at most f cmax^2 G(N) for
-    f = deg Phi_N (`cyclotomic.balanced_residue`); its sum against |c| chi_l(c)
-    has coefficients at most |G| f^2 G(N) cmax^3 and reads as the rational
-    L^3 |G| T(i, j, l), or as a residue above `limit` if T is irrational."""
+    L^2 chi_i(c) chi_j(c) reduced (`cyclotomic.balanced_residue`), whose
+    coefficients are at most f cmax^2 G(N) for f = deg Phi_N and G(N) from
+    `cyclotomic._reduction_growth`; its sum against |c| chi_l(c) has
+    coefficients at most |G| f^2 G(N) cmax^3 unreduced and reads as the
+    rational L^3 |G| T(i, j, l), or as a residue above `limit` if T is
+    irrational."""
     _check_rank(len(table.class_sizes))
     table.validate()
     k = len(table.class_sizes)
@@ -277,9 +268,7 @@ def character_ring(table: CharacterTable) -> FusionRing:
                 for a, b, c in permutations((i, j, l)):
                     cells[a][b][dual[c]] = mult
     rows = [[tuple(sorted((m, c) for m, c in cell.items() if c)) for cell in mat] for mat in cells]
-    ring = FusionRing._of_nonzeros([f"chi{i}" for i in range(k)], dual, rows)
-    ring.require_verified()
-    return ring
+    return FusionRing._of_nonzeros([f"chi{i}" for i in range(k)], dual, rows)
 
 
 def dihedral_character_table(n: int) -> CharacterTable:

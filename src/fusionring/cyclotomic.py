@@ -77,10 +77,11 @@ def _reduced_power(N: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _reduction_growth(N: int) -> int:
-    """G(N) = sum over k < 2 deg Phi_N - 1 of the largest |coefficient| of
-    zeta_N^k reduced: reducing a polynomial of degree < 2 deg Phi_N - 1
-    multiplies the bound on its coefficients by at most G(N)."""
-    return sum(max(map(abs, _reduced_power(N, k))) for k in range(2 * _reducer(N)[0] - 1))
+    """G(N) = max over j of the sum over k < 2 deg Phi_N - 1 of |c_kj|, with
+    c_kj coefficient j of zeta_N^k reduced: coefficient j of W mod Phi_N is
+    sum_k w_k c_kj, so reducing a W of degree < 2 deg Phi_N - 1 multiplies
+    the bound on its coefficients by at most G(N), and a W of signs meets it."""
+    return max(sum(map(abs, col)) for col in zip(*(_reduced_power(N, k) for k in range(2 * _reducer(N)[0] - 1))))
 
 
 def packed_modulus(N: int, bound: int) -> tuple[int, int]:
@@ -93,7 +94,7 @@ def packed_modulus(N: int, bound: int) -> tuple[int, int]:
     of Phi_N below its leading one; B is the least with X > 4 b + S, where
     b = bound G(N) (`_reduction_growth`).  Phi_N is monic, so W = Q Phi_N + R
     with Q, R in Z[x] and deg R < f, and R is the sum of w_k (x^k mod Phi_N),
-    so its coefficients are at most b.  As X/(X - 1) <= 2,
+    so its coefficient j, sum_k w_k c_kj, is at most b.  As X/(X - 1) <= 2,
     |R(X)| <= b (X^f - 1)/(X - 1) < 2 b X^(f-1) < (X - S) X^(f-1)/2
     <= Phi_N(X)/2.  If R = 0, Phi_N(X) divides W(X) = Q(X) Phi_N(X).
     Otherwise let r_m be its top nonzero coefficient; as X - 1 > b,
@@ -114,9 +115,10 @@ def balanced_residue(w: int, modulus: int) -> int:
     R(X) is congruent to W(X) and lies in that range (proof there).  So the
     product of two packed elements with coefficients at most c, where
     deg Phi_N c^2 <= bound, reads as their reduced product packed.  And R
-    is a rational t exactly when |rho| <= b, and then t = rho: if R = t,
-    |t| <= b; if R has degree m >= 1, then as (X^m - 1)/(X - 1) < 2 X^(m-1)
-    and X > 4 b, |rho| >= X^m - b (X^m - 1)/(X - 1) > X - 2 b > b."""
+    is a rational t exactly when |rho| <= b, and then t = rho: each
+    coefficient sum_k w_k c_kj of R is at most b, so if R = t, |t| <= b; if
+    R has degree m >= 1, then as (X^m - 1)/(X - 1) < 2 X^(m-1) and X > 4 b,
+    |rho| >= X^m - b (X^m - 1)/(X - 1) > X - 2 b > b."""
     rho = w % modulus
     return rho - modulus if 2 * rho > modulus else rho
 

@@ -203,14 +203,15 @@ def endgame_check(n: int, k: int, nu2: int = 1) -> ObstructionVerdict:
     u = k * k * n * n + 4 * n
     dec = squarefree_part(u)
     lhs = budget_bound(n, k)
-    rhs = totient(2 * dec.x) * (Fraction(k * n, 2) - nu2) * dec.y
+    phi_2c = totient(2 * dec.x)
+    rhs = phi_2c * (Fraction(k * n, 2) - nu2) * dec.y
     cert = {
         "n": n,
         "k": k,
         "nu2": nu2,
         "c": dec.x,
         "y": dec.y,
-        "phi_2c": totient(2 * dec.x),
+        "phi_2c": phi_2c,
         "lhs": str(lhs),
         "rhs": str(rhs),
     }
@@ -265,7 +266,8 @@ def prime_xbound(p: int, m: int) -> ObstructionVerdict:
 def _xbound_verdict(p: int, m: int, x: int, y: int) -> ObstructionVerdict:
     """prime_xbound for a caller that already knows m^2 p + 1 = x y^2 with x
     square-free, so nothing is factored but x."""
-    lhs = totient(x) ** 2 * (p - 1) ** 2 * m * m
+    phi_x = totient(x)
+    lhs = phi_x**2 * (p - 1) ** 2 * m * m
     rhs = x * (p + 1) ** 2 * (m * m * p + 1)
     cert = {
         "p": p,
@@ -273,7 +275,7 @@ def _xbound_verdict(p: int, m: int, x: int, y: int) -> ObstructionVerdict:
         "k": 2 * m,
         "x": x,
         "y": y,
-        "phi_x": totient(x),
+        "phi_x": phi_x,
         "lhs_sq": lhs,
         "rhs_sq": rhs,
     }

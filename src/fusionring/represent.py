@@ -264,7 +264,6 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     inv = data.invertible
     g = inv.group
     at = {b: p for p, b in enumerate(inv.indices)}  # position in G of each invertible
-    h_positions = {at[s] for s in data.stabilizer}
     h_size = len(data.stabilizer)
 
     profile = dimension_profile(ring)
@@ -276,11 +275,8 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
     models: list[IrrepModel] = []
 
     # characters of G nontrivial on H: vanish off the group
-    g_chars = abelian_characters(g)
     ng = g.exponent
-    for ch in g_chars:
-        if ch.is_trivial_on(h_positions):
-            continue
+    for ch in irr_H_of_G(g, [at[s] for s in data.stabilizer]):
         mats = []
         for b in range(ring.rank):
             if b in at:

@@ -17,7 +17,8 @@ views, built on demand.
 All objects are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.  What a ring derives is kept
 by one memo, `_memo`: computed once per ring; callers get their own lists,
-so clearing a returned list changes no later result.
+so clearing a returned list changes no later result.  The axiom verdict
+(`verify_axioms`) is one of those facts; builders' rings get it as they are made.
 """
 
 from __future__ import annotations
@@ -79,24 +80,32 @@ def _check_rank(rank: int) -> None:
 
 
 class FusionRing:
-    """Basis labels, duality involution, and structure constants `rows`."""
+    """Basis labels, duality involution, and structure constants `rows`;
+    immutable, so no memoized fact can go stale."""
+
+    __slots__ = ("labels", "rank", "dual", "rows", "_cache")
 
     def __init__(self, labels: Sequence[str], dual: Sequence[int], tensor):
         self._set_basis(labels, dual)
-        self.rows = _as_rows(tensor, self.rank)
+        object.__setattr__(self, "rows", _as_rows(tensor, self.rank))
 
     @classmethod
     def _of_nonzeros(cls, labels: Sequence[str], dual: Sequence[int], rows) -> "FusionRing":
-        """The ring with these rows of (k, c) pairs, in ascending k with c a
-        nonzero int, as builders write them: only `_entry` checks them."""
+        """The verified ring with these rows of (k, c) pairs, in ascending k
+        with c a nonzero int, as builders write them: only `_entry` checks
+        them before `verify_axioms`."""
         ring = cls.__new__(cls)
         ring._set_basis(labels, dual)
-        ring.rows = rows = tuple(map(tuple, rows))
-        if max((abs(c) for mat in rows for row in mat for _, c in row), default=0) >= ENTRY_LIMIT:
+        object.__setattr__(ring, "rows", tuple(map(tuple, rows)))
+        if max((abs(c) for mat in ring.rows for row in mat for _, c in row), default=0) >= ENTRY_LIMIT:
             for i, j in product(range(ring.rank), repeat=2):  # the first one, in index order
-                for k, c in rows[i][j]:
+                for k, c in ring.rows[i][j]:
                     _entry(c, (i, j, k))
+        ring.require_verified()
         return ring
+
+    def __setattr__(self, *args):
+        raise AttributeError("FusionRing is immutable")
 
     def _set_basis(self, labels, dual) -> None:
         labels = tuple(str(x) for x in labels)
@@ -114,10 +123,8 @@ class FusionRing:
         dual = ints
         if len(dual) != rank:
             raise MalformedRingError("dual length must equal rank")
-        self.labels = labels
-        self.rank = rank
-        self.dual = dual
-        self._cache: dict = {}
+        for name, value in (("labels", labels), ("rank", rank), ("dual", dual), ("_cache", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def tensor(self):
@@ -138,12 +145,8 @@ class FusionRing:
     def __repr__(self):
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
-    def violations(self) -> list[Violation]:
-        """verify_axioms(self), computed once; each call gets its own list."""
-        return list(_memo(self, "violations", partial(verify_axioms, self)))
-
     def require_verified(self):
-        v = self.violations()
+        v = verify_axioms(self)
         if v:
             raise NotAFusionRingError(v)
 
@@ -215,7 +218,11 @@ def verify_axioms(ring: FusionRing) -> list[Violation]:
     """Every violated fusion-ring axiom, with witnesses; empty iff valid.
     Witnesses come in index order, at most 20 per axiom.  Associativity is
     checked for left factors b_0 and the generators first
-    (`_generator_first`)."""
+    (`_generator_first`).  Computed once per ring; each call gets its own list."""
+    return list(_memo(ring, "violations", partial(_violations, ring)))
+
+
+def _violations(ring: FusionRing) -> list[Violation]:
     t = ring.rows
     n = ring.rank
     d = ring.dual

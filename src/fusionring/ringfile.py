@@ -79,6 +79,8 @@ def load_ring(path: str) -> FusionRing:
 
 
 def load_character_table(path: str) -> CharacterTable:
+    """The table in the file at path, read and bounded but not validated:
+    `construct.character_ring` validates the table it is given."""
     from .construct import CharacterTable
     from .cyclotomic import Cyc
 
@@ -114,9 +116,7 @@ def load_character_table(path: str) -> CharacterTable:
                 raise MalformedRingError("character values must be integer coefficient vectors")
             cells.append(Cyc(N, vec))
         rows.append(tuple(cells))
-    table = CharacterTable(group_order=order, root_order=N, class_sizes=tuple(sizes), values=tuple(rows))
-    table.validate()
-    return table
+    return CharacterTable(group_order=order, root_order=N, class_sizes=tuple(sizes), values=tuple(rows))
 
 
 def _is_int(x) -> bool:

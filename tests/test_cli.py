@@ -61,6 +61,18 @@ def test_build_charring(tmp_path, capsys):
     assert ring.rank == 3
 
 
+def test_build_charring_validates_the_table_once(tmp_path, capsys, monkeypatch):
+    from fusionring.construct import CharacterTable
+
+    validate = CharacterTable.validate
+    calls = []
+    monkeypatch.setattr(CharacterTable, "validate", lambda table: calls.append(table) or validate(table))
+    path = tmp_path / "s3.table"
+    path.write_text(json.dumps(S3_TABLE))
+    code, out, err = run_cli(["build", "charring", "--table", str(path)], capsys)
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

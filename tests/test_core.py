@@ -310,11 +310,61 @@ def test_fpdim_requires_verified_ring():
 
 def test_clearing_the_violations_list_keeps_the_ring_unverified():
     bad = fr.FusionRing(["1", "x"], [0, 1], [[[1, 0], [0, 1]], [[0, 1], [0, 1]]])
-    assert len(bad.violations()) == 1
-    bad.violations().clear()
-    assert len(bad.violations()) == 1
+    assert len(fr.verify_axioms(bad)) == 1
+    fr.verify_axioms(bad).clear()
+    assert len(fr.verify_axioms(bad)) == 1
     with pytest.raises(NotAFusionRingError):
         bad.require_verified()
+
+
+def _count_axiom_scans(monkeypatch) -> list:
+    """The left factors of every associativity scan from now on."""
+    import fusionring.ring
+
+    scan = fusionring.ring._associativity_witnesses
+    calls: list = []
+    monkeypatch.setattr(fusionring.ring, "_associativity_witnesses", lambda t, lefts: calls.append(lefts) or scan(t, lefts))
+    return calls
+
+
+def test_verify_axioms_on_a_builders_ring_runs_no_scan(monkeypatch):
+    # every builder verifies its ring as it makes it, so the verdict is
+    # already there when a caller asks
+    rings = [
+        fr.group_ring((2, 2)),
+        fr.near_group((3,), 1),
+        fr.haagerup_izumi((3,)),
+        fr.uniform_two_orbit((6,), [2], "inversion", 2),
+        fr.character_ring(fr.dihedral_character_table(5)),
+        fr.dihedral_character_ring(6),
+    ]
+    calls = _count_axiom_scans(monkeypatch)
+    for ring in rings:
+        assert fr.verify_axioms(ring) == [], ring
+        ring.require_verified()
+    assert calls == []
+
+
+def test_verify_axioms_scans_a_loaded_ring_once(monkeypatch):
+    ring = loads_ring(dumps_ring(fr.near_group((2, 2), 2)))
+    calls = _count_axiom_scans(monkeypatch)
+    lists = [fr.verify_axioms(ring) for _ in range(3)]
+    assert len(calls) == 1
+    assert lists == [[], [], []]
+    lists[0].append("not a violation")
+    assert lists[1] == lists[2] == fr.verify_axioms(ring) == []
+    assert len({id(v) for v in lists}) == 3
+
+
+def test_rings_refuse_assignment():
+    built = fr.near_group((3,), 2)
+    for ring in (built, loads_ring(dumps_ring(built))):
+        rows, dual = ring.rows, ring.dual
+        with pytest.raises(AttributeError):
+            ring.rows = ((),)
+        with pytest.raises(AttributeError):
+            ring.dual = (0,)
+        assert ring.rows is rows and ring.dual is dual
 
 
 def test_fpdim_total_examples():

@@ -253,7 +253,8 @@ def test_balanced_residue_reads_reductions_and_rationals():
     # and W mod Phi_N is rational exactly when that residue is at most
     # `limit` in size.  Products of two elements, multiples of Phi_N plus a
     # rational, and all-+-bound W, among them constants at the bound (for
-    # N = 1 and 2, limit = bound, so the read-out is tight there).
+    # N = 1 and 2, limit = bound) and, for every N, one whose remainder has
+    # a coefficient equal to limit, so the read-out is tight.
     rng = random.Random(24)
     for N in (*range(1, 61), 105):
         phi = cyclotomic_poly(N)
@@ -275,6 +276,13 @@ def test_balanced_residue_reads_reductions_and_rationals():
             for at in {0, deg - 1}:
                 at_coeffs = [_reduced_power(N, k)[at] for k in range(size)]
                 cases.append([bound * ((x > 0) - (x < 0)) for x in at_coeffs])
+            # the coefficient j* whose column sum_k |c_kj*| is G(N): the W of
+            # signs there reduces to bound G(N) = limit at j*, meeting the bound
+            columns = [[_reduced_power(N, k)[j] for k in range(size)] for j in range(deg)]
+            top = max(columns, key=lambda col: sum(map(abs, col)))
+            tight = [bound * ((x > 0) - (x < 0)) for x in top]
+            assert cyc_reduce_oracle(tight, N)[columns.index(top)] == pack(N, [(1,)], lambda L, cmax: bound)[2], N
+            cases.append(tight)
         for w in cases:
             assert len(w) == size, (N, w)
             bound = max(1, *map(abs, w))

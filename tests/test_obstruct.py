@@ -148,6 +148,21 @@ def test_prime_xbound():
     assert v.outcome == "eliminates" and v.certificate["x"] == 29
 
 
+def test_each_certificate_number_is_factored_once(monkeypatch):
+    from fusionring import numtheory
+
+    factorize = numtheory.factorize
+    calls = []
+    monkeypatch.setattr(numtheory, "factorize", lambda n: calls.append(n) or factorize(n))
+    # 7 * 5^2 + 1 = 176 = 11 * 4^2, then phi(11)
+    assert prime_xbound(7, 5).certificate["phi_x"] == 10
+    assert calls == [176, 11]
+    calls.clear()
+    # 8^2 + 4 * 8 = 96 = 6 * 4^2, then phi(2 * 6)
+    assert endgame_check(8, 1).certificate["phi_2c"] == 4
+    assert calls == [96, 12]
+
+
 def test_xbound_square_consistency():
     from fusionring.numtheory import is_square
 
