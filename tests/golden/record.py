@@ -2,7 +2,8 @@
 
 Runs every command of cases.json as `python -m fusionring.cli` from this
 directory (so the ring file names resolve) and writes its stdout to
-<name>.out and every exit code to exit_codes.json.  Only re-record when an
+<name>.out, its stderr to <name>.err when there is any, and every exit code
+to exit_codes.json.  Only re-record when an
 output change is intended, and say why in the commit:
 
     python tests/golden/record.py [--src PATH_TO_SRC]
@@ -34,6 +35,11 @@ def main() -> None:
             capture_output=True,
         )
         (HERE / f"{case['name']}.out").write_bytes(proc.stdout)
+        err = HERE / f"{case['name']}.err"
+        if proc.stderr:
+            err.write_bytes(proc.stderr)
+        else:
+            err.unlink(missing_ok=True)
         codes[case["name"]] = proc.returncode
     (HERE / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 

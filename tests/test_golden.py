@@ -1,5 +1,6 @@
 """Replay the recorded CLI commands of tests/golden/ and compare stdout
-bytes and exit codes with the recording (see tests/golden/record.py)."""
+and stderr bytes and exit codes with the recording (see
+tests/golden/record.py); a case without a .err file writes no stderr."""
 
 import json
 from fractions import Fraction
@@ -18,9 +19,11 @@ EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 def test_golden_output(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code = main(case["argv"])
-    out, _ = capsys.readouterr()
+    out, err = capsys.readouterr()
     assert code == EXIT_CODES[case["name"]]
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
+    err_file = GOLDEN / f"{case['name']}.err"
+    assert err.encode() == (err_file.read_bytes() if err_file.exists() else b"")
 
 
 def _isolated_values(doc):
