@@ -122,9 +122,10 @@ def _prem(p: Poly, q: Poly) -> Poly:
 def squarefree_part(p: Poly) -> Poly:
     """p / gcd(p, p'), primitive with positive leading coefficient: the
     quotient of the primitive p by its primitive gcd is an integer
-    polynomial, and primitive, by Gauss's lemma."""
+    polynomial, and primitive, by Gauss's lemma.  A polynomial of degree
+    at most 1 is its own square-free part."""
     p = primitive(p)
-    if degree(p) <= 0:
+    if degree(p) <= 1:
         return p
     g = poly_gcd(p, poly_derivative(p))
     if degree(g) == 0:

@@ -67,8 +67,13 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     N(l) = m_l mp'(l).  So the product of the x - l with m_l = m is
     gcd(mp, N - m mp'), primitive with positive leading coefficient: the
     factor of multiplicity m in the square-free decomposition of the
-    charpoly.  The loop stops once the multiplicities account for the rank;
-    the count and trace checks stay.
+    charpoly.  The multiplicities sum to s_0 = tr(I) = rank, so once a
+    single root of mp is left, its multiplicity is rank - counted, with
+    counted the sum found so far: the loop probes that m at once and
+    confirms it with its gcd, as for every other m.  It jumps only to an m
+    above every m probed before, and a root found at m has m_l = m, so the
+    gcd at the jump holds no root found earlier.  The loop stops once the
+    multiplicities account for the rank; the count and trace checks stay.
 
     The spectrum is computed once per ring; each call gets its own list.
     """
@@ -86,11 +91,14 @@ def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     commutative = is_commutative(ring)
     order = invertibles(ring).order
     entries: list[Codegree] = []
-    counted = 0
+    counted = 0  # the multiplicities found so far, summed over their roots
+    found = 0  # the roots of mp found so far
     root_sum = Fraction(0)
-    for mult in range(1, ring.rank + 1):
-        if counted == ring.rank:
-            break
+    mult = 0
+    while counted < ring.rank and mult < ring.rank:
+        mult += 1
+        if found == d - 1 and ring.rank - counted > mult:
+            mult = ring.rank - counted  # the last root of mp: s_0 = rank
         factor = intpoly.poly_gcd(mp, intpoly.trim([a - mult * b for a, b in zip(num, dmp)]))
         if intpoly.degree(factor) < 1:
             continue
@@ -98,6 +106,7 @@ def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
         if len(roots) != intpoly.degree(factor):
             raise InternalInvariantError("symmetric M produced non-real eigenvalues")
         counted += mult * len(roots)
+        found += len(roots)
         root_sum += mult * Fraction(-factor[-2], factor[-1])
         for root in roots:
             entries.append(Codegree(root, mult, 1 if commutative else None))
@@ -326,10 +335,12 @@ def uniform_irreps(ring: FusionRing) -> list[IrrepModel]:
 def verify_irrep(ring: FusionRing, model: IrrepModel) -> list[tuple[int, int]]:
     """Exact homomorphism check; returns the basis pairs (i, j) where
     psi(i) psi(j) != sum_k c[i,j,k] psi(k) (empty list = model is valid),
-    checked for left factors b_0 and the algebra generators first
+    checked for left factors in the algebra generators first, and in b_0
+    too unless psi(b_0) is the identity, entry by entry
     (`ring._generator_first`)."""
     ring.require_verified()
-    return list(_generator_first(ring, partial(_product_failures, ring, model)))
+    identity = all(e.u == int(r == s) and e.v.is_zero for r, row in enumerate(model.matrices[0]) for s, e in enumerate(row))
+    return list(_generator_first(ring, partial(_product_failures, ring, model), identity))
 
 
 def _product_failures(ring: FusionRing, model: IrrepModel, lefts):

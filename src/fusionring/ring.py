@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, islice, product
 from typing import Sequence
 
@@ -217,8 +217,8 @@ def _entry(c, at: tuple) -> int:
 def verify_axioms(ring: FusionRing) -> list[Violation]:
     """Every violated fusion-ring axiom, with witnesses; empty iff valid.
     Witnesses come in index order, at most 20 per axiom.  Associativity is
-    checked for left factors b_0 and the generators first
-    (`_generator_first`).  Computed once per ring; each call gets its own list."""
+    checked for the generators first, and for b_0 too when the unit-left
+    axiom fails (`_generator_first`).  Computed once per ring; each call gets its own list."""
     return list(_memo(ring, "violations", partial(_violations, ring)))
 
 
@@ -258,16 +258,21 @@ def _violations(ring: FusionRing) -> list[Violation]:
     moved = sorted(range(n), key=d.__getitem__)  # moved[d[k]] = k
     duals = ((i, j, tuple(sorted([(moved[k], c) for k, c in t[d[j]][d[i]]]))) for i, j in product(range(n), repeat=2))
     report("anti-involution", (((i, j, k), f"c={a} vs dual {b}") for i, j, want in duals for k, a, b in differ(i, j, want)))
-    report("associativity", _generator_first(ring, partial(_associativity_witnesses, t)))
+    unit_holds = not any(v.axiom == "unit-left" for v in out)
+    report("associativity", _generator_first(ring, partial(_associativity_witnesses, t), unit_holds))
     return out
 
 
-def _generator_first(ring: FusionRing, failures):
-    """failures(range(rank)) if failures((0, *S)) yields anything, else
+def _generator_first(ring: FusionRing, failures, b0_holds: bool):
+    """failures(range(rank)) if the first pass yields anything, else
     nothing, with S the generating set that peeling certifies
     (`_generators`): the failures of a product law over all left factors,
-    checked on b_0 and S first.  verify_axioms (associativity) and
-    represent.verify_irrep (a homomorphism psi) use it.
+    checked on S first.  The first pass is failures(S) when the caller has
+    established the law for the left factor b_0 (b0_holds), and
+    failures((0, *S)) otherwise.  verify_axioms (associativity, b_0 settled
+    when the unit-left axiom holds), _dimension_profile (on a verified ring,
+    where v_0 = 1) and represent.verify_irrep (a homomorphism psi, b_0
+    settled when psi(b_0) is the identity) use it.
 
     That is exactly as strong as the full scan.  Let A be the elements a
     for which the law holds with a as left factor: (a b) c = a (b c) for all
@@ -276,12 +281,16 @@ def _generator_first(ring: FusionRing, failures):
     a ((a' b) c) = a (a' (b c)) = (a a') (b c), using a in A three times
     and a' in A once; and psi((a a') b) = psi(a (a' b)) = psi(a) psi(a' b) =
     psi(a) psi(a') psi(b) = psi(a a') psi(b), using associativity of the
-    ring, a' in A once and a in A twice.  The first pass puts b_0 and S in
-    A, so A holds the algebra they generate, which is the whole ring.  No
-    unit is assumed (b_0 is a checked left factor), nor, for associativity,
-    associativity itself.  Only a failing first pass leads to the full
-    scan, so the witnesses are the full scan's."""
-    if next(failures((0, *_generators(ring))), None) is None:
+    ring, a' in A once and a in A twice.  The first pass, or the caller,
+    puts b_0 in A, and the first pass puts S there, so A holds the algebra
+    they generate, which is the whole ring.  No unit is assumed: without
+    b0_holds, b_0 is a checked left factor.  When the row of b_0 is the
+    identity, b_0 b = b for every b, so (b_0 b) c = b c = b_0 (b c), and
+    psi(b_0 b) = psi(b) = psi(b_0) psi(b) once psi(b_0) = I.  Associativity
+    itself is not assumed.  Only a failing first pass leads to the full
+    scan, so the witnesses are the full scan's in every case."""
+    lefts = _generators(ring) if b0_holds else (0, *_generators(ring))
+    if next(failures(lefts), None) is None:
         return iter(())
     return failures(range(ring.rank))
 
@@ -368,26 +377,38 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     largest real eigenvalue of N_i, exact (Quadratic when its minimal
     polynomial has degree <= 2, IsolatedRoot otherwise).
 
-    It is the largest root of the Krylov polynomial p of e_0 under N_i.  Row
-    j of N_i is the product b_i b_j, so e_0 N_i^k is b_i^k and p is the least
-    polynomial with p(b_i) = 0.  require_verified guarantees a unit and
-    associativity, so p(L_x) = L_{p(x)} for left multiplication L_x, and
-    p(b_i) = 0 exactly when p(L_{b_i}) = 0 (apply it to b_0): p is the
-    minimal polynomial of N_i.  It has the same roots as the charpoly, so
-    the square-free part, which is all that largest_real_root reads, and
-    the printed value are those of the charpoly.  The defining polynomial
-    of an IsolatedRoot is that square-free part, not always minimal.
+    An invertible element has dimension 1.  When the ring has a dimension
+    profile, a noninvertible one has dimension d, the profile's root of
+    d^2 = r d + s: the profile certifies, in integers, that N_i v = v_i v
+    for the positive vector v that is 1 on the invertibles and d on the
+    rest, so d is the Perron root of N_i (Collatz-Wielandt, see
+    dimension_profile), and no polynomial is computed.
+
+    Otherwise it is the largest root of the Krylov polynomial p of e_0
+    under N_i.  Row j of N_i is the product b_i b_j, so e_0 N_i^k is b_i^k
+    and p is the least polynomial with p(b_i) = 0.  require_verified
+    guarantees a unit and associativity, so p(L_x) = L_{p(x)} for left
+    multiplication L_x, and p(b_i) = 0 exactly when p(L_{b_i}) = 0 (apply
+    it to b_0): p is the minimal polynomial of N_i.  It has the same roots
+    as the charpoly, so the square-free part, which is all that
+    largest_real_root reads, and the printed value are those of the
+    charpoly.  The defining polynomial of an IsolatedRoot is that
+    square-free part, not always minimal.
 
     Elements often share p (13 noninvertible elements of SU(2)_14 have 9
-    polynomials, those of Haagerup-Izumi rings one), so p is memoized per
-    index and its root per polynomial (_polynomial_root)."""
+    polynomials), so p is memoized per index and its root per polynomial
+    (_polynomial_root)."""
     if not 0 <= i < ring.rank:
         raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
     ring.require_verified()
     if is_invertible(ring, i):
         return Quadratic(1)
-    poly = _memo(ring, ("krylov", i), lambda: intpoly.krylov(ring.rows[i])[0])
-    result = _polynomial_root(ring, poly, width)
+    profile = dimension_profile(ring)
+    if profile is not None:  # a two-dimension profile, as i is noninvertible
+        result = profile.d
+    else:
+        poly = _memo(ring, ("krylov", i), lambda: intpoly.krylov(ring.rows[i])[0])
+        result = _polynomial_root(ring, poly, width)
     if alg_cmp(result, 1) < 0:
         raise InternalInvariantError("FP dimension below 1")
     return result
@@ -398,14 +419,28 @@ def fpdim_all(ring: FusionRing) -> list[AlgebraicReal]:
 
 
 def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
-    """Sum of squared FP dimensions, computed exactly as the largest
-    eigenvalue of M = sum_i N_i N_i^T (the global FP character value).
+    """Sum of squared FP dimensions, exact: the largest eigenvalue of
+    M = sum_i N_i N_i^T (the global FP character value).
 
-    M is symmetric, hence diagonalizable, so its minimal polynomial is the
-    square-free part of its charpoly; that is the Krylov polynomial of e_0
-    (see fpdim_basis), since M is left multiplication by R = sum_x x x*
+    When the ring has a dimension profile it is n_inv + n_non d^2, with
+    n_inv and n_non the numbers of invertible and noninvertible basis
+    elements and d the profile's root (n_non = 0 for a pointed ring).  The
+    profile's vector v (1 on the invertibles, d on the rest) is positive
+    and multiplicative, and M is left multiplication by R, so
+    (M v)_j = v(R b_j) = v(R) v_j: v(R) = sum_x v_x v_x* = n_inv + n_non d^2
+    is the Perron root of M (Collatz-Wielandt, as in fpdim_basis).
+
+    Otherwise it is the largest root of the Krylov polynomial of e_0 under
+    M.  M is symmetric, hence diagonalizable, so its minimal polynomial is
+    the square-free part of its charpoly; that is the Krylov polynomial of
+    e_0 (see fpdim_basis), since M is left multiplication by R = sum_x x x*
     (see global_multiplication_matrix)."""
     ring.require_verified()
+    profile = dimension_profile(ring)
+    if profile is not None:
+        n_non = len(noninvertible_indices(ring))
+        total = Quadratic(ring.rank - n_non)
+        return total + n_non * profile.d * profile.d if n_non else total
     return _polynomial_root(ring, global_krylov(ring)[1], width)
 
 
@@ -427,15 +462,22 @@ def _polynomial_root(ring: FusionRing, poly, width: Fraction) -> AlgebraicReal:
 
 def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
     """Matrix of multiplication by R = sum_x x x* (symmetric, PSD):
-    M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l].
+    M[j][k] = sum_{x,l} c[x,j,l] c[x,k,l], the matrix sum_x N_x N_x^T.
 
-    Row j is computed as the product R b_j = sum_x x (x* b_j), from the
-    nonzeros of the products: its b_k coefficient is sum_{x,l} c[x*,j,l]
-    c[x,l,k], and Frobenius reciprocity c[x,l,k] = c[x*,k,l] with x -> x*
-    turns that into M[j][k] on a verified ring."""
+    R has the coefficients r_l = sum_x c[x,x*,l], read off rank products,
+    and row j of M is R b_j = sum_l r_l (b_l b_j), so
+    M[j][k] = sum_l r_l c[l,j,k] by bilinearity alone: the cost is the
+    nonzeros of the rows (l, j) with r_l != 0, at most the ring's nonzeros.
+
+    On a verified ring that is sum_x N_x N_x^T, hence symmetric.  By
+    associativity R b_j = sum_x x (x* b_j), whose b_k coefficient is
+    sum_{x,m} c[x*,j,m] c[x,m,k]; Frobenius reciprocity
+    c[x,m,k] = c[x*,k,m] makes it sum_{x,m} c[x*,j,m] c[x*,k,m], and
+    x -> x* turns that into sum_{x,m} c[x,j,m] c[x,k,m]."""
     ring.require_verified()
     t, d, n = ring.rows, ring.dual, ring.rank
-    return [_dense(((k, c * e) for x in range(n) for m, c in t[d[x]][j] for k, e in t[x][m]), n) for j in range(n)]
+    r = _dense((pair for x in range(n) for pair in t[x][d[x]]), n)
+    return [_dense(((k, rl * c) for l, rl in enumerate(r) if rl for k, c in t[l][j]), n) for j in range(n)]
 
 
 def global_krylov(ring: FusionRing) -> tuple:
@@ -552,7 +594,7 @@ class DimensionProfile:
     r: int | None = None
     s: int | None = None
 
-    @property
+    @cached_property
     def d(self) -> Quadratic | None:
         return Quadratic(Fraction(self.r, 2), Fraction(1, 2), self.r**2 + 4 * self.s) if self.is_two_dimension else None
 
@@ -574,11 +616,11 @@ def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     1 and d.  Conversely, if every noninvertible has one FP dimension d',
     then d'^2 = FPdim(x x*) = r d' + s, so d' is the positive root d, and
     FPdim, a ring homomorphism, satisfies the identity.  The identity is
-    checked for left factors b_0 and the generators (`_generator_first`),
-    in integers: when r^2 + 4s is a square, d is an integer; otherwise both
-    sides are a + b d with integers 0 <= a, b, compared as a + b W for a
-    base W above every a, so as the pairs (a, b).  No root is isolated and
-    nothing is factored."""
+    checked for left factors in the generators (`_generator_first`; it
+    holds for b_0, the unit, as v_0 = 1), in integers: when r^2 + 4s is a
+    square, d is an integer; otherwise both sides are a + b d with integers
+    0 <= a, b, compared as a + b W for a base W above every a, so as the
+    pairs (a, b).  No root is isolated and nothing is factored."""
     ring.require_verified()
     return _memo(ring, "profile", partial(_dimension_profile, ring))
 
@@ -602,7 +644,8 @@ def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
             if sum(c * v[k] for k, c in ring.rows[i][j]) != products[(not inv[i]) + (not inv[j])]:
                 yield i, j
 
-    return profile if next(_generator_first(ring, failures), None) is None else None
+    # b_0 is the unit and v_0 = 1, so its identity holds: b0_holds
+    return profile if next(_generator_first(ring, failures, True), None) is None else None
 
 
 @dataclass(frozen=True)

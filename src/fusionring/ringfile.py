@@ -36,9 +36,11 @@ ROOT_ORDER_LIMIT = 1024
 # validating a table and building its ring take one product of packed values
 # per class and unordered triple of rows: about rank^4 phi(N) / 6 products
 # of integers with phi(N) digits.  Measured per unit of rank^4 phi(N) on a
-# 2-CPU Xeon, start-up included: 7 ns for the dihedral table of D120
-# (N = 120), 10 ns for C2^7 (N = 2), and 45-54 ns for dihedral tables lifted
-# to N = 1000 and 1024, the largest fields, where the products dominate
+# 2-CPU Xeon, start-up included, with the limit lifted: 4.2-4.7 ns for the
+# dihedral table of D120 (N = 120, 2.1-2.4 s) and 23-25 ns for D32 lifted to
+# N = 1024 (1.5-1.7 s), the largest field, where the products dominate.  The
+# constant was set from 45-54 ns per unit, measured on lifted tables before
+# the reduction bound G(N) was tightened, so it refuses both tables
 TABLE_WORK_LIMIT = 60_000_000
 
 

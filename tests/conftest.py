@@ -15,7 +15,11 @@ factors), admissible square-free parts by a totient per candidate (the
 library carries phi along its search), the fusion-ring axioms on a
 numpy tensor with einsum associativity (the library compares packed integer
 rows), dimension profiles from every Perron root compared exactly (the
-library checks one integer identity and computes no root), and cyclotomic
+library checks one integer identity and computes no root), FP dimensions
+and their squared sum as largest Krylov roots (the library reads them off a
+dimension profile when there is one), M = sum_x N_x N_x^T by a numpy
+contraction and by the path sum over products (the library reads M off the
+coefficients of R = sum_x x x*), and cyclotomic
 products, conjugates and lifts as Fraction polynomials reduced one at a time
 by long division modulo a cyclotomic polynomial built here (the library sums
 unreduced convolutions, reduces once per sum and applies cached images of
@@ -38,11 +42,12 @@ import pytest
 
 import fusionring as fr
 from fusionring import intpoly
+from fusionring.algebraic import largest_real_root
 from fusionring.cyclotomic import Cyc, CycSqrt, _reduce, cyclotomic_poly
 from fusionring.errors import FusionRingError, HypothesisError
 from fusionring.groups import FiniteGroup, abelian_group
 from fusionring.numtheory import factorize, is_prime, totient
-from fusionring.ring import Violation, global_multiplication_matrix, noninvertible_indices
+from fusionring.ring import Violation, noninvertible_indices
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -266,9 +271,10 @@ def oracle_multiplicity(value, oracle_factors) -> int:
 
 def assert_codegrees_match_yun_oracle(ring) -> None:
     """codegree_spectrum(ring) has, for each factor (f, m) of Yun's
-    decomposition of the oracle charpoly of M, exactly deg f eigenvalues of
-    multiplicity m, each a root of f, and no other multiplicities."""
-    factors = squarefree_decomposition_oracle(charpoly_oracle(global_multiplication_matrix(ring)))
+    decomposition of the oracle charpoly of M (`global_multiplication_oracle`),
+    exactly deg f eigenvalues of multiplicity m, each a root of f, and no
+    other multiplicities."""
+    factors = squarefree_decomposition_oracle(charpoly_oracle(global_multiplication_oracle(ring)))
     spectrum = fr.codegree_spectrum(ring)
     assert sorted(m for _, m in factors) == sorted({e.eigen_multiplicity for e in spectrum})
     for f, m in factors:
@@ -751,16 +757,57 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
     return failures
 
 
+def global_multiplication_oracle(ring) -> list[list[int]]:
+    """M = sum_x N_x N_x^T, contracted over x and the column index of the
+    dense tensor by numpy (exact Python integers when int64 could overflow);
+    the library reads M off the coefficients of R = sum_x x x*."""
+    t = ring.tensor
+    if int(np.abs(t).max(initial=0)) ** 2 * ring.rank**2 >= 2**62:
+        t = t.astype(object)
+    return [[int(c) for c in row] for row in np.tensordot(t, t, axes=([0, 2], [0, 2]))]
+
+
+def global_multiplication_path_sum(ring) -> list[list[int]]:
+    """M by the path sum R b_j = sum_x x (x* b_j): its b_k coefficient is
+    sum_{x,m} c[x*,j,m] c[x,m,k], summed over the nonzeros of every product
+    x* b_j and x b_m (what the library computed before it read M off the
+    coefficients of R)."""
+    t, d, n = ring.rows, ring.dual, ring.rank
+    out = [[0] * n for _ in range(n)]
+    for j, row in enumerate(out):
+        for x in range(n):
+            for m, c in t[d[x]][j]:
+                for k, e in t[x][m]:
+                    row[k] += c * e
+    return out
+
+
+def fpdim_krylov_oracle(ring, i: int):
+    """The FP dimension of b_i as the largest real root of the Krylov
+    polynomial of e_0 under N_i, for every element (the library reads 1 for
+    invertibles and d off a dimension profile, and computes no polynomial
+    for either)."""
+    return largest_real_root(intpoly.krylov(ring.rows[i])[0])
+
+
+def fpdim_total_krylov_oracle(ring):
+    """The sum of squared FP dimensions as the largest real root of the
+    Krylov polynomial of e_0 under `global_multiplication_oracle` (the
+    library reads n_inv + n_non d^2 off a dimension profile)."""
+    return largest_real_root(intpoly.krylov(nonzero_rows(global_multiplication_oracle(ring)))[0])
+
+
 def dimension_profile_oracle(ring) -> tuple | None:
     """The dimension profile read off the FP dimensions themselves, as
     (is_two_dimension, r, s, d, d_is_rational): every noninvertible's Perron
-    root is computed and compared exactly (the library decides from integers
-    alone, without a root).  None when the noninvertibles have more than one
-    dimension; all None after False for a pointed ring."""
+    root is computed (`fpdim_krylov_oracle`) and compared exactly (the
+    library decides from integers alone, without a root).  None when the
+    noninvertibles have more than one dimension; all None after False for a
+    pointed ring."""
     noninv = noninvertible_indices(ring)
     if not noninv:
         return (False, None, None, None, None)
-    dims = [fr.fpdim_basis(ring, i) for i in noninv]
+    dims = [fpdim_krylov_oracle(ring, i) for i in noninv]
     if any(fr.alg_cmp(dim, dims[0]) != 0 for dim in dims[1:]):
         return None
     x = noninv[0]

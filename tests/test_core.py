@@ -3,6 +3,8 @@ import json
 import random
 import time
 import tracemalloc
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from conftest import (
     cubic_chain_ring,
     dense_rows,
     dimension_profile_oracle,
+    fpdim_krylov_oracle,
+    fpdim_total_krylov_oracle,
     generated_span_rank,
     haagerup_izumi_oracle,
     s3_group,
@@ -29,7 +33,7 @@ from fusionring.errors import (
     NotAFusionRingError,
     NotTwoOrbitError,
 )
-from fusionring.ring import algebra_generators, is_invertible, noninvertible_indices
+from fusionring.ring import algebra_generators, fpdim_all, is_invertible, noninvertible_indices
 from fusionring.ringfile import dumps_ring, loads_ring
 
 
@@ -237,6 +241,106 @@ def test_verify_axioms_matches_oracle_at_the_widest_digits():
         assert fr.verify_axioms(broken) == verify_axioms_oracle(broken), trial
 
 
+def test_verify_axioms_with_a_broken_unit_row_matches_oracle(small_corpus, two_orbit_corpus):
+    # unit-left fails, so b_0 stays a left factor of the generator pass.
+    # Every rank-2 tensor with entries 0 and 1 whose b_0 row is not the
+    # identity, among them rings whose associativity fails only with b_0 on
+    # the left; then corpus rings with one to three entries of the b_0 row
+    # changed
+    only_b0 = 0
+    for cells in product((0, 1), repeat=8):
+        t = [[list(cells[4 * i + 2 * j : 4 * i + 2 * j + 2]) for j in range(2)] for i in range(2)]
+        if t[0] == [[1, 0], [0, 1]]:
+            continue
+        ring = fr.FusionRing("ab", [0, 1], t)
+        got = fr.verify_axioms(ring)
+        assert got == verify_axioms_oracle(ring), t
+        assert any(v.axiom == "unit-left" for v in got), t
+        only_b0 += {v.indices[0] for v in got if v.axiom == "associativity"} == {0}
+    assert only_b0 >= 10
+    bases = [*small_corpus.values(), *two_orbit_corpus.values()]
+    rng = random.Random(2031)
+    for trial in range(200):
+        ring = bases[rng.randrange(len(bases))]
+        t = ring.tensor.tolist()
+        for _ in range(rng.randint(1, 3)):
+            t[0][rng.randrange(ring.rank)][rng.randrange(ring.rank)] += rng.choice((-1, 1, 2))
+        broken = fr.FusionRing(ring.labels, ring.dual, t)
+        got = fr.verify_axioms(broken)
+        assert got == verify_axioms_oracle(broken), (trial, ring)
+        unit_row = [[int(j == k) for k in range(ring.rank)] for j in range(ring.rank)]
+        assert any(v.axiom == "unit-left" for v in got) == (t[0] != unit_row), (trial, ring)
+
+
+def test_generator_pass_leaves_out_b0_once_the_caller_established_it(monkeypatch):
+    # the first pass of every check on a verified builder ring is the
+    # generating set alone; b_0 joins it on a ring whose unit row is broken
+    # and for a model whose psi(b_0) is not the identity
+    import fusionring.represent
+    import fusionring.ring
+
+    passes = []
+    original = fusionring.ring._generator_first
+
+    def spy(ring, failures, b0_holds):
+        lefts_seen = []
+
+        def recorded(lefts):
+            lefts_seen.append(tuple(lefts))
+            return failures(lefts_seen[-1])
+
+        passes.append(lefts_seen)
+        return original(ring, recorded, b0_holds)
+
+    monkeypatch.setattr(fusionring.ring, "_generator_first", spy)
+    monkeypatch.setattr(fusionring.represent, "_generator_first", spy)
+    ring = fr.near_group((2, 2), 4)  # verified as it is built
+    fr.dimension_profile(ring)
+    models = fr.uniform_irreps(ring)
+    gens = algebra_generators(ring)
+    assert 0 not in gens
+    assert passes == [[gens]] * (2 + len(models))
+    passes.clear()
+    doubled = replace(models[0], matrices=(tuple(tuple(e * 2 for e in row) for row in models[0].matrices[0]), *models[0].matrices[1:]))
+    assert fr.verify_irrep(ring, doubled)
+    t = ring.tensor.tolist()
+    t[0][1][1] = 2
+    assert fr.verify_axioms(fr.FusionRing(ring.labels, ring.dual, t))
+    assert [lefts[0] for lefts in passes] == [(0, *gens)] * 2
+
+
+def test_profile_rings_compute_no_krylov_polynomial_for_fp_dimensions(monkeypatch):
+    # near-group, Haagerup-Izumi, uniform and character rings: every FP
+    # dimension and the total are read off the dimension profile, and equal
+    # the Krylov roots the oracles compute beforehand
+    import fusionring.intpoly
+    import fusionring.ring
+
+    rings = [
+        fr.near_group((24,), 48),
+        fr.near_group((5,), 0),
+        fr.near_group((2,), 1),
+        fr.haagerup_izumi((4,)),
+        fr.uniform_two_orbit((12,), [6], "inversion", 1),
+        fr.dihedral_character_ring(18),
+        fr.character_ring(fr.dihedral_character_table(12)),
+    ]
+    want = [([fpdim_krylov_oracle(ring, i) for i in range(ring.rank)], fpdim_total_krylov_oracle(ring)) for ring in rings]
+
+    def forbidden(*args):
+        raise AssertionError("an FP dimension computed a Krylov polynomial or isolated a root")
+
+    for module, name in (
+        (fusionring.intpoly, "krylov"),
+        (fusionring.intpoly, "isolate_real_roots"),
+        (fusionring.ring, "global_krylov"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    for ring, (dims, total) in zip(rings, want):
+        assert fpdim_all(ring) == dims, ring
+        assert fr.fpdim_total(ring) == total, ring
+
+
 def test_rank_200_haagerup_izumi_verifies_in_seconds():
     ring = fr.FusionRing(*haagerup_izumi_oracle((100,)))
     start = time.perf_counter()
@@ -372,8 +476,7 @@ def test_fpdim_total_examples():
         assert fr.fpdim_total(fr.group_ring((2,) * m)) == 2**m
     assert fr.fpdim_total(fr.near_group((2,), 2)) == Quadratic(6, 2, 3)
     # Haagerup: 3 + 3 d^2 with d = (3 + sqrt 13)/2
-    d = Quadratic.__new__(Quadratic)
-    d = fr.fpdim_basis(fr.haagerup_izumi((3,)), 3)
+    d = fpdim_krylov_oracle(fr.haagerup_izumi((3,)), 3)
     expected = 3 + 3 * d * d
     assert fr.fpdim_total(fr.haagerup_izumi((3,))) == expected
 

@@ -12,6 +12,9 @@ from conftest import (
     characters_commutative,
     charpoly_oracle,
     crosscheck_uniform_rings,
+    fpdim_krylov_oracle,
+    global_multiplication_oracle,
+    global_multiplication_path_sum,
     nonzero_rows,
     numeric_eigs,
     su2_ring,
@@ -64,6 +67,27 @@ def test_global_krylov_rows_cannot_be_changed():
             rows[0][0] += 1
 
 
+def test_global_multiplication_matrix_matches_the_path_sum_and_the_sum_of_n_x_n_x_transposed(
+    small_corpus, two_orbit_corpus, spectra_corpus
+):
+    rings = [*small_corpus.values(), *two_orbit_corpus.values(), *spectra_corpus.values()]
+    rings += [su2_ring(k) for k in range(1, 21)] + [fr.haagerup_izumi((50,))]
+    for ring in rings:
+        m = global_multiplication_matrix(ring)
+        assert m == global_multiplication_path_sum(ring) == global_multiplication_oracle(ring), ring
+
+
+def test_codegree_spectrum_of_a_group_ring_takes_one_gcd(monkeypatch):
+    # M = 36 I: mp = x - 36 has a single root, whose multiplicity is
+    # rank - 0 = 36, confirmed by one gcd instead of one per multiplicity
+    calls = []
+    gcd = intpoly.poly_gcd
+    monkeypatch.setattr(intpoly, "poly_gcd", lambda p, q: calls.append((p, q)) or gcd(p, q))
+    spec = fr.codegree_spectrum(fr.group_ring((36,)))
+    assert [(e.value, e.eigen_multiplicity) for e in spec] == [(36, 36)]
+    assert len(calls) <= 1
+
+
 def test_codegrees_near_group_c2_2():
     spec = fr.codegree_spectrum(fr.near_group((2,), 2))
     values = [e.value for e in spec]
@@ -78,7 +102,7 @@ def test_codegrees_haagerup():
     assert len(mult4) == 1 and mult4[0].value == 6
     assert mult4[0].dim_hint is None  # ring is noncommutative
     top = spec[0].value
-    d = fr.fpdim_basis(fr.haagerup_izumi((3,)), 3)
+    d = fpdim_krylov_oracle(fr.haagerup_izumi((3,)), 3)
     assert top == 3 + 3 * d * d
 
 
@@ -296,6 +320,29 @@ def test_verify_irrep_matches_oracle_on_nudged_corpus_models(spectra_uniform_cor
                 assert fr.verify_irrep(ring, nudged) == verify_irrep_oracle(ring, nudged), (name, model.source_tag, b, r, c, part)
                 checked += 1
     assert checked >= 200
+
+
+def test_verify_irrep_matches_oracle_when_psi_b0_is_not_the_identity():
+    # the zero model, every model scaled by 2, and every model with psi(b_0)
+    # and psi(b) swapped keep b_0 in the generator pass; a swap of two other
+    # images leaves psi(b_0) = I, and b_0 out of it
+    zeros = 0
+    for ring in crosscheck_uniform_rings():
+        for model in fr.uniform_irreps(ring):
+            b = ring.rank - 1
+            swapped_b0 = replace(model, matrices=(model.matrices[b], *model.matrices[1:b], model.matrices[0]))
+            swapped = _with_matrix(_with_matrix(model, 1, model.matrices[b]), b, model.matrices[1])
+            variants = [
+                replace(model, matrices=tuple(tuple(tuple(e * 0 for e in row) for row in mat) for mat in model.matrices)),
+                replace(model, matrices=tuple(tuple(tuple(e * 2 for e in row) for row in mat) for mat in model.matrices)),
+                swapped_b0,
+                swapped,
+            ]
+            for variant in variants:
+                got = fr.verify_irrep(ring, variant)
+                assert got == verify_irrep_oracle(ring, variant), (ring, model.source_tag)
+                zeros += not got
+    assert zeros > 0  # the zero model is a homomorphism
 
 
 def test_verify_irrep_needs_a_generating_set():
