@@ -13,7 +13,8 @@ recomputed; this artifact only eliminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import intpoly
@@ -82,9 +83,61 @@ class LevelEntry:
 
 
 @dataclass(frozen=True)
+class LevelRun:
+    """The levels first..last, which one rule decides alike: the entry at
+    each level is `template`, the rule's entry at `first`, with the level and
+    the r of each certificate set to that level.  The writers check the run
+    against `rule` at both ends (see report_lines)."""
+
+    first: int
+    last: int
+    template: LevelEntry
+    rule: Callable[[int], LevelEntry] = field(compare=False, repr=False)
+
+    def __len__(self) -> int:
+        return self.last - self.first + 1
+
+    def at(self, level: int) -> LevelEntry:
+        certs = tuple(replace(v, certificate={**v.certificate, "r": level}) for v in self.template.certificates)
+        return replace(self.template, level=level, certificates=certs)
+
+
+class LevelRuns(Sequence):
+    """The entries of a report, in level order, held as single entries and
+    runs; a run's entries are built only as they are read."""
+
+    def __init__(self, items):
+        self.items = tuple(items)
+        self._len = sum(len(i) if isinstance(i, LevelRun) else 1 for i in self.items)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[LevelEntry]:
+        for item in self.items:
+            if isinstance(item, LevelRun):
+                yield from map(item.at, range(item.first, item.last + 1))
+            else:
+                yield item
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = range(self._len)[index]  # a position, negatives resolved
+        for item in self.items:
+            size = len(item) if isinstance(item, LevelRun) else 1
+            if i < size:
+                return item.at(item.first + i) if isinstance(item, LevelRun) else item
+            i -= size
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, LevelRuns)) and tuple(self) == tuple(other)
+
+
+@dataclass(frozen=True)
 class LevelReport:
     group: str
-    levels: tuple[LevelEntry, ...]
+    levels: Sequence[LevelEntry]  # a tuple, or LevelRuns
     scan_bound: dict | None
     filters_applied: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
@@ -103,6 +156,33 @@ class LevelReport:
             "filters_applied": list(self.filters_applied),
             "notes": list(self.notes),
         }
+
+
+# a level no report lists, whose digits no formatted line holds otherwise
+SENTINEL = -1_000_000_000_000_000_007
+
+
+def report_lines(report: LevelReport, line: Callable[[LevelEntry], str], level_str: Callable[[int], str] = str) -> Iterator[str]:
+    """line(entry) for every entry of report, in level order, produced lazily.
+
+    A run is formatted once: line of its template at SENTINEL, split where
+    level_str(SENTINEL) stands and joined around level_str(level) at each
+    level.  Every single entry is formatted, and every run is checked
+    against line(rule(level)) at its first and last level, before this
+    returns.
+    """
+    items = report.levels.items if isinstance(report.levels, LevelRuns) else report.levels
+    plan = []  # (levels, pieces); a single entry is one piece, which join leaves as it is
+    for item in items:
+        if not isinstance(item, LevelRun):
+            plan.append(((item.level,), [line(item)]))
+            continue
+        pieces = line(item.at(SENTINEL)).split(level_str(SENTINEL))
+        for level in (item.first, item.last):
+            if level_str(level).join(pieces) != line(item.rule(level)):
+                raise InternalInvariantError(f"run of levels {item.first}..{item.last} differs from its rule at {level}")
+        plan.append((range(item.first, item.last + 1), pieces))
+    return (lv.join(pieces) for levels, pieces in plan for lv in map(level_str, levels))
 
 
 def coarse_cutoff(n: int) -> tuple[int, dict]:
@@ -167,21 +247,22 @@ def classify_elementary2(m: int) -> LevelReport:
     # a near-group ring over C2^m at level l has profile r = l, s = |H| = n
     n = 2**m
     cutoff, cutoff_cert = coarse_cutoff(n)
-    entries = [LevelEntry(0, STATUS_KNOWN, tag=TAG_LEVEL_ZERO)]
-    for level in range(1, n - 1):
-        entries.append(
-            LevelEntry(level, STATUS_ELIMINATED, certificates=(noncom_verdict(level, n, n),))
-        )
-    entries.append(LevelEntry(n - 1, STATUS_ELIMINATED, tag=TAG_SIEHLER))
 
-    top = n * max(cutoff, 1)
-    for level in range(n, top + 1):
-        if level % n:
-            entries.append(
-                LevelEntry(level, STATUS_ELIMINATED, certificates=(divis_verdict(level, n),))
-            )
-            continue
-        k = level // n
+    def noncom(level: int) -> LevelEntry:
+        return LevelEntry(level, STATUS_ELIMINATED, certificates=(noncom_verdict(level, n, n),))
+
+    def divis(level: int) -> LevelEntry:
+        return LevelEntry(level, STATUS_ELIMINATED, certificates=(divis_verdict(level, n),))
+
+    entries: list = [
+        LevelEntry(0, STATUS_KNOWN, tag=TAG_LEVEL_ZERO),
+        LevelRun(1, n - 2, noncom(1), noncom),
+        LevelEntry(n - 1, STATUS_ELIMINATED, tag=TAG_SIEHLER),
+    ]
+    for k in range(1, max(cutoff, 1) + 1):
+        if k > 1:
+            entries.append(LevelRun(n * (k - 1) + 1, n * k - 1, divis(n * (k - 1) + 1), divis))
+        level = n * k
         coarse = elementary2_coarse_both(n, k)
         certs = [coarse]
         if coarse.eliminates:
@@ -208,7 +289,7 @@ def classify_elementary2(m: int) -> LevelReport:
     )
     return LevelReport(
         group=group_name,
-        levels=tuple(entries),
+        levels=LevelRuns(entries),
         scan_bound=cutoff_cert,
         notes=notes,
     )

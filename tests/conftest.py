@@ -23,7 +23,8 @@ coefficients of R = sum_x x x*), and cyclotomic
 products, conjugates and lifts as Fraction polynomials reduced one at a time
 by long division modulo a cyclotomic polynomial built here (the library sums
 unreduced convolutions, reduces once per sum and applies cached images of
-the power basis).
+the power basis), and the classify CSV and text reports as one formatted
+line per expanded level entry (the CLI formats each run of levels once).
 """
 
 from __future__ import annotations
@@ -89,6 +90,37 @@ def cli_env() -> dict[str, str]:
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)
     return env
+
+
+def report_csv_reference(report) -> str:
+    """The `classify --csv` output of report, one entry at a time."""
+    lines = ["level,k,status,x,tag,tests,flags"]
+    for e in report.levels:
+        tests = ";".join(v.test_name for v in e.certificates)
+        flags = ";".join(e.flags)
+        lines.append(
+            f"{e.level},{e.k if e.k is not None else ''},{e.status},"
+            f"{e.x if e.x is not None else ''},{e.tag or ''},{tests},{flags}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def report_text_reference(report) -> str:
+    """The `classify` text output of report, one entry at a time."""
+    lines = [f"group {report.group}"]
+    for e in report.levels:
+        extra = ""
+        if e.x is not None:
+            extra += f"  x={e.x}"
+        if e.tag:
+            extra += f"  [{e.tag}]"
+        if e.certificates:
+            extra += "  via " + ",".join(v.test_name for v in e.certificates)
+        if e.flags:
+            extra += "  !! " + "; ".join(e.flags)
+        lines.append(f"  level {e.level:>8}  {e.status}{extra}")
+    lines += [f"note: {n}" for n in report.notes]
+    return "\n".join(lines) + "\n"
 
 
 # -- explicit nonabelian groups ------------------------------------------

@@ -7,11 +7,14 @@ from fusionring.classify import (
     STATUS_CANDIDATE,
     STATUS_ELIMINATED,
     STATUS_KNOWN,
+    LevelEntry,
+    LevelRun,
     admissible_squarefree_parts,
     coarse_cutoff,
     scan_prime_levels,
 )
 from fusionring.numtheory import is_prime
+from fusionring.obstruct import divis_verdict, noncom_verdict
 
 
 def test_elementary2_classification_sets():
@@ -52,6 +55,28 @@ def test_elementary2_eliminated_entries_carry_certificate_or_tag():
         for entry in report.levels:
             if entry.status == STATUS_ELIMINATED:
                 assert entry.certificates or entry.tag, (m, entry.level)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_elementary2_runs_carry_their_rule_at_every_level(m):
+    # levels 1..n-2 form one noncommutativity run; the non-multiples of n
+    # between n and the last listed multiple form divisibility runs
+    n = 2**m
+    report = fr.classify_elementary2(m)
+    levels = tuple(report.levels)
+    assert [e.level for e in levels] == list(range(len(levels)))
+    assert len(report.levels) == len(levels) and report.levels == levels
+    assert [report.levels[i] for i in (0, n - 2, -1)] == [levels[i] for i in (0, n - 2, -1)]
+    assert report.levels[n - 3 : n + 1] == levels[n - 3 : n + 1]
+    runs = [item for item in report.levels.items if isinstance(item, LevelRun)]
+    assert (runs[0].first, runs[0].last) == (1, n - 2)
+    assert [lv for run in runs[1:] for lv in range(run.first, run.last + 1)] == [
+        lv for lv in range(n, len(levels)) if lv % n
+    ]
+    for run in runs:
+        for level in range(run.first, run.last + 1):
+            verdict = noncom_verdict(level, n, n) if run is runs[0] else divis_verdict(level, n)
+            assert levels[level] == LevelEntry(level, STATUS_ELIMINATED, certificates=(verdict,)), level
 
 
 def test_elementary2_cutoffs_dominate_thresholds():

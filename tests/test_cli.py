@@ -1,17 +1,20 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 import fusionring as fr
-from conftest import cli_env, on_isolation_grid, same_fusion_rules, su2_ring
+from conftest import cli_env, on_isolation_grid, report_csv_reference, report_text_reference, same_fusion_rules, su2_ring
+from fusionring import classify
 from fusionring.algebraic import Quadratic
 from fusionring.cli import main
-from fusionring.ringfile import alg_to_dict, dumps_ring, load_ring, loads_ring
+from fusionring.ringfile import alg_to_dict, dumps_report, dumps_ring, load_ring, loads_ring
 
 
 def run_cli(args, capsys):
@@ -281,6 +284,77 @@ def test_classify_elementary2_cli(capsys):
     doc = json.loads(out)
     known = [e["level"] for e in doc["levels"] if e["status"] == "categorifiable_known"]
     assert known == [0]
+
+
+REFERENCE_WRITERS = {
+    "--json": lambda report: dumps_report(report.to_dict()),
+    "--csv": report_csv_reference,
+    "text": report_text_reference,
+}
+
+
+def format_flag(fmt) -> list:
+    return [] if fmt == "text" else [fmt]
+
+
+@pytest.mark.parametrize("fmt", REFERENCE_WRITERS)
+@pytest.mark.parametrize("m", range(1, 15))
+def test_elementary2_streams_what_the_reference_writers_give(m, fmt, capsys):
+    code, out, err = run_cli(["classify", "elementary2", "--m", str(m), *format_flag(fmt)], capsys)
+    assert (code, err) == (0, "")
+    assert out == REFERENCE_WRITERS[fmt](fr.classify_elementary2(m))
+
+
+@pytest.mark.parametrize("fmt", REFERENCE_WRITERS)
+def test_prime_and_generic_reports_stream_what_the_reference_writers_give(fmt, tmp_path, capsys):
+    path = tmp_path / "r.ring"
+    path.write_text(dumps_ring(fr.near_group((2, 2), 8)))
+    for argv, report in (
+        (["prime", "--p", "7", "--kmax", "2000", "--no-filter"], classify.scan_prime_levels(7, 2000)),
+        (["generic", str(path)], classify.classify_generic(load_ring(path))),
+    ):
+        code, out, err = run_cli(["classify", *argv, *format_flag(fmt)], capsys)
+        assert out == REFERENCE_WRITERS[fmt](report)
+
+
+@pytest.mark.parametrize("fmt", REFERENCE_WRITERS)
+def test_run_that_disagrees_with_its_rule_exits_3_before_any_output(fmt, capsys, monkeypatch):
+    # at m = 3 the noncommutativity run is levels 1..6; break the rule at 6
+    rule = classify.noncom_verdict
+
+    def broken(r, s, h):
+        verdict = rule(r, s, h)
+        return replace(verdict, test_name="other") if r == 6 else verdict
+
+    monkeypatch.setattr(classify, "noncom_verdict", broken)
+    code, out, err = run_cli(["classify", "elementary2", "--m", "3", *format_flag(fmt)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal invariant breach: run of levels 1..6 differs from its rule at 6\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("m", [3, 15])
+@pytest.mark.parametrize("fmt", REFERENCE_WRITERS)
+def test_closed_pipe_exits_2_with_one_error_line(fmt, m, buffered):
+    # m = 15 closes the pipe after the first line (100 bytes of the one JSON
+    # line) while the report streams; m = 3 closes it before the child starts,
+    # so the whole report waits in the buffer for the last flush
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "fusionring.cli", "classify", "elementary2", "--m", str(m), *format_flag(fmt)]
+    if m == 3:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        os.close(write_end)
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(100) if fmt == "--json" else proc.stdout.readline()
+        proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=30), err) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_classify_prime_cli(capsys):
