@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from itertools import chain, islice
+from itertools import chain
 
 # construct and represent load inside the commands that use them, so
 # verify, fpdim, obstruct and classify never compile them; the chain those
@@ -35,10 +36,13 @@ from .obstruct import eliminated, run_all
 from .ring import fpdim_basis, fpdim_total, verify_axioms
 from .ringfile import (
     alg_to_dict,
+    dumps_json,
     dumps_report,
-    dumps_ring,
     load_character_table,
     load_ring,
+    write_json,
+    write_lines,
+    write_ring,
 )
 
 EXIT_OK = 0
@@ -165,15 +169,6 @@ def _add_format(p):
     p.add_argument("--csv", action="store_true")
 
 
-def _emit_ring(ring, out_path):
-    text = dumps_ring(ring)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_build(args) -> int:
     from .construct import character_ring, group_ring, haagerup_izumi, near_group, uniform_two_orbit
 
@@ -192,7 +187,8 @@ def _cmd_build(args) -> int:
         ring = uniform_two_orbit(parse_group_factors(args.group), stab, args.theta, args.k)
     else:  # charring
         ring = character_ring(load_character_table(args.table))
-    _emit_ring(ring, args.out)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        write_ring(fh.write, ring)
     return EXIT_OK
 
 
@@ -271,10 +267,9 @@ def _cmd_irreps(args) -> int:
     from .represent import uniform_irreps
 
     ring = load_ring(args.ring)
-    models = uniform_irreps(ring)
+    models = uniform_irreps(ring)  # checks every model before it returns, so a breach writes nothing
     if args.json:
-        doc = {"irreps": [_irrep_dict(m) for m in models]}
-        sys.stdout.write(dumps_report(doc))
+        write_json(sys.stdout.write, {"irreps": []}, "irreps", (dumps_json(_irrep_dict(m)) for m in models))
     else:
         for m in models:
             print(f"dim {m.dim}  source {m.source_tag}  field (zeta_{m.root_order}, sqrt {m.radicand})")
@@ -310,10 +305,6 @@ def _cmd_obstruct(args) -> int:
     return EXIT_ELIMINATED if eliminated(verdicts) else EXIT_OK
 
 
-def _json_line(e) -> str:
-    return dumps_report(e.to_dict())[:-1]  # without the newline
-
-
 def _csv_line(e) -> str:
     tests = ";".join(v.test_name for v in e.certificates)
     return (
@@ -335,28 +326,18 @@ def _text_line(e) -> str:
     return f"  level {e.level:>8}  {e.status}{extra}"
 
 
-def _write(lines, sep: str, head: str = "", tail: str = "") -> None:
-    """head, the lines joined by sep, and tail, written a batch of lines at a time."""
-    sys.stdout.write(head)
-    lines, lead = iter(lines), ""
-    while batch := list(islice(lines, 4096)):
-        sys.stdout.write(lead + sep.join(batch))
-        lead = sep
-    sys.stdout.write(tail)
-
-
 def _emit_report(report, args) -> None:
     # report_lines checks every run before it returns, so a breach writes nothing
+    write = sys.stdout.write
     if args.json:
-        lines = report_lines(report, _json_line)
-        head, tail = dumps_report(replace(report, levels=()).to_dict()).split('"levels":[]')
-        _write(lines, ",", head + '"levels":[', "]" + tail)
+        lines = report_lines(report, lambda e: dumps_json(e.to_dict()))
+        write_json(write, replace(report, levels=()).to_dict(), "levels", lines)
     elif args.csv:
-        _write(chain(["level,k,status,x,tag,tests,flags"], report_lines(report, _csv_line)), "\n", tail="\n")
+        write_lines(write, chain(["level,k,status,x,tag,tests,flags"], report_lines(report, _csv_line)), "\n", tail="\n")
     else:
         lines = report_lines(report, _text_line, "{:>8}".format)
         notes = (f"note: {n}" for n in report.notes)
-        _write(chain([f"group {report.group}"], lines, notes), "\n", tail="\n")
+        write_lines(write, chain([f"group {report.group}"], lines, notes), "\n", tail="\n")
 
 
 def _cmd_classify(args) -> int:

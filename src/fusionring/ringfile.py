@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .algebraic import IsolatedRoot, Quadratic
-from .errors import MalformedRingError
+from .errors import InternalInvariantError, MalformedRingError
 from .numtheory import totient
 from .ring import FusionRing, _check_rank, _dense
 
@@ -58,13 +58,16 @@ def ring_from_dict(doc) -> FusionRing:
     return FusionRing(labels, doc["dual"], doc["tensor"])
 
 
+def write_ring(write, ring: FusionRing) -> None:
+    """The canonical document of ring, written one fusion matrix at a time."""
+    doc = {"dual": list(ring.dual), "labels": list(ring.labels), "rank": ring.rank, "tensor": []}
+    write_json(write, doc, "tensor", (dumps_json([_dense(row, ring.rank) for row in mat]) for mat in ring.rows))
+
+
 def dumps_ring(ring: FusionRing) -> str:
-    """The canonical document, written one fusion matrix at a time: the
-    bytes of json.dumps with sorted keys of the whole document, whose last
-    key is "tensor", without holding all rank^2 dense rows at once."""
-    head = json.dumps({"dual": list(ring.dual), "labels": list(ring.labels), "rank": ring.rank}, sort_keys=True, separators=(",", ":"))
-    matrices = (json.dumps([_dense(row, ring.rank) for row in mat], separators=(",", ":")) for mat in ring.rows)
-    return head[:-1] + ',"tensor":[' + ",".join(matrices) + "]}\n"
+    pieces: list[str] = []
+    write_ring(pieces.append, ring)
+    return "".join(pieces)
 
 
 def loads_ring(text: str) -> FusionRing:
@@ -139,5 +142,33 @@ def alg_to_dict(x) -> dict:
     raise TypeError(f"cannot serialize {x!r}")
 
 
+def dumps_json(x) -> str:
+    """x as canonical JSON text: sorted keys, no spaces, no newline."""
+    return json.dumps(x, sort_keys=True, separators=(",", ":"))
+
+
 def dumps_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return dumps_json(doc) + "\n"
+
+
+def write_lines(write, lines, sep: str, head: str = "", tail: str = "") -> None:
+    """head, the lines joined by sep, and tail, written about 64 KiB of text at a time."""
+    batch, size = [], 0
+    for line in lines:
+        if size >= 65536:  # a line follows the batch, so the batch ends in sep
+            write(head + sep.join(batch) + sep)
+            head, batch, size = "", [], 0
+        batch.append(line)
+        size += len(line)
+    write(head + sep.join(batch) + tail)
+
+
+def write_json(write, doc: dict, key: str, items) -> None:
+    """The bytes of dumps_report(doc) with the empty list doc[key] holding
+    items, each the canonical JSON text of one element.  The envelope is
+    split once, where doc[key] stands, and checked before the first byte."""
+    mark = json.dumps(key) + ":["
+    pieces = dumps_report(doc).split(mark + "]")
+    if doc.get(key) != [] or len(pieces) != 2:
+        raise InternalInvariantError(f"the envelope must hold {mark}] once, as doc[{key!r}] = []")
+    write_lines(write, items, ",", pieces[0] + mark, "]" + pieces[1])
