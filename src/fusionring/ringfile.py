@@ -159,7 +159,7 @@ def write_lines(write, lines, sep: str, head: str = "", tail: str = "") -> None:
             write(head + sep.join(batch) + sep)
             head, batch, size = "", [], 0
         batch.append(line)
-        size += len(line)
+        size += len(sep) + len(line)
     write(head + sep.join(batch) + tail)
 
 

@@ -10,11 +10,14 @@ import mpmath
 import pytest
 
 import fusionring as fr
-from conftest import cli_env, on_isolation_grid, report_csv_reference, report_text_reference, same_fusion_rules, su2_ring
+from conftest import REPO_ROOT, cli_env, on_isolation_grid, report_csv_reference, report_text_reference, same_fusion_rules, su2_ring
 from fusionring import classify
 from fusionring.algebraic import Quadratic
 from fusionring.cli import main
 from fusionring.ringfile import alg_to_dict, dumps_report, dumps_ring, load_ring, loads_ring
+
+
+GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
 def run_cli(args, capsys):
@@ -332,29 +335,58 @@ def test_run_that_disagrees_with_its_rule_exits_3_before_any_output(fmt, capsys,
     assert err == "internal invariant breach: run of levels 1..6 differs from its rule at 6\n"
 
 
+# the arguments of each command, and what the reader takes before it closes
+# the pipe: None closes it before the child starts, so the whole output
+# waits in the buffer for the last flush; else the first line, or the first
+# 100 bytes of a one-line document, while the output streams
+CLOSED_PIPE_CASES = {
+    **{
+        f"{fmt}-{m}": (["classify", "elementary2", "--m", str(m), *format_flag(fmt)], None if m == 3 else 100 if fmt == "--json" else "line")
+        for fmt in REFERENCE_WRITERS
+        for m in (3, 15)
+    },
+    # outputs larger than a pipe buffer: a 16 MB ring file, and 69,694 bytes of models
+    "build-group-200": (["build", "group", "--group", "200"], 100),
+    "irreps-hi-c15-json": (["irreps", str(GOLDEN / "haagerup_izumi_c15.ring"), "--json"], 100),
+}
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("m", [3, 15])
-@pytest.mark.parametrize("fmt", REFERENCE_WRITERS)
-def test_closed_pipe_exits_2_with_one_error_line(fmt, m, buffered):
-    # m = 15 closes the pipe after the first line (100 bytes of the one JSON
-    # line) while the report streams; m = 3 closes it before the child starts,
-    # so the whole report waits in the buffer for the last flush
+@pytest.mark.parametrize("case", CLOSED_PIPE_CASES)
+def test_closed_pipe_exits_2_with_one_error_line(case, buffered):
+    args, take = CLOSED_PIPE_CASES[case]
     env = cli_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [sys.executable, "-m", "fusionring.cli", "classify", "elementary2", "--m", str(m), *format_flag(fmt)]
-    if m == 3:
+    argv = [sys.executable, "-m", "fusionring.cli", *args]
+    if take is None:
         read_end, write_end = os.pipe()
         os.close(read_end)
         proc = subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
         os.close(write_end)
     else:
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.read(100) if fmt == "--json" else proc.stdout.readline()
+        proc.stdout.readline() if take == "line" else proc.stdout.read(take)
         proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=30), err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "text"])
+def test_irreps_with_a_failing_model_exits_3_before_any_output(fmt, capsys, monkeypatch):
+    # the last model fails its check, after every other one has passed
+    from fusionring import represent
+
+    verify = represent.verify_irrep
+
+    def broken(ring, model):
+        return [(0, 0)] if model.source_tag == represent.SOURCE_D_MINUS else verify(ring, model)
+
+    monkeypatch.setattr(represent, "verify_irrep", broken)
+    code, out, err = run_cli(["irreps", str(GOLDEN / "haagerup_izumi_c15.ring"), *fmt], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"internal invariant breach: {represent.SOURCE_D_MINUS} model is not a homomorphism\n"
 
 
 def test_classify_prime_cli(capsys):

@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionring as fr
 from conftest import (
@@ -29,12 +31,13 @@ from conftest import (
 )
 from fusionring import Quadratic, alg_cmp
 from fusionring.errors import (
+    InternalInvariantError,
     MalformedRingError,
     NotAFusionRingError,
     NotTwoOrbitError,
 )
 from fusionring.ring import algebra_generators, fpdim_all, is_invertible, noninvertible_indices
-from fusionring.ringfile import dumps_ring, loads_ring
+from fusionring.ringfile import dumps_json, dumps_report, dumps_ring, loads_ring, write_json
 
 
 def test_group_ring_axioms_clean():
@@ -103,6 +106,44 @@ def test_dumps_ring_writes_the_bytes_of_the_whole_document(small_corpus, two_orb
     for ring in rings:
         want = json.dumps(ring_to_dict(ring), sort_keys=True, separators=(",", ":")) + "\n"
         assert dumps_ring(ring) == want, ring.labels
+
+
+# text that JSON escapes, or that looks like the place write_json splits at
+_tricky_text = st.lists(st.sampled_from(['"levels":[]', '"', "\\", "levels", ":[]", "é", "ρ", "\u2028", "\U0001f600", "\n", "a"]), max_size=6).map("".join)
+# no value is an empty list, so only doc["levels"] writes "levels":[]
+_json_value = st.recursive(
+    st.integers() | _tricky_text,
+    lambda inner: st.lists(inner, min_size=1, max_size=4) | st.dictionaries(_tricky_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(
+    envelope=st.dictionaries(_tricky_text.filter(lambda key: key != "levels"), _json_value, max_size=5),
+    items=st.lists(_json_value, max_size=8),
+    long=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_write_json_writes_the_bytes_of_the_whole_document(envelope, items, long):
+    if long:  # about 170 KB of text, so 64 KiB batches end between items of either size
+        items = [*items, "é" * 7_000] * 4  # 42 KB once escaped
+    pieces = []
+    write_json(pieces.append, {**envelope, "levels": []}, "levels", map(dumps_json, items))
+    assert "".join(pieces) == dumps_report({**envelope, "levels": items})
+    longest = max(map(len, map(dumps_json, items)), default=0)
+    assert max(map(len, pieces)) <= len(dumps_report(envelope)) + 2**16 + 2 * longest + 20
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"levels": [1]}, {"other": []}, {"levels": [], "inner": {"levels": []}}, {"levels": [], 'a"levels': []}],
+    ids=["not-empty", "absent", "nested-twice", "escaped-key"],
+)
+def test_write_json_checks_its_envelope_before_writing(doc):
+    pieces = []
+    with pytest.raises(InternalInvariantError, match="once"):
+        write_json(pieces.append, doc, "levels", ["1"])
+    assert pieces == []
 
 
 def test_rows_are_the_nonzeros_whichever_way_a_ring_is_built(small_corpus, two_orbit_corpus, spectra_corpus):
