@@ -153,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("prime", help="candidate near-group levels over C_p, p = 3 mod 4")
     p.add_argument("--p", required=True, type=int)
     p.add_argument("--kmax", required=True, type=int)
-    p.add_argument("--residue-filter", help="comma-separated primes excluded from x")
-    p.add_argument("--no-filter", action="store_true", help="disable the default residue filter")
+    flt = p.add_mutually_exclusive_group()
+    flt.add_argument("--residue-filter", type=_prime_list, help="comma-separated primes excluded from x")
+    flt.add_argument("--no-filter", action="store_true", help="disable the default residue filter")
     p.add_argument("--conjecture-cutoff", action="store_true", help="cap levels below p^2 (NOT rigorous)")
     _add_format(p)
 
@@ -165,8 +166,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_format(p):
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+
+
+def _prime_list(text: str) -> tuple[int, ...]:
+    if not text:
+        raise argparse.ArgumentTypeError("is empty: list at least one prime, or pass --no-filter")
+    return tuple(int(v) for v in text.split(","))
 
 
 def _cmd_build(args) -> int:
@@ -355,11 +363,8 @@ def _cmd_classify(args) -> int:
             raise ValueError(
                 f"--kmax has {digits} digits, above the limit {PRIME_MAX_KMAX_DIGITS}: the scan's cost grows with them"
             )
-        if args.no_filter:
-            rf = None
-        elif args.residue_filter:
-            rf = tuple(int(v) for v in args.residue_filter.split(","))
-        else:
+        rf = args.residue_filter
+        if rf is None and not args.no_filter:
             rf = DEFAULT_RESIDUE_FILTERS.get(args.p)
         report = scan_prime_levels(args.p, args.kmax, residue_filter=rf, conjecture_cutoff=args.conjecture_cutoff)
         _emit_report(report, args)
