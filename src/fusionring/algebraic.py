@@ -31,14 +31,17 @@ from .numtheory import quad_sign, squarefree_part
 DEFAULT_WIDTH = Fraction(1, 2**64)
 
 
+def check_width(width) -> None:
+    if width <= 0:
+        raise ValueError(f"interval width {width} is not positive")
+
+
 def _sqrt_interval(D: int, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(D) of the requested width."""
     if D == 0:
         return Fraction(0), Fraction(0)
-    k = 1
-    while Fraction(1, 1 << k) >= width:
-        k += 1
-    scale = 1 << k
+    # the least k >= 1 with 2^-k < width, i.e. 2^k > floor(1 / width)
+    scale = 1 << max(1, (width.denominator // width.numerator).bit_length())
     s = math.isqrt(D * scale * scale)
     lo = Fraction(s, scale)
     hi = Fraction(s + 1, scale)
@@ -206,6 +209,7 @@ class Quadratic:
     # -- misc ------------------------------------------------------------
 
     def interval(self, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
+        check_width(width)
         if self.b == 0:
             return self.a, self.a
         if self.b > 0:
@@ -286,6 +290,7 @@ class IsolatedRoot:
     def interval(self, width: Fraction = DEFAULT_WIDTH) -> tuple[Fraction, Fraction]:
         """The stored interval when it is at most width wide, else the cell
         of its bisection grid that intpoly.refine_interval narrows it to."""
+        check_width(width)
         if self._hi - self._lo <= width:
             return self._lo, self._hi
         lo, hi = intpoly.refine_interval(self.poly, self._lo, self._hi, width)

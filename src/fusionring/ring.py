@@ -37,6 +37,7 @@ from .algebraic import (
     AlgebraicReal,
     Quadratic,
     alg_cmp,
+    check_width,
     largest_real_root,
 )
 from .errors import (
@@ -400,6 +401,7 @@ def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> Al
     (_polynomial_root)."""
     if not 0 <= i < ring.rank:
         raise ValueError(f"basis index {i} is outside [0, {ring.rank})")
+    check_width(width)
     ring.require_verified()
     if is_invertible(ring, i):
         return Quadratic(1)
@@ -435,6 +437,7 @@ def fpdim_total(ring: FusionRing, width: Fraction = DEFAULT_WIDTH) -> AlgebraicR
     the square-free part of its charpoly; that is the Krylov polynomial of
     e_0 (see fpdim_basis), since M is left multiplication by R = sum_x x x*
     (see global_multiplication_matrix)."""
+    check_width(width)
     ring.require_verified()
     profile = dimension_profile(ring)
     if profile is not None:

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fusionring as fr
-from conftest import isolated_roots_equal_oracle, poly_mul
+from conftest import cubic_chain_ring, isolated_roots_equal_oracle, poly_mul
 from fusionring import intpoly, numtheory
 from fusionring.algebraic import (
     IsolatedRoot,
     Quadratic,
+    _sqrt_interval,
     _structural_eq,
     alg_cmp,
     all_real_roots,
     largest_real_root,
 )
 from fusionring.represent import codegree_spectrum
+from fusionring.ring import fpdim_basis, fpdim_total
 
 
 def test_quadratic_normalization():
@@ -330,3 +334,57 @@ def test_quadratic_arithmetic_factors_no_radicand_again(monkeypatch):
     a, b, D = q.a, q.b, q.D
     want = [(a, -b, D), (-a, -b, D), (a + 1, b, D), (a * a + b * b * D, 2 * a * b, D), (0, 0, 0), (1, 0, 0)]
     assert [(x.a, x.b, x.D) for x in results] == want
+
+
+def _sqrt_interval_by_loop(D: int, width: Fraction) -> tuple[Fraction, Fraction]:
+    """`algebraic._sqrt_interval` as it was before its closed form for k:
+    the least k >= 1 with 2^-k < width, found by counting up."""
+    if D == 0:
+        return Fraction(0), Fraction(0)
+    k = 1
+    while Fraction(1, 1 << k) >= width:
+        k += 1
+    scale = 1 << k
+    s = math.isqrt(D * scale * scale)
+    lo, hi = Fraction(s, scale), Fraction(s + 1, scale)
+    return (lo, lo) if lo * lo == D else (lo, hi)
+
+
+def test_sqrt_interval_matches_the_loop_it_replaced():
+    # seeded widths from above 1 down to 2^-4096, with exact powers of two
+    # (where 2^-k >= width is an equality) and their neighbours
+    rng = random.Random(20261021)
+    widths = [Fraction(3), Fraction(1), Fraction(1, 2**4096)]
+    for _ in range(200):
+        bits = rng.randrange(4077)
+        widths.append(Fraction(rng.randrange(1, 2**20), rng.randrange(1, 2**20) << bits))
+        power = Fraction(1, 2**bits)
+        widths += [power, power * (1 + Fraction(1, 2**20)), power * (1 - Fraction(1, 2**20))]
+    radicands = [0, 1, 2, 3, 4, 5, 12, 10**40 + 7, 2**200]
+    for width in widths:
+        D = rng.choice(radicands)
+        assert _sqrt_interval(D, width) == _sqrt_interval_by_loop(D, width), (D, width)
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1, 2**64), Fraction(-3), 0, -1])
+def test_a_width_that_is_not_positive_raises_value_error(width):
+    # Quadratic(1, 1, 2).interval(0) never returned, and IsolatedRoot.interval(0)
+    # raised ZeroDivisionError; fpdim_basis and fpdim_total take each path,
+    # including those where no interval is refined
+    root = IsolatedRoot((-2, 0, 0, 1), Fraction(6, 5), Fraction(13, 10))  # cube root of 2
+    cubic, pointed = cubic_chain_ring(), fr.group_ring((3,))
+    calls = {
+        "Quadratic.interval": Quadratic(1, 1, 2).interval,
+        "rational Quadratic.interval": Quadratic(3).interval,
+        "IsolatedRoot.interval": root.interval,
+        "IsolatedRoot.narrowed": root.narrowed,
+        "fpdim_basis, unit": lambda w: fpdim_basis(cubic, 0, width=w),
+        "fpdim_basis, cubic root": lambda w: fpdim_basis(cubic, 1, width=w),
+        "fpdim_total, cubic root": lambda w: fpdim_total(cubic, width=w),
+        "fpdim_total, pointed": lambda w: fpdim_total(pointed, width=w),
+    }
+    for name, call in calls.items():
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not positive"):
+            call(width)
+        assert time.perf_counter() - start < 1, name
