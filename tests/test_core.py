@@ -136,8 +136,14 @@ def test_write_json_writes_the_bytes_of_the_whole_document(envelope, items, long
 
 @pytest.mark.parametrize(
     "doc",
-    [{"levels": [1]}, {"other": []}, {"levels": [], "inner": {"levels": []}}, {"levels": [], 'a"levels': []}],
-    ids=["not-empty", "absent", "nested-twice", "escaped-key"],
+    [
+        {"levels": [1]},
+        {"other": []},
+        {"levels": [1], "inner": {"levels": []}},
+        {"levels": [], "inner": {"levels": []}},
+        {"levels": [], 'a"levels': []},
+    ],
+    ids=["not-empty", "absent", "only-nested", "nested-twice", "escaped-key"],
 )
 def test_write_json_checks_its_envelope_before_writing(doc):
     pieces = []
