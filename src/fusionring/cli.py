@@ -51,8 +51,8 @@ EXIT_INTERNAL = 3
 EXIT_ELIMINATED = 10
 
 # classify elementary2 lists all 2^m + 1 levels, streamed a batch of lines at a
-# time: m = 20 takes 0.64 s and 23 MB with --json, 0.39 s and 18 MB with --csv
-# (child peak RSS, output to /dev/null, 2-CPU Xeon, start-up included)
+# time: m = 20 takes 0.43-0.57 s with --json and 0.41-0.63 s with --csv, 18 MB
+# either way (child peak RSS, output to /dev/null, 2-CPU Xeon, start-up included)
 ELEMENTARY2_MAX_M = 20
 
 # classify prime runs one Pell expansion for each of about 1.94 p admissible
