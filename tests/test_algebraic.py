@@ -352,14 +352,16 @@ def _sqrt_interval_by_loop(D: int, width: Fraction) -> tuple[Fraction, Fraction]
 
 def test_sqrt_interval_matches_the_loop_it_replaced():
     # seeded widths from above 1 down to 2^-4096, with exact powers of two
-    # (where 2^-k >= width is an equality) and their neighbours
+    # (where 2^-k >= width is an equality), their neighbours, and the width
+    # 1 / (2^bits - 1/2) just above a power, where floor(1 / width) = 2^bits - 1
+    # and its ceiling would be a power of two
     rng = random.Random(20261021)
     widths = [Fraction(3), Fraction(1), Fraction(1, 2**4096)]
     for _ in range(200):
         bits = rng.randrange(4077)
         widths.append(Fraction(rng.randrange(1, 2**20), rng.randrange(1, 2**20) << bits))
         power = Fraction(1, 2**bits)
-        widths += [power, power * (1 + Fraction(1, 2**20)), power * (1 - Fraction(1, 2**20))]
+        widths += [power, power * (1 + Fraction(1, 2**20)), power * (1 - Fraction(1, 2**20)), Fraction(2, 2 ** (bits + 1) - 1)]
     radicands = [0, 1, 2, 3, 4, 5, 12, 10**40 + 7, 2**200]
     for width in widths:
         D = rng.choice(radicands)
