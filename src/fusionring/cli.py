@@ -174,7 +174,10 @@ def _add_format(p):
 def _prime_list(text: str) -> tuple[int, ...]:
     if not text:
         raise argparse.ArgumentTypeError("is empty: list at least one prime, or pass --no-filter")
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _cmd_build(args) -> int:

@@ -396,14 +396,16 @@ def test_irreps_with_a_failing_model_exits_3_before_any_output(fmt, capsys, monk
         (["prime", "--p", "7", "--kmax", "10", "--csv", "--json"], "--json: not allowed with argument --csv"),
         (["generic", "ring.json", "--json", "--csv"], "--csv: not allowed with argument --json"),
         (["prime", "--p", "7", "--kmax", "10", "--residue-filter", ""], "--residue-filter: is empty"),
+        (["prime", "--p", "7", "--kmax", "10", "--residue-filter", "2,,3"], "--residue-filter: '2,,3' is not a comma-separated list of integers"),
         (["prime", "--p", "7", "--kmax", "10", "--no-filter", "--residue-filter", "2"], "--residue-filter: not allowed with argument --no-filter"),
         (["prime", "--p", "7", "--kmax", "10", "--residue-filter=2", "--no-filter"], "--no-filter: not allowed with argument --residue-filter"),
     ],
-    ids=["json-csv", "csv-json", "generic-json-csv", "empty-filter", "no-filter-then-filter", "filter-then-no-filter"],
+    ids=["json-csv", "csv-json", "generic-json-csv", "empty-filter", "malformed-filter", "no-filter-then-filter", "filter-then-no-filter"],
 )
 def test_conflicting_or_empty_flags_exit_2(args, message, capsys):
-    # each was ignored: --json won over --csv, an empty --residue-filter
-    # applied p's default filter, and --no-filter dropped a given filter
+    # each but the malformed list was ignored: --json won over --csv, an
+    # empty --residue-filter applied p's default filter, and --no-filter
+    # dropped a given filter
     with pytest.raises(SystemExit) as exc:
         main(["classify", *args])
     out, err = capsys.readouterr()
