@@ -20,6 +20,7 @@ refinement, which terminates because distinct algebraic numbers separate.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -58,6 +59,7 @@ class Quadratic:
     def __init__(self, a, b=0, D: int = 0):
         a = Fraction(a)
         b = Fraction(b)
+        D = operator.index(D)
         if D < 0:
             raise ValueError("D must be nonnegative")
         if b != 0 and D > 1:

@@ -30,7 +30,7 @@ from .classify import (
     report_lines,
     scan_prime_levels,
 )
-from .errors import FusionRingError, InternalInvariantError, MalformedRingError
+from .errors import FusionRingError, InternalInvariantError
 from .groups import parse_group_factors
 from .obstruct import eliminated, run_all
 from .ring import fpdim_basis, fpdim_total, verify_axioms
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b_uni.add_argument(
         "--stab",
         default="trivial",
-        help="stabilizer H: 'trivial', 'all', or generators like '1,0;0,2'",
+        help="stabilizer H: 'trivial', 'all', or generators named as build group labels them, like '1,0;0,2'",
     )
     b_uni.add_argument("--theta", default="identity", choices=["identity", "inversion"])
     b_uni.add_argument("--k", required=True, type=int, help="level divisor (coefficient is k*|H|)")
@@ -192,26 +192,14 @@ def _cmd_build(args) -> int:
     elif args.family == "uniform":
         stab = args.stab
         if stab not in ("trivial", "all"):
-            stab = [tuple(int(v) for v in gen.split(",")) for gen in stab.split(";")]
-            factors = parse_group_factors(args.group)
-            stab = [_tuple_to_index(t, factors) for t in stab]
+            # generators are element names, as `build group` labels them
+            stab = [",".join(str(int(v)) for v in gen.split(",")) for gen in stab.split(";")]
         ring = uniform_two_orbit(parse_group_factors(args.group), stab, args.theta, args.k)
     else:  # charring
         ring = character_ring(load_character_table(args.table))
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
         write_ring(fh.write, ring)
     return EXIT_OK
-
-
-def _tuple_to_index(t: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    if len(t) != len(factors):
-        raise MalformedRingError(f"element {t} does not match factors {factors}")
-    idx = 0
-    for v, f in zip(t, factors):
-        if not 0 <= v < f:
-            raise MalformedRingError(f"element {t} out of range for factors {factors}")
-        idx = idx * f + v
-    return idx
 
 
 def _cmd_verify(args) -> int:

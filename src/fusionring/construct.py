@@ -95,8 +95,6 @@ def _resolve_theta(quotient: FiniteGroup, theta) -> tuple[int, ...]:
         phi = tuple(range(quotient.order))
     elif theta == "inversion":
         phi = quotient.inverse
-    elif callable(theta):
-        phi = tuple(theta(i) for i in range(quotient.order))
     else:
         phi = tuple(int(x) for x in theta)
     if not is_automorphism(quotient, phi):

@@ -1,11 +1,12 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N), optionally extended by a
-real square root.
+"""Exact values of cyclotomic fields Q(zeta_N), optionally extended by a
+real square root, and the packed format in which the library checks
+identities over them.
 
 Elements are coefficient vectors in the power basis 1, zeta, ...,
 zeta^(deg Phi_N - 1), always reduced modulo the N-th cyclotomic polynomial,
-so structural equality is field equality.  A product is one convolution
-reduced modulo Phi_N; conjugation and the embedding into Q(zeta_M) are
-linear maps, applied through cached images of the power basis.
+so structural equality is field equality.  Besides sums, rational scalings
+and complex conjugation (a linear map, applied through cached images of the
+power basis), elements are data.
 
 The identities that the library checks (irrep models, character tables
 and rings) multiply no elements: `pack` turns each coefficient vector into
@@ -140,28 +141,26 @@ def pack(N: int, vectors, bound: Callable[[int, int], int]) -> tuple[int, int, i
 
 
 @lru_cache(maxsize=None)
-def _basis_images(N: int, M: int, step: int) -> tuple:
-    """The images of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) in Q(zeta_M)
-    under zeta_N -> zeta_M^step, as their nonzero (index, coefficient)s.
+def _basis_images(N: int) -> tuple:
+    """The conjugates zeta_N^-i of the power basis 1, zeta_N, ...,
+    zeta_N^(deg Phi_N - 1), as their nonzero (index, coefficient)s.
 
-    Each image is the one before times zeta_M^step: every term a zeta_M^r
-    moves to zeta_M^e, e = (r + step) mod M, and a term that leaves the
-    power basis (e >= deg Phi_M) is replaced by the reduced zeta_M^e
-    (`_reduced_power`, cached).  A step costs O(deg Phi_M) operations per
-    term that leaves, and for step = -1 only the constant term leaves; a
-    reduction of each power from scratch cost O(M) rows of Phi_M."""
-    deg = _reducer(M)[0]
+    Each image is the one before times zeta_N^-1: every term a zeta_N^r
+    moves to zeta_N^(r - 1), and only the constant term leaves the power
+    basis, for the reduced zeta_N^(N - 1) (`_reduced_power`, cached).  A
+    step costs O(deg Phi_N) operations; a reduction of each power from
+    scratch cost O(N) rows of Phi_N."""
+    deg = _reducer(N)[0]
     images = []
     image = [(0, 1)]
-    for _ in range(_reducer(N)[0]):
+    for _ in range(deg):
         images.append(tuple(image))
         cs = [0] * deg
         for r, a in image:
-            e = (r + step) % M
-            if e < deg:
-                cs[e] += a
+            if r:
+                cs[r - 1] += a
             else:
-                for t, c in enumerate(_reduced_power(M, e)):
+                for t, c in enumerate(_reduced_power(N, N - 1)):
                     cs[t] += a * c
         image = [(r, c) for r, c in enumerate(cs) if c]
     return tuple(images)
@@ -205,61 +204,28 @@ class Cyc:
         """zeta_N^k."""
         return cls._reduced(N, _reduced_power(N, k))
 
-    def _check(self, other: "Cyc"):
-        if self.N != other.N:
-            raise ValueError(f"mixed cyclotomic orders {self.N} and {other.N}")
-
     def __add__(self, other):
         if not isinstance(other, Cyc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Cyc.rational(self.N, other)
-        self._check(other)
+            return NotImplemented
+        if self.N != other.N:
+            raise ValueError(f"mixed cyclotomic orders {self.N} and {other.N}")
         return Cyc._reduced(self.N, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyc._reduced(self.N, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(self.N, other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, Cyc):
-            self._check(other)
-            acc = [0] * (2 * len(self.coeffs) - 1)
-            for j, y in enumerate(other.coeffs):
-                if y:
-                    for i, x in enumerate(self.coeffs, j):
-                        acc[i] += x * y
-            return Cyc._reduced(self.N, _reduce(acc, self.N))
+        """The product with an int or Fraction."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         other = _norm_num(other)
         return Cyc._reduced(self.N, tuple(a * other for a in self.coeffs))
 
-    __rmul__ = __mul__
-
-    def _substitute(self, M: int, step: int) -> "Cyc":
-        """The image in Q(zeta_M) under zeta_N -> zeta_M^step."""
-        out = [0] * _reducer(M)[0]
-        for a, image in zip(self.coeffs, _basis_images(self.N, M, step)):
+    def conjugate(self) -> "Cyc":
+        """Complex conjugation zeta -> zeta^{-1}."""
+        out = [0] * len(self.coeffs)
+        for a, image in zip(self.coeffs, _basis_images(self.N)):
             if a:
                 for r, c in image:
                     out[r] += a * c
-        return Cyc._reduced(M, tuple(out))
-
-    def conjugate(self) -> "Cyc":
-        """Complex conjugation zeta -> zeta^{-1}."""
-        return self._substitute(self.N, -1)
+        return Cyc._reduced(self.N, tuple(out))
 
     @property
     def is_zero(self) -> bool:
@@ -273,13 +239,6 @@ class Cyc:
         if not self.is_rational:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coeffs[0])
-
-    def lift(self, M: int) -> "Cyc":
-        """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N); self
-        when M == N."""
-        if M % self.N:
-            raise ValueError("target order must be a multiple")
-        return self if M == self.N else self._substitute(M, M // self.N)
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
@@ -323,40 +282,3 @@ class CycSqrt:
         uu = u if isinstance(u, Cyc) else Cyc.rational(N, u)
         vv = v if isinstance(v, Cyc) else Cyc.rational(N, v)
         return cls(uu, vv, D)
-
-    @classmethod
-    def _make(cls, u: Cyc, v: Cyc, D: int) -> "CycSqrt":
-        """cls(u, v, D) without the frozen-dataclass __init__."""
-        out = object.__new__(cls)
-        out.__dict__.update(u=u, v=v, D=D)
-        return out
-
-    def _check(self, other: "CycSqrt"):
-        if self.D != other.D or self.u.N != other.u.N:
-            raise ValueError("mixed CycSqrt fields")
-
-    def __add__(self, other: "CycSqrt") -> "CycSqrt":
-        self._check(other)
-        return CycSqrt._make(self.u + other.u, self.v + other.v, self.D)
-
-    def __sub__(self, other: "CycSqrt") -> "CycSqrt":
-        self._check(other)
-        return CycSqrt._make(self.u - other.u, self.v - other.v, self.D)
-
-    def __neg__(self) -> "CycSqrt":
-        return CycSqrt._make(-self.u, -self.v, self.D)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc)):
-            return CycSqrt._make(self.u * other, self.v * other, self.D)
-        if not isinstance(other, CycSqrt):
-            return NotImplemented
-        self._check(other)
-        u = self.u * other.u + self.v * other.v * self.D
-        return CycSqrt._make(u, self.u * other.v + self.v * other.u, self.D)
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u.is_zero and self.v.is_zero

@@ -71,8 +71,9 @@ def poly_divexact(p: Poly, q: Poly) -> Poly:
 def primitive(p: Poly) -> Poly:
     """Integer primitive part with positive leading coefficient.
 
-    Accepts Fraction coefficients; clears denominators first.  Scaling is by
-    a positive rational only, so signs of values are preserved.
+    Coefficients are ints (not bools) or Fractions, whose denominators are
+    cleared first.  Scaling is by a positive rational only, so signs of
+    values are preserved.
     """
     if not p:
         return ()
@@ -80,7 +81,9 @@ def primitive(p: Poly) -> Poly:
     for c in p:
         if isinstance(c, Fraction):
             den = den * c.denominator // math.gcd(den, c.denominator)
-    ip = [int(c * den) if isinstance(c, Fraction) else int(c) * den for c in p]
+        elif isinstance(c, bool) or not isinstance(c, int):
+            raise TypeError(f"polynomial coefficients are int or Fraction, not {type(c).__name__}")
+    ip = [int(c * den) if isinstance(c, Fraction) else c * den for c in p]
     g = 0
     for c in ip:
         g = math.gcd(g, abs(c))

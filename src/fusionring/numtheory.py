@@ -9,6 +9,7 @@ comfortably covers the ~1e14 range the level scans produce.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,6 +85,7 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}

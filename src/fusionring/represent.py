@@ -195,11 +195,13 @@ class SemidirectIrrep:
 
     def matrix(self, k: int, t: int) -> tuple[tuple[Cyc, ...], ...]:
         """Representing matrix of the element (k, t), t in {0, 1}."""
-        chi_k = self.chi.value(k).lift(self.N)
+        # zeta_n^e embeds into Q(zeta_N) as zeta_N^(e N/n)
+        scale = self.N // self.chi.N
+        chi_k = Cyc.root(self.N, self.chi.exponents[k] * scale)
         if self.kind == "extension":
             entry = chi_k if t == 0 else chi_k * self.sign
             return ((entry,),)
-        chi_tk = self.chi.value(self.theta[k]).lift(self.N)
+        chi_tk = Cyc.root(self.N, self.chi.exponents[self.theta[k]] * scale)
         zero = Cyc.zero(self.N)
         if t == 0:
             return ((chi_k, zero), (zero, chi_tk))

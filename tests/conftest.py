@@ -661,13 +661,12 @@ def group_table_associativity_oracle(table) -> tuple | None:
     return None
 
 
-def basis_images_oracle(N: int, M: int, step: int) -> tuple:
-    """The images of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) under
-    zeta_N -> zeta_M^step as nonzero (index, coefficient) pairs, each power
-    zeta_M^(i step) reduced from scratch (the library steps from one image
-    to the next)."""
+def basis_images_oracle(N: int) -> tuple:
+    """The conjugates of 1, zeta_N, ..., zeta_N^(deg Phi_N - 1) as nonzero
+    (index, coefficient) pairs, each power zeta_N^-i reduced from scratch
+    (the library steps from one image to the next)."""
     return tuple(
-        tuple((r, c) for r, c in enumerate(_reduce([0] * (i * step % M) + [1], M)) if c)
+        tuple((r, c) for r, c in enumerate(_reduce([0] * (-i % N) + [1], N)) if c)
         for i in range(len(cyclotomic_poly(N)) - 1)
     )
 
@@ -767,23 +766,25 @@ def verify_irrep_oracle(ring, model, lefts=None) -> list[tuple[int, int]]:
     """All-pairs homomorphism check: every (i, j) with psi(i) psi(j) !=
     sum_k c[i,j,k] psi(k), in index order, by plain matrix loops (the
     library checks {0} + algebra_generators first).  `lefts` restricts i.
-    Entries are single CycSqrt products added one at a time, not the
-    library's packed integers tested for divisibility by Phi_N(2^B); the
-    single product is checked against `cycsqrt_mul_oracle` in the tests of
-    the kernel."""
+    Entries are single `cycsqrt_mul_oracle` products added one at a time,
+    not the library's packed integers tested for divisibility by
+    Phi_N(2^B)."""
     mats = model.matrices
-    zero = mats[0][0][0] * 0
+    zero = CycSqrt.of(mats[0][0][0].u.N, mats[0][0][0].D)
     d = model.dim
 
     def mul(a, b):
-        return tuple(tuple(sum((a[r][t] * b[t][c] for t in range(d)), start=zero) for c in range(d)) for r in range(d))
+        return tuple(tuple(cycsqrt_sum(zero, *(cycsqrt_mul_oracle(a[r][t], b[t][c]) for t in range(d))) for c in range(d)) for r in range(d))
 
     failures = []
     for i in range(ring.rank) if lefts is None else lefts:
         n_i = ring.fusion_matrix(i)
         for j in range(ring.rank):
             terms = [(k, ck) for k, ck in enumerate(n_i[j]) if ck]
-            rhs = tuple(tuple(sum((mats[k][r][c] * ck for k, ck in terms), start=zero) for c in range(d)) for r in range(d))
+            rhs = tuple(
+                tuple(cycsqrt_sum(zero, *(CycSqrt(mats[k][r][c].u * ck, mats[k][r][c].v * ck, zero.D) for k, ck in terms)) for c in range(d))
+                for r in range(d)
+            )
             if mul(mats[i], mats[j]) != rhs:
                 failures.append((i, j))
     return failures
@@ -901,18 +902,26 @@ def cyc_lift_oracle(a: Cyc, M: int) -> tuple:
 
 
 def cycsqrt_mul_oracle(a: CycSqrt, b) -> CycSqrt:
-    """(u + v sqrt(D)) (u' + v' sqrt(D)) by the four-product formula over
-    `cyc_mul_oracle`, whether or not a sqrt(D) part is zero (the library
-    skips those); an int, Fraction or Cyc b is taken as u' with v' = 0."""
+    """(u + v sqrt(D)) (u' + v' sqrt(D)) by the four-product formula, each
+    product the product of the coefficient polynomials, whether or not a
+    part is zero; an int, Fraction or Cyc b is taken as u' with v' = 0.
+    Each product is reduced by `Cyc` (the library's `_reduce`), which the
+    packed checks that this oracle is compared with never call."""
     N = a.u.N
     if not isinstance(b, CycSqrt):
         b = CycSqrt(b if isinstance(b, Cyc) else Cyc.rational(N, b), Cyc.zero(N), a.D)
-    a._check(b)
-    uu, vv = cyc_mul_oracle(a.u, b.u), cyc_mul_oracle(a.v, b.v)
-    uv, vu = cyc_mul_oracle(a.u, b.v), cyc_mul_oracle(a.v, b.u)
-    u = [p + a.D * q for p, q in zip(uu, vv)]
-    v = [p + q for p, q in zip(uv, vu)]
-    return CycSqrt(Cyc(N, u), Cyc(N, v), a.D)
+    assert (b.u.N, b.D) == (N, a.D)
+
+    def mul(x: Cyc, y: Cyc) -> Cyc:
+        return Cyc(N, poly_mul(x.coeffs, y.coeffs))
+
+    return CycSqrt(mul(a.u, b.u) + mul(a.v, b.v) * a.D, mul(a.u, b.v) + mul(a.v, b.u), a.D)
+
+
+def cycsqrt_sum(x: CycSqrt, *ys: CycSqrt) -> CycSqrt:
+    """x + y_1 + y_2 + ..., part by part."""
+    assert all(y.D == x.D for y in ys)
+    return CycSqrt(sum((y.u for y in ys), start=x.u), sum((y.v for y in ys), start=x.v), x.D)
 
 
 def generated_span_rank(ring, gens) -> int:

@@ -390,3 +390,24 @@ def test_a_width_that_is_not_positive_raises_value_error(width):
         with pytest.raises(ValueError, match="not positive"):
             call(width)
         assert time.perf_counter() - start < 1, name
+
+
+def test_a_float_coefficient_raises_type_error_instead_of_truncating():
+    # int(-2.5) is -2: x^2 - 2.5 was read as x^2 - 2, whose root is sqrt(2)
+    for poly in ((-2.5, 0, 1), (-2, 0.0, 1), (True, 0, 1)):
+        with pytest.raises(TypeError):
+            intpoly.primitive(poly)
+        with pytest.raises(TypeError):
+            IsolatedRoot(poly, 1, 2)
+        with pytest.raises(TypeError):
+            largest_real_root(poly)
+    assert intpoly.primitive((Fraction(-5, 2), 0, 1)) == (-5, 0, 2)
+
+
+def test_a_float_radicand_raises_type_error():
+    # 2.5 failed only in the factoring; 1.0 and 0.5 were folded into a float a
+    for D in (2.5, 2.0, 1.0, 0.5):
+        for b in (1, 0):
+            with pytest.raises(TypeError):
+                Quadratic(0, b, D)
+    assert Quadratic(0, 1, 8) == Quadratic(0, 2, 2)

@@ -483,6 +483,21 @@ def test_build_uniform_multi_generator_stab(capsys):
     assert data.uniform_coeff == 4  # k * |H|
 
 
+def test_build_uniform_stab_generators_are_element_names(capsys):
+    # the goldens build_uniform_c2x2_stab10_identity_k2 and
+    # build_uniform_c4_stab2_inversion_k1 hold the bytes of "1,0" and "2";
+    # a spelling with spaces or leading zeros names the same element
+    base = ["build", "uniform", "--theta", "identity", "--k", "2"]
+    code, out, err = run_cli([*base, "--group", "2,2", "--stab", "1,0"], capsys)
+    assert code == 0 and out
+    for spelling in ("1, 0", " 01,0", "1,0;1,0"):
+        assert run_cli([*base, "--group", "2,2", "--stab", spelling], capsys) == (0, out, ""), spelling
+    for group, stab in (("2,2", "3,0"), ("2,2", "1"), ("4", "4"), ("4", "1,0")):
+        code, out, err = run_cli([*base, "--group", group, "--stab", stab], capsys)
+        assert (code, out) == (2, ""), (group, stab)
+        assert err == f"error: unknown group element {stab!r}\n", (group, stab)
+
+
 def test_classify_prime_json_levels(capsys):
     code, out, err = run_cli(["classify", "prime", "--p", "7", "--kmax", "200", "--json"], capsys)
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fusionring as fr
-from conftest import ABELIAN_LE16, character_ring_oracle, dense_rows, haagerup_izumi_oracle, s3_group, same_fusion_rules
+from conftest import ABELIAN_LE16, character_ring_oracle, cyc_lift_oracle, dense_rows, haagerup_izumi_oracle, s3_group, same_fusion_rules
 from fusionring import Quadratic
 from fusionring.construct import CharacterTable, as_group
 from fusionring.cyclotomic import Cyc
@@ -243,7 +243,7 @@ def test_character_ring_matches_triple_loop_oracle():
     # every ordered triple in Fraction polynomials; the last table is D15's
     # lifted to Q(zeta_105), whose Phi_105 has a coefficient -2
     d15 = fr.dihedral_character_table(15)
-    lifted = CharacterTable(30, 105, d15.class_sizes, tuple(tuple(v.lift(105) for v in row) for row in d15.values))
+    lifted = CharacterTable(30, 105, d15.class_sizes, tuple(tuple(Cyc(105, cyc_lift_oracle(v, 105)) for v in row) for row in d15.values))
     for table in (*(fr.dihedral_character_table(n) for n in range(3, 31)), lifted):
         ring = fr.character_ring(table)
         assert (dense_rows(ring), ring.dual) == character_ring_oracle(table), table.root_order
@@ -275,7 +275,7 @@ def test_character_table_values_lie_in_its_field():
     with pytest.raises(MalformedRingError) as err:
         CharacterTable(6, 3, (1, 3, 2), rows).validate()
     assert str(err.value) == "character values must lie in Q(zeta_3)"
-    CharacterTable(6, 3, (1, 3, 2), tuple(tuple(v.lift(3) for v in row) for row in rows)).validate()
+    CharacterTable(6, 3, (1, 3, 2), tuple(tuple(Cyc(3, cyc_lift_oracle(v, 3)) for v in row) for row in rows)).validate()
 
 
 def test_near_group_accepts_nonabelian():

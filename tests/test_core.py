@@ -30,6 +30,7 @@ from conftest import (
     verify_axioms_oracle,
 )
 from fusionring import Quadratic, alg_cmp
+from fusionring.cyclotomic import CycSqrt
 from fusionring.errors import (
     InternalInvariantError,
     MalformedRingError,
@@ -348,7 +349,7 @@ def test_generator_pass_leaves_out_b0_once_the_caller_established_it(monkeypatch
     assert 0 not in gens
     assert passes == [[gens]] * (2 + len(models))
     passes.clear()
-    doubled = replace(models[0], matrices=(tuple(tuple(e * 2 for e in row) for row in models[0].matrices[0]), *models[0].matrices[1:]))
+    doubled = replace(models[0], matrices=(tuple(tuple(CycSqrt(e.u * 2, e.v * 2, e.D) for e in row) for row in models[0].matrices[0]), *models[0].matrices[1:]))
     assert fr.verify_irrep(ring, doubled)
     t = ring.tensor.tolist()
     t[0][1][1] = 2

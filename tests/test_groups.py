@@ -7,10 +7,8 @@ import pytest
 from conftest import (
     basis_images_oracle,
     cyc_conjugate_oracle,
-    cyc_lift_oracle,
     cyc_mul_oracle,
     cyc_reduce_oracle,
-    cycsqrt_mul_oracle,
     d4_group,
     group_table_associativity_oracle,
     poly_mul,
@@ -156,29 +154,36 @@ def test_cyclotomic_poly():
 
 
 def test_basis_images_by_stepping_match_reduction_from_scratch():
-    # conjugation (step -1) and the lifts into Q(zeta_2N), Q(zeta_3N)
+    # the images under conjugation, zeta_N -> zeta_N^-1
     for N in range(1, 301):
-        for M, step in ((N, -1), (2 * N, 2), (3 * N, 3)):
-            assert _basis_images(N, M, step) == basis_images_oracle(N, M, step), (N, M, step)
+        assert _basis_images(N) == basis_images_oracle(N), N
 
 
 def test_cyc_arithmetic():
     z = Cyc.root(3, 1)
-    assert z * z * z == Cyc.one(3)
-    assert z + z * z == Cyc.rational(3, -1)  # 1 + z + z^2 = 0
+    z2 = Cyc(3, cyc_mul_oracle(z, z))
+    assert Cyc(3, cyc_mul_oracle(z2, z)) == Cyc.one(3)
+    assert z + z2 == Cyc.rational(3, -1)  # 1 + z + z^2 = 0
     total = Cyc.zero(5)
     for k in range(5):
         total = total + Cyc.root(5, k)
     assert total.is_zero
     assert Cyc.root(8, 1).conjugate() == Cyc.root(8, 7)
-    assert (Cyc.root(12, 3) * Cyc.root(12, 3)) == Cyc.rational(12, -1)  # i^2
+    assert Cyc(12, cyc_mul_oracle(Cyc.root(12, 3), Cyc.root(12, 3))) == Cyc.rational(12, -1)  # i^2
+    with pytest.raises(ValueError):
+        Cyc.one(3) + Cyc.one(6)
 
 
-def test_cyc_lift():
-    z3 = Cyc.root(3, 1)
-    z6 = z3.lift(6)
-    assert z6 == Cyc.root(6, 2)
-    assert z6 * Cyc.root(6, 1) == Cyc.root(6, 3)
+def test_cyc_keeps_no_products_of_elements_differences_or_lifts():
+    z = Cyc.root(3, 1)
+    with pytest.raises(TypeError):
+        z * z
+    with pytest.raises(TypeError):
+        z - z
+    with pytest.raises(AttributeError):
+        z.lift(6)
+    with pytest.raises(TypeError):
+        CycSqrt.of(1, 5, u=1) + CycSqrt.of(1, 5, u=1)
 
 
 def test_cyc_rationality():
@@ -188,31 +193,16 @@ def test_cyc_rationality():
 
 
 def test_cyc_kernel_matches_fraction_polynomial_oracle():
-    # products, conjugates and lifts for every N <= 60, with int and with
-    # Fraction coefficients, against Fraction polynomials reduced by long
-    # division; CycSqrt products by the four-product formula over those
-    # (zero parts and scalars: test_cycsqrt_mul_matches_four_product_formula)
+    # conjugates for every N <= 60, with int and with Fraction
+    # coefficients, against Fraction polynomials reduced by long division
     rng = random.Random(2026)
     for N in range(1, 61):
         deg = len(cyclotomic_poly(N)) - 1
         for choices in ((0, 0, 1, -1, 2, -3, 7), (0, 1, Fraction(1, 2), Fraction(-5, 3), -2)):
             xs = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
             ys = [Cyc(N, [rng.choice(choices) for _ in range(deg)]) for _ in range(20)]
-            for x, y in zip(xs, ys):
-                assert (x * y).coeffs == cyc_mul_oracle(x, y), N
-            assert xs[1].conjugate().coeffs == cyc_conjugate_oracle(xs[1]), N
-            for M in (N, 2 * N, 3 * N):
-                assert xs[2].lift(M).coeffs == cyc_lift_oracle(xs[2], M), (N, M)
-            # u and v parts of both factors nonzero, D not a square
-            for a, b in ((xs[0], xs[1]), (xs[2], xs[3])):
-                x, y = CycSqrt(a, b, 3), CycSqrt(ys[0], ys[1], 3)
-                assert x * y == cycsqrt_mul_oracle(x, y), N
-    with pytest.raises(ValueError):
-        Cyc.one(3) * Cyc.one(6)
-    with pytest.raises(ValueError):
-        CycSqrt.of(3, 2, u=1) * CycSqrt.of(3, 5, u=1)
-    with pytest.raises(ValueError):
-        CycSqrt.of(3, 2, u=1) * CycSqrt.of(6, 2, u=1)
+            for x in xs + ys:
+                assert x.conjugate().coeffs == cyc_conjugate_oracle(x), N
 
 
 def test_packed_zero_test_matches_reduction():
@@ -302,7 +292,7 @@ def test_cyc_rational_hashes_like_its_fraction():
     assert Cyc.rational(6, Fraction(-1, 2)) == Fraction(-1, 2)
     assert hash(Cyc.rational(6, Fraction(-1, 2))) == hash(Fraction(-1, 2))
     assert len({Cyc.rational(4, 3), 3}) == 1
-    assert len({Cyc.rational(4, 3), Cyc.root(4, 1), Cyc.rational(4, 3) + 0}) == 2
+    assert len({Cyc.rational(4, 3), Cyc.root(4, 1), Cyc.rational(4, 3) + Cyc.zero(4)}) == 2
 
 
 def test_cyc_takes_only_int_and_fraction_numbers():
@@ -319,35 +309,3 @@ def test_cyc_takes_only_int_and_fraction_numbers():
         Cyc.one(4) + 0.25
     assert Cyc(4, [Fraction(2), Fraction(1, 3)]).coeffs == (2, Fraction(1, 3))
     assert type(Cyc.rational(4, Fraction(6, 3)).coeffs[0]) is int
-
-
-def test_cycsqrt():
-    one = CycSqrt.of(1, 5, u=Fraction(1, 2), v=Fraction(1, 2))  # golden ratio
-    prod = one * one
-    assert prod.u.as_fraction() == Fraction(3, 2)
-    assert prod.v.as_fraction() == Fraction(1, 2)  # phi^2 = phi + 1
-    z = CycSqrt.of(4, 2, u=0, v=1)  # sqrt(2) over Q(i)
-    assert (z * z).u.as_fraction() == 2
-    assert (z * z).v.is_zero
-
-
-def test_cycsqrt_mul_matches_four_product_formula():
-    rng = random.Random(17)
-
-    def cyc(N: int, nonzero: bool) -> Cyc:
-        if not nonzero:
-            return Cyc.zero(N)
-        deg = len(cyclotomic_poly(N)) - 1
-        coeffs = [rng.choice((0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3))) for _ in range(deg)]
-        coeffs[rng.randrange(deg)] = rng.choice((1, -2, Fraction(3, 4)))
-        return Cyc(N, coeffs)
-
-    for N in (1, 3, 4, 8, 12, 24):
-        for D in (1, 2, 5, 8, 12, 16, 17):
-            for pattern in range(16):  # u, v, u', v' each zero or not
-                a = CycSqrt(cyc(N, pattern & 1), cyc(N, pattern & 2), D)
-                b = CycSqrt(cyc(N, pattern & 4), cyc(N, pattern & 8), D)
-                assert a * b == cycsqrt_mul_oracle(a, b), (N, D, pattern)
-            a = CycSqrt(cyc(N, True), cyc(N, True), D)
-            for r in (0, 3, Fraction(-2, 7), Cyc.zero(N), cyc(N, True)):
-                assert a * r == r * a == cycsqrt_mul_oracle(a, r), (N, D, r)

@@ -158,3 +158,11 @@ def test_is_square():
     squares = {n * n for n in range(100)}
     for n in range(5000):
         assert is_square(n) == (n in squares)
+
+
+def test_a_float_raises_type_error_instead_of_being_factored():
+    # totient(2.5) was 1.5, factorize(7.5) {7.5: 1}, squarefree_part(2.5) x = 2.5
+    for f, n in ((totient, 2.5), (factorize, 7.5), (squarefree_part, 2.5), (factorize, 12.0)):
+        with pytest.raises(TypeError):
+            f(n)
+    assert factorize(12) == {2: 2, 3: 1}

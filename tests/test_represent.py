@@ -12,6 +12,9 @@ from conftest import (
     characters_commutative,
     charpoly_oracle,
     crosscheck_uniform_rings,
+    cyc_lift_oracle,
+    cyc_mul_oracle,
+    cycsqrt_sum,
     fpdim_krylov_oracle,
     global_multiplication_oracle,
     global_multiplication_path_sum,
@@ -161,10 +164,38 @@ def test_semidirect_irr_is_representation():
                         assert lhs == rhs
 
 
+def test_semidirect_matrices_are_the_lifted_character_values(two_orbit_corpus):
+    # every quotient of the two-orbit corpus with abelian invertibles, and
+    # C_n x| C_2 by inversion: each entry is chi(k) or chi(theta k) carried
+    # into Q(zeta_N) by the polynomial substitution x -> x^(N/n)
+    groups = [(f"C{n}", (n,), "inversion") for n in range(2, 13)]
+    for name, ring in two_orbit_corpus.items():
+        data = fr.two_orbit_data(ring)
+        if data.invertible.group.is_abelian and data.theta is not None:
+            pos = {b: p for p, b in enumerate(data.group_indices)}
+            quotient, _ = data.invertible.group.quotient([pos[s] for s in data.stabilizer])
+            groups.append((name, quotient, data.theta))
+    kinds = set()
+    for name, group, theta in groups:
+        for rep in fr.semidirect_irr(group, theta):
+            kinds.add((rep.kind, rep.sign))
+            zero = Cyc.zero(rep.N)
+            for k in range(len(rep.theta)):
+                chi_k = Cyc(rep.N, cyc_lift_oracle(rep.chi.value(k), rep.N))
+                if rep.kind == "extension":
+                    assert rep.matrix(k, 0) == ((chi_k,),), (name, rep, k)
+                    assert rep.matrix(k, 1) == ((Cyc(rep.N, [rep.sign * c for c in chi_k.coeffs]),),), (name, rep, k)
+                else:
+                    chi_tk = Cyc(rep.N, cyc_lift_oracle(rep.chi.value(rep.theta[k]), rep.N))
+                    assert rep.matrix(k, 0) == ((chi_k, zero), (zero, chi_tk)), (name, rep, k)
+                    assert rep.matrix(k, 1) == ((zero, chi_k), (chi_tk, zero)), (name, rep, k)
+    assert kinds == {("extension", 1), ("extension", -1), ("induced", 0)}
+
+
 def _mat_mult(a, b):
     n, m, p = len(a), len(b), len(b[0])
     return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(m)), start=Cyc.zero(a[0][0].N)) for j in range(p))
+        tuple(sum((Cyc(a[i][t].N, cyc_mul_oracle(a[i][t], b[t][j])) for t in range(m)), start=Cyc.zero(a[0][0].N)) for j in range(p))
         for i in range(n)
     )
 
@@ -248,13 +279,13 @@ def _with_matrix(model: IrrepModel, b: int, mat) -> IrrepModel:
 def _nudged(model: IrrepModel, b: int, r: int, c: int) -> IrrepModel:
     """The model with entry (r, c) of psi(b) raised by 1."""
     mat = [list(row) for row in model.matrices[b]]
-    mat[r][c] = mat[r][c] + CycSqrt.of(model.root_order, model.radicand, u=1)
+    mat[r][c] = cycsqrt_sum(mat[r][c], CycSqrt.of(model.root_order, model.radicand, u=1))
     return _with_matrix(model, b, tuple(tuple(row) for row in mat))
 
 
 def _non_unital(model: IrrepModel) -> IrrepModel:
     """The model with psi(1) doubled."""
-    return _with_matrix(model, 0, tuple(tuple(e * 2 for e in row) for row in model.matrices[0]))
+    return _with_matrix(model, 0, tuple(tuple(CycSqrt(e.u * 2, e.v * 2, e.D) for e in row) for row in model.matrices[0]))
 
 
 def _by_source(models):
@@ -315,7 +346,7 @@ def test_verify_irrep_matches_oracle_on_nudged_corpus_models(spectra_uniform_cor
                 b, r, c = rng.randrange(ring.rank), rng.randrange(model.dim), rng.randrange(model.dim)
                 part = {"u": step} if rng.random() < 0.5 else {"v": step}
                 mat = [list(row) for row in model.matrices[b]]
-                mat[r][c] = mat[r][c] + CycSqrt.of(model.root_order, model.radicand, **part)
+                mat[r][c] = cycsqrt_sum(mat[r][c], CycSqrt.of(model.root_order, model.radicand, **part))
                 nudged = _with_matrix(model, b, tuple(map(tuple, mat)))
                 assert fr.verify_irrep(ring, nudged) == verify_irrep_oracle(ring, nudged), (name, model.source_tag, b, r, c, part)
                 checked += 1
@@ -333,8 +364,8 @@ def test_verify_irrep_matches_oracle_when_psi_b0_is_not_the_identity():
             swapped_b0 = replace(model, matrices=(model.matrices[b], *model.matrices[1:b], model.matrices[0]))
             swapped = _with_matrix(_with_matrix(model, 1, model.matrices[b]), b, model.matrices[1])
             variants = [
-                replace(model, matrices=tuple(tuple(tuple(e * 0 for e in row) for row in mat) for mat in model.matrices)),
-                replace(model, matrices=tuple(tuple(tuple(e * 2 for e in row) for row in mat) for mat in model.matrices)),
+                replace(model, matrices=tuple(tuple(tuple(CycSqrt(e.u * 0, e.v * 0, e.D) for e in row) for row in mat) for mat in model.matrices)),
+                replace(model, matrices=tuple(tuple(tuple(CycSqrt(e.u * 2, e.v * 2, e.D) for e in row) for row in mat) for mat in model.matrices)),
                 swapped_b0,
                 swapped,
             ]
@@ -377,10 +408,10 @@ def test_sqrt_in_cyclotomic_examples():
     z8, z12, z5 = Cyc.root(8, 1), Cyc.root(12, 1), Cyc.root(5, 1)
     sqrt2 = z8 + z8.conjugate()
     sqrt3 = z12 + z12.conjugate()
-    sqrt5 = 1 + 2 * (z5 + z5.conjugate())
-    sqrt24 = 2 * sqrt2.lift(24) * sqrt3.lift(24)
+    sqrt5 = Cyc.one(5) + (z5 + z5.conjugate()) * 2
+    sqrt24 = Cyc(24, cyc_mul_oracle(Cyc(24, cyc_lift_oracle(sqrt2, 24)), Cyc(24, cyc_lift_oracle(sqrt3, 24)))) * 2
     for N, D, root in ((8, 2, sqrt2), (12, 3, sqrt3), (5, 5, sqrt5), (24, 24, sqrt24)):
-        assert root * root == D and _sqrt_in_cyclotomic(N, D)
+        assert Cyc(N, cyc_mul_oracle(root, root)) == D and _sqrt_in_cyclotomic(N, D)
         # two forms of one number that CycSqrt == tells apart
         assert CycSqrt(root, Cyc.zero(N), D) != CycSqrt(Cyc.zero(N), Cyc.one(N), D)
     for N, D in ((4, 2), (24, 5), (8, 3), (3, 3), (1, 17), (12, 24)):
