@@ -57,6 +57,9 @@ class Quadratic:
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a, b=0, D: int = 0):
+        for part in (a, b):
+            if isinstance(part, bool) or not isinstance(part, (int, Fraction)):
+                raise TypeError(f"quadratic parts are int or Fraction, not {type(part).__name__}")
         a = Fraction(a)
         b = Fraction(b)
         D = operator.index(D)

@@ -16,6 +16,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import intpoly
 from .errors import InternalInvariantError
@@ -35,7 +36,9 @@ from .obstruct import (
     quartic_f,
     run_all,
 )
-from .ring import FusionRing, invertibles, noninvertible_indices
+
+if TYPE_CHECKING:
+    from .ring import FusionRing
 
 STATUS_KNOWN = "categorifiable_known"
 STATUS_ELIMINATED = "eliminated"
@@ -44,16 +47,14 @@ STATUS_CANDIDATE = "candidate"
 TAG_LEVEL_ZERO = "MR1659954"  # level 0 over any finite abelian group
 TAG_IZUMI = "MR1832764"  # C2 level 2 and C2^2 level 4
 TAG_REP_S3 = "Rep(S3)"  # C2 level 1
-TAG_LARSON = "MR3229513"  # C3 levels 2, 3, 6
 TAG_SIEHLER = "MR1997336"  # integral near-group classification (level n-1)
 TAG_RANK3 = "Ostrik rank-3 classification"  # C2: levels beyond 2 impossible
 TAG_GROUP_RING = "graded vector spaces"
 
-# (order, exponent) of the invertible group -> {level: tag}
+# (order, exponent) of the invertible group -> {level: tag}, for the groups
+# C2^m, m >= 2, that classify_elementary2 tabulates; it lists C2 itself
 KNOWN_POSITIVE_LEVELS: dict[tuple[int, int], dict[int, str]] = {
-    (2, 2): {1: TAG_REP_S3, 2: TAG_IZUMI},
     (4, 2): {4: TAG_IZUMI},
-    (3, 3): {2: TAG_LARSON, 3: TAG_LARSON, 6: TAG_LARSON},
 }
 
 
@@ -475,6 +476,8 @@ def classify_generic(ring: FusionRing) -> LevelReport:
     business of classify_elementary2, not of this wrapper: a known-positive
     ring here simply shows up as a candidate whose tests all pass.
     """
+    from .ring import invertibles, noninvertible_indices
+
     ring.require_verified()
     verdicts = tuple(run_all(ring))
     shape = near_group_shape(ring)

@@ -18,22 +18,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from itertools import chain
 
-# construct and represent load inside the commands that use them, so
-# verify, fpdim, obstruct and classify never compile them; the chain those
-# commands run stays here, where a tracer installed after importing this
-# module (bench/cli_child.py) finds it
-from .classify import (
-    DEFAULT_RESIDUE_FILTERS,
-    STATUS_ELIMINATED,
-    classify_elementary2,
-    classify_generic,
-    report_lines,
-    scan_prime_levels,
-)
 from .errors import FusionRingError, InternalInvariantError
-from .groups import parse_group_factors
-from .obstruct import eliminated, run_all
-from .ring import fpdim_basis, fpdim_total, verify_axioms
 from .ringfile import (
     alg_to_dict,
     dumps_json,
@@ -182,6 +167,7 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 def _cmd_build(args) -> int:
     from .construct import character_ring, group_ring, haagerup_izumi, near_group, uniform_two_orbit
+    from .groups import parse_group_factors
 
     if args.family == "group":
         ring = group_ring(parse_group_factors(args.group))
@@ -203,6 +189,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .ring import verify_axioms
+
     ring = load_ring(args.ring)
     violations = verify_axioms(ring)
     if violations:
@@ -215,6 +203,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fpdim(args) -> int:
     from fractions import Fraction
+
+    from .ring import fpdim_basis, fpdim_total
 
     if args.width_bits < 1:
         raise ValueError("--width-bits must be positive")
@@ -292,6 +282,8 @@ def _irrep_dict(model) -> dict:
 
 
 def _cmd_obstruct(args) -> int:
+    from .obstruct import eliminated, run_all
+
     ring = load_ring(args.ring)
     verdicts = run_all(ring)
     if args.json:
@@ -326,6 +318,8 @@ def _text_line(e) -> str:
 
 
 def _emit_report(report, args) -> None:
+    from .classify import report_lines
+
     # report_lines checks every run before it returns, so a breach writes nothing
     write = sys.stdout.write
     if args.json:
@@ -340,6 +334,14 @@ def _emit_report(report, args) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import (
+        DEFAULT_RESIDUE_FILTERS,
+        STATUS_ELIMINATED,
+        classify_elementary2,
+        classify_generic,
+        scan_prime_levels,
+    )
+
     if args.engine == "elementary2":
         if args.m > ELEMENTARY2_MAX_M:
             raise ValueError(f"--m {args.m} is above the limit {ELEMENTARY2_MAX_M}: the report lists 2^m + 1 levels")

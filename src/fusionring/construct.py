@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .cyclotomic import Cyc, _reduction_growth, balanced_residue, pack
@@ -96,7 +96,7 @@ def _resolve_theta(quotient: FiniteGroup, theta) -> tuple[int, ...]:
     elif theta == "inversion":
         phi = quotient.inverse
     else:
-        phi = tuple(int(x) for x in theta)
+        phi = tuple(map(index, theta))
     if not is_automorphism(quotient, phi):
         raise ValueError("theta is not an automorphism of G/H")
     if any(phi[phi[i]] != i for i in range(quotient.order)):
@@ -161,7 +161,7 @@ def _resolve_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
                 raise ValueError(f"unknown group element {item!r}")
             idx.append(name_pos[item])
         else:
-            idx.append(int(item))
+            idx.append(index(item))
     return g.subgroup_generated(idx)
 
 

@@ -25,17 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, NotTwoOrbitError
 from .numtheory import is_prime, is_square, quad_sign, squarefree_part, totient
-from .ring import (
-    FusionRing,
-    dimension_profile,
-    invertibles,
-    is_commutative,
-    noninvertible_indices,
-    two_orbit_data,
-)
+
+if TYPE_CHECKING:
+    from .ring import FusionRing
 
 ELIMINATES = "eliminates"
 PASSES = "passes"
@@ -83,6 +79,8 @@ CITE_XBOUND = (
 
 def obstruct_noncommutative(ring: FusionRing) -> ObstructionVerdict:
     """Eliminates commutative two-orbit rings whose profile has 0 < r < |H|-1."""
+    from .ring import dimension_profile, is_commutative, two_orbit_data
+
     name = "noncommutative"
     try:
         data = two_orbit_data(ring)
@@ -108,6 +106,8 @@ def noncom_verdict(r: int, s: int, h: int) -> ObstructionVerdict:
 
 def obstruct_divisibility(ring: FusionRing) -> ObstructionVerdict:
     """Eliminates two-dimension rings with irrational d and s not dividing r."""
+    from .ring import dimension_profile
+
     name = "divisibility"
     profile = dimension_profile(ring)
     if profile is None:
@@ -290,6 +290,8 @@ def _require_prime(p: int) -> None:
 
 def near_group_shape(ring: FusionRing) -> tuple[int, int] | None:
     """(|G|, level) when the ring has exactly one noninvertible element."""
+    from .ring import noninvertible_indices
+
     ring.require_verified()
     noninv = noninvertible_indices(ring)
     if len(noninv) != 1:
@@ -308,6 +310,8 @@ def run_all(ring: FusionRing) -> list[ObstructionVerdict]:
     not_applicable with the failed precondition.  The overall ring is
     eliminated iff any single verdict eliminates.
     """
+    from .ring import invertibles
+
     ring.require_verified()
     verdicts = [obstruct_noncommutative(ring), obstruct_divisibility(ring)]
 

@@ -21,13 +21,12 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebraic import IsolatedRoot, Quadratic
 from .errors import InternalInvariantError, MalformedRingError
 from .numtheory import totient
-from .ring import FusionRing, _check_rank, _dense
 
 if TYPE_CHECKING:
     from .construct import CharacterTable
+    from .ring import FusionRing
 
 # a table's values live in Q(zeta_N), N = root_order.  Setting up that field
 # takes 0.1 s at N = 1015, 0.3 s at N = 1995, 0.4 s at N = 2145 and 1.3 s at
@@ -45,6 +44,8 @@ TABLE_WORK_LIMIT = 60_000_000
 
 
 def ring_from_dict(doc) -> FusionRing:
+    from .ring import FusionRing, _check_rank
+
     if not isinstance(doc, dict):
         raise MalformedRingError("ring document must be a JSON object")
     missing = {"rank", "labels", "dual", "tensor"} - set(doc)
@@ -60,6 +61,8 @@ def ring_from_dict(doc) -> FusionRing:
 
 def write_ring(write, ring: FusionRing) -> None:
     """The canonical document of ring, written one fusion matrix at a time."""
+    from .ring import _dense
+
     doc = {"dual": list(ring.dual), "labels": list(ring.labels), "rank": ring.rank, "tensor": []}
     write_json(write, doc, "tensor", (dumps_json([_dense(row, ring.rank) for row in mat]) for mat in ring.rows))
 
@@ -88,6 +91,7 @@ def load_character_table(path: str) -> CharacterTable:
     `construct.character_ring` validates the table it is given."""
     from .construct import CharacterTable
     from .cyclotomic import Cyc
+    from .ring import _check_rank
 
     with open(path) as fh:
         try:
@@ -132,6 +136,8 @@ def _is_int(x) -> bool:
 def alg_to_dict(x) -> dict:
     """Exact serialization: Quadratics as (a, b, D) triples with rationals as
     'p/q' strings, isolated roots as polynomial plus interval."""
+    from .algebraic import IsolatedRoot, Quadratic
+
     if isinstance(x, (int, Fraction)):
         x = Quadratic(x)
     if isinstance(x, Quadratic):

@@ -411,3 +411,11 @@ def test_a_float_radicand_raises_type_error():
             with pytest.raises(TypeError):
                 Quadratic(0, b, D)
     assert Quadratic(0, 1, 8) == Quadratic(0, 2, 2)
+
+
+def test_a_float_part_raises_type_error():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for a, b in ((0.1, 0), (0, 0.5), (1.0, 1), (True, 1)):
+        with pytest.raises(TypeError):
+            Quadratic(a, b, 2)
+    assert Quadratic(Fraction(1, 10), 1, 2).a == Fraction(1, 10)

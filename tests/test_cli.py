@@ -700,14 +700,22 @@ def test_runtime_does_not_load_mpmath(tmp_path):
     assert proc.stdout == b"False False\n"
 
 
-COMMANDS_WITHOUT_CONSTRUCT_OR_REPRESENT = [
-    ["verify", "{ring}"],
-    ["fpdim", "{ring}", "--json"],
-    ["obstruct", "{ring}", "--json"],
-    ["classify", "generic", "{ring}", "--csv"],
-    ["classify", "elementary2", "--m", "3", "--json"],
-    ["classify", "prime", "--p", "7", "--kmax", "100", "--json"],
-]
+# each command, by the fusionring modules it must not load: the classify
+# engines are number theory and need no ring layer, and the ring commands
+# need neither classify nor obstruct
+_RING_LAYER = ("ring", "algebraic", "groups")
+_BUILDERS = ("construct", "cyclotomic", "represent")
+MODULES_A_COMMAND_DOES_NOT_LOAD = {
+    "classify-prime": (["classify", "prime", "--p", "7", "--kmax", "100", "--json"], _RING_LAYER + _BUILDERS),
+    "classify-elementary2": (["classify", "elementary2", "--m", "3", "--json"], _RING_LAYER + _BUILDERS),
+    "verify": (["verify", "{ring}"], ("classify", "obstruct") + _BUILDERS),
+    "fpdim": (["fpdim", "{ring}", "--json"], ("classify", "obstruct") + _BUILDERS),
+    "codegrees": (["codegrees", "{ring}", "--json"], ("classify", "obstruct")),
+    "irreps": (["irreps", "{ring}", "--json"], ("classify", "obstruct")),
+    "build-group": (["build", "group", "--group", "2,2"], ("classify", "obstruct")),
+    "obstruct": (["obstruct", "{ring}", "--json"], ("classify",) + _BUILDERS),
+    "classify-generic": (["classify", "generic", "{ring}", "--csv"], _BUILDERS),
+}
 
 
 def test_import_loads_no_submodule():
@@ -717,25 +725,22 @@ def test_import_loads_no_submodule():
     assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
 
-@pytest.mark.parametrize(
-    "argv",
-    COMMANDS_WITHOUT_CONSTRUCT_OR_REPRESENT,
-    ids=["verify", "fpdim", "obstruct", "classify-generic", "classify-elementary2", "classify-prime"],
-)
-def test_commands_load_only_what_they_run(argv, tmp_path):
-    # construct, cyclotomic and represent serve build, codegrees and irreps only;
-    # each other command, run in a fresh interpreter, must not compile them
+@pytest.mark.parametrize("name", MODULES_A_COMMAND_DOES_NOT_LOAD)
+def test_commands_load_only_what_they_run(name, tmp_path):
+    # run in a fresh interpreter, a command must not compile the modules that
+    # only other commands run
+    argv, unloaded = MODULES_A_COMMAND_DOES_NOT_LOAD[name]
     path = tmp_path / "ng.ring"
     path.write_text(dumps_ring(fr.near_group((2, 2), 8)))
     script = (
         "import io, sys, contextlib\n"
         "from fusionring.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(sys.argv[1:]) in (0, 10)\n"
-        "print(sorted(m for m in ('construct', 'cyclotomic', 'represent') if 'fusionring.' + m in sys.modules))\n"
+        "    assert main(sys.argv[2:]) in (0, 10)\n"
+        "print(sorted(m for m in sys.argv[1].split(',') if 'fusionring.' + m in sys.modules))\n"
     )
     args = [a.format(ring=path) for a in argv]
-    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=cli_env())
+    proc = subprocess.run([sys.executable, "-c", script, ",".join(unloaded), *args], capture_output=True, env=cli_env())
     assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
 

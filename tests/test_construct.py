@@ -104,6 +104,20 @@ def test_uniform_rejects_non_involution():
         fr.uniform_two_orbit((5,), "trivial", (0, 2, 4, 1, 3), 1)
 
 
+def test_a_float_stabilizer_generator_raises_type_error_instead_of_truncating():
+    # int(2.5) is 2: the generator was read as the subgroup (0, 2) of C4
+    with pytest.raises(TypeError):
+        fr.uniform_two_orbit((4,), [2.5], "inversion", 1)
+    assert fr.uniform_two_orbit((4,), [2], "inversion", 1).rank == 6
+
+
+def test_a_float_theta_raises_type_error_instead_of_truncating():
+    # int() read (0.0, 3.9, 2.2, 1.7) as the inversion (0, 3, 2, 1) of C4
+    with pytest.raises(TypeError):
+        fr.uniform_two_orbit((4,), "trivial", (0.0, 3.9, 2.2, 1.7), 1)
+    assert fr.uniform_two_orbit((4,), "trivial", (0, 3, 2, 1), 1).rank == 8
+
+
 def test_uniform_axioms_verified_on_output():
     ring = fr.uniform_two_orbit((6,), [2], "inversion", 1)
     assert fr.verify_axioms(ring) == []
