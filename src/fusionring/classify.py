@@ -12,6 +12,7 @@ recomputed; this artifact only eliminates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
@@ -20,9 +21,10 @@ from typing import TYPE_CHECKING
 
 from . import intpoly
 from .errors import InternalInvariantError
-from .numtheory import is_prime, squarefree_part
+from .numtheory import jacobi, squarefree_part
 from .obstruct import (
     ObstructionVerdict,
+    _parity_verdict,
     _require_prime,
     _xbound_verdict,
     divis_verdict,
@@ -31,7 +33,6 @@ from .obstruct import (
     endgame_both,
     near_group_shape,
     noncom_verdict,
-    prime_parity,
     quartic_coeffs,
     quartic_f,
     run_all,
@@ -301,58 +302,78 @@ DEFAULT_RESIDUE_FILTERS: dict[int, tuple[int, ...]] = {7: (2, 3, 5, 13)}
 
 def admissible_squarefree_parts(p: int) -> list[int]:
     """All square-free x with p not dividing x and
-    phi(x)^2 (p-1)^2 <= x (p+1)^3 (the weakest, m = 1, form of the bound).
+    phi(x)^2 (p-1)^2 <= x (p+1)^3 (the weakest, m = 1, form of the bound)."""
+    return [x for x, _, _ in _admissible(p)]
+
+
+def _admissible(p: int) -> list[tuple[int, int, bool]]:
+    """(x, phi(x), local) for each admissible square-free part x, sorted by x.
+    local is False when x y^2 - p m^2 = 1 has no solution modulo p, modulo 8
+    or modulo an odd prime q | x, so none at all; as p = 3 (mod 4), that is
+    when a prime q | x has (q/p) = -1, or q = 2 and p = 3 (mod 8) (see
+    docs/obstructions.md, "Level classification").
 
     The set is finite since phi(x)/sqrt(x) grows; candidates are products of
     primes q with (q-1)^2 (p-1)^2 <= 2 q (p+1)^3 (the factor 2 allows for a
     single factor of 2, the only prime that shrinks the ratio).
     """
     lhs, rhs = (p - 1) ** 2, (p + 1) ** 3  # x is admissible iff phi(x)^2 lhs <= x rhs
-    primes = []
-    q = 2
-    while True:
-        if is_prime(q):
-            if (q - 1) ** 2 * lhs > 2 * q * rhs:
-                break
-            if q != p:
-                primes.append(q)
-        q += 1
+    n = 2 * rhs // lhs + 3  # q - 2 + 1/q <= 2 rhs / lhs puts every candidate below n
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    primes = []  # (q, whether a multiple of q can pass)
+    for q in itertools.compress(range(n), sieve):
+        if (q - 1) ** 2 * lhs > 2 * q * rhs:
+            break
+        if q != p:
+            primes.append((q, p % 8 == 7 if q == 2 else jacobi(q, p) == 1))
 
     # Along a DFS path phi(x q) = phi(x) (q - 1), so the ratio phi(x)^2 / x
     # gets the factor (q-1)^2 / q: below 1 only for q = 2, which sits first,
     # so pruning children beyond the bound loses nothing.  The factor grows
     # with q, so once a child fails, every later sibling fails too.
-    out: list[int] = []
+    out: list[tuple[int, int, bool]] = []
 
-    def dfs(i: int, x: int, phi: int) -> None:
-        out.append(x)
+    def dfs(i: int, x: int, phi: int, local: bool) -> None:
+        out.append((x, phi, local))
         for j in range(i, len(primes)):
-            q = primes[j]
+            q, q_local = primes[j]
             child, child_phi = x * q, phi * (q - 1)
             if child_phi * child_phi * lhs > child * rhs:
                 break
-            dfs(j + 1, child, child_phi)
+            dfs(j + 1, child, child_phi, local and q_local)
 
-    dfs(0, 1, 1)
-    return sorted(out)
+    dfs(0, 1, 1, True)
+    out.sort()
+    return out
 
 
 def _pell_unit(n: int, bound: int) -> tuple[int, int] | None:
     """Fundamental solution (u, v) of u^2 - n v^2 = 1 for a non-square n > 1,
     the first convergent of the continued fraction of sqrt(n) that solves it;
-    None when u > bound, found as soon as an unsolved convergent passes it."""
+    None when u > bound, found as soon as an unsolved convergent passes it.
+    The i-th convergent h/k has h^2 - n k^2 = (-1)^(i+1) d, with d > 0 the
+    denominator of the next complete quotient (Niven, Zuckerman and
+    Montgomery, An Introduction to the Theory of Numbers, ch. 7), so the
+    small d is tested instead of the norm."""
     a0 = math.isqrt(n)
     b, d, a = 0, 1, a0
     h0, h1, k0, k1 = 1, a0, 0, 1
-    while h1 * h1 - n * k1 * k1 != 1:
-        if h1 > bound:
-            return None
+    sign = -1
+    while True:
         b = d * a - b
         d = (n - b * b) // d
+        if d == 1 and sign == 1:
+            return h1, k1
+        if h1 > bound:
+            return None
         a = (a0 + b) // d
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
-    return h1, k1
+        sign = -sign
 
 
 def _pell_hits(p: int, m_max: int, xs) -> list[tuple[int, int, int]]:
@@ -405,47 +426,38 @@ def scan_prime_levels(
     default available for p = 7) removes x values divisible by one of its
     entries, each at least 2; without it, survivors carried only by that
     claim are flagged rather than suppressed.  The admissible set has about
-    1.94 p elements, one Pell expansion each; p is not bounded here (the CLI
+    1.94 p elements; only those with a local solution get a Pell expansion
+    (35,364 of 194,352 at p = 99,991).  p is not bounded here (the CLI
     bounds it by PRIME_MAX_P).
     """
     _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     filters: list[str] = []
-    notes: list[str] = []
     if conjecture_cutoff:
         k_max = min(k_max, p - 1)
         filters.append(f"conjectural cutoff level < p^2 (k <= {p - 1}) -- NOT rigorous")
 
-    xs_all = admissible_squarefree_parts(p)
+    table = _admissible(p)
     if residue_filter:
         rf = tuple(sorted(set(int(q) for q in residue_filter)))
         if rf[0] < 2:
             raise ValueError(f"residue filter entry {rf[0]} is below 2")
-        xs = [x for x in xs_all if all(x % q for q in rf)]
+        table = [t for t in table if all(t[0] % q for q in rf)]
         filters.append("residue filter {" + ",".join(map(str, rf)) + "}")
     else:
         rf = ()
-        xs = xs_all
+    phi = {x: phi_x for x, phi_x, local in table if local}  # the x that can have hits
 
     default_rf = DEFAULT_RESIDUE_FILTERS.get(p, ())
 
-    entries: list[LevelEntry] = []
-    x1 = squarefree_part(p + 4).x
-    entries.append(
-        LevelEntry(
-            p,
-            STATUS_CANDIDATE,
-            k=1,
-            x=x1,
-            certificates=(prime_parity(p, 1),),
-        )
-    )
-    for m, x, y in _pell_hits(p, k_max // 2, xs):
+    # p is proven prime above, so the parity verdicts skip that check
+    entries = [LevelEntry(p, STATUS_CANDIDATE, k=1, x=squarefree_part(p + 4).x, certificates=(_parity_verdict(p, 1),))]
+    for m, x, y in _pell_hits(p, k_max // 2, phi):
         if x * y * y != m * m * p + 1:
             raise InternalInvariantError(f"Pell hit m = {m} has x y^2 != m^2 p + 1")
         k = 2 * m
-        xb = _xbound_verdict(p, m, x, y)
+        xb = _xbound_verdict(p, m, x, y, phi[x])
         if xb.eliminates:
             continue
         flags = ()
@@ -455,16 +467,15 @@ def scan_prime_levels(
                 f" literature residue claim {{{','.join(map(str, default_rf))}}}",
             )
         entries.append(
-            LevelEntry(k * p, STATUS_CANDIDATE, k=k, x=x, certificates=(prime_parity(p, k), xb), flags=flags)
+            LevelEntry(k * p, STATUS_CANDIDATE, k=k, x=x, certificates=(_parity_verdict(p, k), xb), flags=flags)
         )
 
-    notes.append("odd k > 1 eliminated by parity; even k eliminated unless the square-free part test passes")
     return LevelReport(
         group=f"C{p}",
         levels=tuple(entries),
-        scan_bound={"k_max": k_max, "admissible_x": xs},
+        scan_bound={"k_max": k_max, "admissible_x": [x for x, _, _ in table]},
         filters_applied=tuple(filters),
-        notes=tuple(notes),
+        notes=("odd k > 1 eliminated by parity; even k eliminated unless the square-free part test passes",),
     )
 
 

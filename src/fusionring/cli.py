@@ -40,14 +40,14 @@ EXIT_ELIMINATED = 10
 # either way (child peak RSS, output to /dev/null, 2-CPU Xeon, start-up included)
 ELEMENTARY2_MAX_M = 20
 
-# classify prime runs one Pell expansion for each of about 1.94 p admissible
-# square-free parts: p = 99,991 takes 1.0 s at --kmax 10 and 2.6 s at --kmax
-# 10^6, p = 1,000,003 8.7 s at --kmax 10 (2-CPU Xeon, start-up included)
+# classify prime lists about 1.94 p admissible square-free parts and runs a
+# Pell expansion for those that pass the local test: p = 99,991 takes 0.7 s
+# at --kmax 10 and 0.8 s at --kmax 10^6 (2-CPU Xeon, start-up included)
 PRIME_MAX_P = 100_000
 
 # each Pell expansion runs until its convergents pass 2 p (kmax/2)^2 + 1, so
-# the scan's cost grows with the digits of --kmax: p = 99,991 takes 21 s at
-# --kmax 10^41 - 1 (2-CPU Xeon, start-up included)
+# the scan's cost grows with the digits of --kmax: p = 99,991 takes 2.5-3.8 s
+# at --kmax 10^41 - 1 (2-CPU Xeon, start-up included)
 PRIME_MAX_KMAX_DIGITS = 41
 
 # fpdim refines each non-quadratic root to 2^-N in O(log N) Newton steps on
@@ -350,7 +350,7 @@ def _cmd_classify(args) -> int:
         return EXIT_OK
     if args.engine == "prime":
         if args.p > PRIME_MAX_P:
-            raise ValueError(f"--p {args.p} is above the limit {PRIME_MAX_P}: the scan runs about 1.94 p Pell expansions")
+            raise ValueError(f"--p {args.p} is above the limit {PRIME_MAX_P}: the scan lists about 1.94 p square-free parts")
         digits = len(str(abs(args.kmax)))
         if digits > PRIME_MAX_KMAX_DIGITS:
             raise ValueError(

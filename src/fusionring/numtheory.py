@@ -1,9 +1,11 @@
-"""Exact integer utilities: factorization, totients, square-free parts, and
-sign tests for quadratic surds.
+"""Exact integer utilities: factorization, totients, square-free parts,
+Jacobi symbols, and sign tests for quadratic surds.
 
 Everything here is deterministic and exact.  Factorization uses trial
-division followed by Miller-Rabin and Brent's variant of Pollard rho, which
-comfortably covers the ~1e14 range the level scans produce.
+division followed by Miller-Rabin and Brent's variant of Pollard rho.  The
+prime scan factors only p + 4; what still factors is prime_xbound (m^2 p + 1),
+the elementary2 certificates (k^2 n^2 + 4n and three times it) and
+Quadratic.__init__ (its radicand).
 """
 
 from __future__ import annotations
@@ -133,6 +135,25 @@ def totient(n: int) -> int:
     for p in factorize(n):
         result = result // p * (p - 1)
     return result
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol when n is prime."""
+    a, n = operator.index(a), operator.index(n)
+    if n < 1 or n % 2 == 0:
+        raise ValueError("jacobi expects an odd n >= 1")
+    a %= n
+    s = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                s = -s
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            s = -s
+        a %= n
+    return s if n == 1 else 0
 
 
 def is_square(n: int) -> bool:

@@ -243,10 +243,13 @@ def prime_parity(p: int, k: int) -> ObstructionVerdict:
     """For near-group levels k*p over a prime p = 3 (mod 4): eliminates odd
     k other than 1."""
     _require_prime(p)
-    cert = {"p": p, "k": k}
-    if k % 2 == 1 and k != 1:
-        return ObstructionVerdict("prime-parity", ELIMINATES, cert, CITE_PARITY)
-    return ObstructionVerdict("prime-parity", PASSES, cert, CITE_PARITY)
+    return _parity_verdict(p, k)
+
+
+def _parity_verdict(p: int, k: int) -> ObstructionVerdict:
+    """prime_parity for a caller that has already checked p."""
+    outcome = ELIMINATES if k % 2 == 1 and k != 1 else PASSES
+    return ObstructionVerdict("prime-parity", outcome, {"p": p, "k": k}, CITE_PARITY)
 
 
 def prime_xbound(p: int, m: int) -> ObstructionVerdict:
@@ -260,13 +263,12 @@ def prime_xbound(p: int, m: int) -> ObstructionVerdict:
     dec = squarefree_part(v)
     if (dec.x == 1) != is_square(v):
         raise InternalInvariantError("square-free part inconsistent with squareness")
-    return _xbound_verdict(p, m, dec.x, dec.y)
+    return _xbound_verdict(p, m, dec.x, dec.y, totient(dec.x))
 
 
-def _xbound_verdict(p: int, m: int, x: int, y: int) -> ObstructionVerdict:
+def _xbound_verdict(p: int, m: int, x: int, y: int, phi_x: int) -> ObstructionVerdict:
     """prime_xbound for a caller that already knows m^2 p + 1 = x y^2 with x
-    square-free, so nothing is factored but x."""
-    phi_x = totient(x)
+    square-free and phi_x = phi(x), so nothing is factored."""
     lhs = phi_x**2 * (p - 1) ** 2 * m * m
     rhs = x * (p + 1) ** 2 * (m * m * p + 1)
     cert = {

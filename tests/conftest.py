@@ -8,7 +8,10 @@ reads codegree multiplicities from traces), polynomial long division,
 gcds, Sturm chains and interval bisection over Fraction (the library stays
 in integers, with exact division over Z, pseudo-remainders and common
 denominators), numeric eigenvalues via numpy, prime-scan hits by testing
-every m (the library solves Pell equations), characters of commutative
+every m (the library solves Pell equations), Pell units by the full norm of
+each convergent and solvability by Walker's theorem over the whole period
+(the library tests a small denominator and skips the x that fail a local
+test), characters of commutative
 rings as certified numeric joint eigenvectors (the library builds exact
 matrix models), totients and square-free flags by sieving (the library
 factors), admissible square-free parts by a totient per candidate (the
@@ -496,6 +499,37 @@ def linear_scan_hits(p: int, m_max: int, xs) -> list[tuple[int, int]]:
                 if not rem and math.isqrt(q) ** 2 == q:
                     hits.append((m, x))
     return sorted(hits)
+
+
+def pell_unit_oracle(n: int) -> tuple[int, int]:
+    """Fundamental solution (u, v) of u^2 - n v^2 = 1 for a non-square n > 1:
+    the continued fraction of sqrt(n) expanded, with no bound, until the norm
+    of a convergent, computed in full, is 1."""
+    a0 = math.isqrt(n)
+    b, d, a = 0, 1, a0
+    h0, h1, k0, k1 = 1, a0, 0, 1
+    while h1 * h1 - n * k1 * k1 != 1:
+        b = d * a - b
+        d = (n - b * b) // d
+        a = (a0 + b) // d
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    return h1, k1
+
+
+def pell_solvable_oracle(p: int, x: int) -> bool:
+    """Whether x y^2 - p m^2 = 1 has a solution in positive integers, for
+    square-free x prime to p.  For x = 1 the unit of u^2 - p v^2 = 1 is one.
+    For x > 1, with (u, v) the fundamental unit of u^2 - px v^2 = 1, a least
+    solution a = y sqrt(x) + m sqrt(p) has a^2 = u + v sqrt(px) (Walker,
+    Amer. Math. Monthly 74 (1967)), so one exists iff (u+1)/(2x) and
+    (u-1)/(2p) are squares."""
+    if x == 1:
+        return True
+    u, _ = pell_unit_oracle(p * x)
+    y2, ry = divmod(u + 1, 2 * x)
+    m2, rm = divmod(u - 1, 2 * p)
+    return ry == rm == 0 and math.isqrt(y2) ** 2 == y2 and math.isqrt(m2) ** 2 == m2
 
 
 def totient_sieve(limit: int) -> np.ndarray:

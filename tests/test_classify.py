@@ -1,7 +1,7 @@
 import pytest
 
 import fusionring as fr
-from conftest import admissible_squarefree_parts_oracle
+from conftest import admissible_squarefree_parts_oracle, pell_solvable_oracle, pell_unit_oracle
 from fusionring.classify import (
     DEFAULT_RESIDUE_FILTERS,
     STATUS_CANDIDATE,
@@ -9,11 +9,14 @@ from fusionring.classify import (
     STATUS_KNOWN,
     LevelEntry,
     LevelRun,
+    _admissible,
+    _pell_hits,
+    _pell_unit,
     admissible_squarefree_parts,
     coarse_cutoff,
     scan_prime_levels,
 )
-from fusionring.numtheory import is_prime
+from fusionring.numtheory import factorize, is_prime, is_square, totient
 from fusionring.obstruct import divis_verdict, noncom_verdict
 
 
@@ -131,6 +134,74 @@ def test_admissible_set_for_seven():
     xs = admissible_squarefree_parts(7)
     assert xs == [1, 2, 3, 5, 6, 10, 11, 13, 15, 22, 26, 30, 33, 34, 38, 46, 58, 66, 78, 102, 114, 138]
     assert all(x % 7 for x in xs)
+
+
+PRIMES_3_MOD_4_BELOW_500 = [p for p in range(3, 500, 4) if is_prime(p)]
+
+
+def local_split(p: int) -> tuple[list[int], list[int]]:
+    """The admissible x that pass the local solubility test, and those that fail it."""
+    table = _admissible(p)
+    return [x for x, _, local in table if local], [x for x, _, local in table if not local]
+
+
+def test_local_test_counts():
+    assert local_split(7) == ([1, 2, 11, 22, 46, 58], [3, 5, 6, 10, 13, 15, 26, 30, 33, 34, 38, 66, 78, 102, 114, 138])
+    for p, passing, total in ((7, 6, 22), (47, 34, 101), (1019, 265, 1988)):
+        assert [len(xs) for xs in local_split(p)] == [passing, total - passing], p
+
+
+def test_local_test_is_the_three_conditions():
+    # the library tests one condition per prime of x; here the three
+    # conditions are tested as stated: (x/p) = 1 and (-p/q) = 1 for odd
+    # q | x by Euler's criterion, and a solution modulo 8 by trying every
+    # residue pair (y, m)
+    for p in PRIMES_3_MOD_4_BELOW_500:
+        for x, _, local in _admissible(p):
+            mod_p = pow(x, (p - 1) // 2, p) == 1
+            mod_q = all(pow(-p, (q - 1) // 2, q) == 1 for q in factorize(x) if q > 2)
+            mod_8 = any((x * y * y - p * m * m) % 8 == 1 for y in range(8) for m in range(8))
+            assert local == (mod_p and mod_q and mod_8), (p, x)
+
+
+def test_local_test_keeps_every_pell_hit():
+    # the hits over the x that pass are the hits over the whole admissible set
+    for p in PRIMES_3_MOD_4_BELOW_500:
+        passing, _ = local_split(p)
+        assert _pell_hits(p, 10**30, passing) == _pell_hits(p, 10**30, admissible_squarefree_parts(p)), p
+
+
+def test_local_test_failures_have_no_solution():
+    # the whole period of each continued fraction, with no bound on m, decides
+    # solvability exactly; phi(x) carried along the search is the totient
+    for p in PRIMES_3_MOD_4_BELOW_500:
+        for x, phi, local in _admissible(p):
+            assert phi == totient(x), (p, x)
+            if not local:
+                assert not pell_solvable_oracle(p, x), (p, x)
+
+
+def test_local_test_failures_have_no_small_solution():
+    # brute force over y, m < 1000: x y^2 = p m^2 + 1
+    for p in (7, 11, 19):
+        _, failing = local_split(p)
+        assert failing, p
+        for x in failing:
+            for m in range(1, 1000):
+                y2, rem = divmod(p * m * m + 1, x)
+                assert rem or not is_square(y2) or y2 >= 1000**2, (p, x, m)
+
+
+def test_pell_unit_matches_full_norm_oracle():
+    # every non-square n up to 3000, odd periods (where u^2 - n v^2 = -1 is
+    # solvable first) included; every convergent before the unit is below
+    # it, so only a bound below one of them stops the expansion
+    for n in range(2, 3001):
+        if is_square(n):
+            continue
+        u, v = pell_unit_oracle(n)
+        assert _pell_unit(n, u - 1) == (u, v), n
+        assert _pell_unit(n, 0) is None, n
 
 
 def test_scan_small_window():

@@ -13,6 +13,7 @@ from fusionring.numtheory import (
     factorize,
     is_prime,
     is_square,
+    jacobi,
     quad_sign,
     squarefree_part,
     totient,
@@ -166,3 +167,26 @@ def test_a_float_raises_type_error_instead_of_being_factored():
         with pytest.raises(TypeError):
             f(n)
     assert factorize(12) == {2: 2, 3: 1}
+
+
+def test_jacobi_matches_euler_criterion_and_prime_factors():
+    rng = random.Random(31)
+    for q in range(3, 2000, 2):
+        if is_prime(q):
+            for a in (rng.randrange(-(10**9), 10**9) for _ in range(20)):
+                euler = pow(a, (q - 1) // 2, q)
+                assert jacobi(a, q) == (0 if a % q == 0 else 1 if euler == 1 else -1), (a, q)
+    for _ in range(3000):
+        n = rng.randrange(1, 10**7, 2)
+        a = rng.randrange(-(10**12), 10**12)
+        expected = 1
+        for q, e in factorize(n).items():
+            expected *= jacobi(a, q) ** e
+        assert jacobi(a, n) == expected, (a, n)
+    assert jacobi(5, 1) == 1 and jacobi(0, 1) == 1 and jacobi(6, 9) == 0
+
+
+@pytest.mark.parametrize("a, n", [(3, 0), (3, -5), (3, 8), (3.0, 7), (3, 7.0)])
+def test_jacobi_rejects_bad_arguments(a, n):
+    with pytest.raises((ValueError, TypeError)):
+        jacobi(a, n)
