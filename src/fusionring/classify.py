@@ -308,10 +308,9 @@ def admissible_squarefree_parts(p: int) -> list[int]:
 
 def _admissible(p: int) -> list[tuple[int, int, bool]]:
     """(x, phi(x), local) for each admissible square-free part x, sorted by x.
-    local is False when x y^2 - p m^2 = 1 has no solution modulo p, modulo 8
-    or modulo an odd prime q | x, so none at all; as p = 3 (mod 4), that is
-    when a prime q | x has (q/p) = -1, or q = 2 and p = 3 (mod 8) (see
-    docs/obstructions.md, "Level classification").
+    local is False when x y^2 - p m^2 = 1 has no solution modulo p, 8 or an
+    odd prime of x: for p = 3 (mod 4), when a prime q | x has (q/p) = -1, or
+    q = 2 and p = 3 (mod 8) (docs/obstructions.md, "Level classification").
 
     The set is finite since phi(x)/sqrt(x) grows; candidates are products of
     primes q with (q-1)^2 (p-1)^2 <= 2 q (p+1)^3 (the factor 2 allows for a
@@ -355,10 +354,8 @@ def _pell_unit(n: int, bound: int) -> tuple[int, int] | None:
     """Fundamental solution (u, v) of u^2 - n v^2 = 1 for a non-square n > 1,
     the first convergent of the continued fraction of sqrt(n) that solves it;
     None when u > bound, found as soon as an unsolved convergent passes it.
-    The i-th convergent h/k has h^2 - n k^2 = (-1)^(i+1) d, with d > 0 the
-    denominator of the next complete quotient (Niven, Zuckerman and
-    Montgomery, An Introduction to the Theory of Numbers, ch. 7), so the
-    small d is tested instead of the norm."""
+    The i-th convergent h/k has h^2 - n k^2 = (-1)^(i+1) d, d > 0 the next
+    complete quotient's denominator (Niven-Zuckerman-Montgomery, ch. 7)."""
     a0 = math.isqrt(n)
     b, d, a = 0, 1, a0
     h0, h1, k0, k1 = 1, a0, 0, 1
@@ -426,9 +423,8 @@ def scan_prime_levels(
     default available for p = 7) removes x values divisible by one of its
     entries, each at least 2; without it, survivors carried only by that
     claim are flagged rather than suppressed.  The admissible set has about
-    1.94 p elements; only those with a local solution get a Pell expansion
-    (35,364 of 194,352 at p = 99,991).  p is not bounded here (the CLI
-    bounds it by PRIME_MAX_P).
+    1.94 p elements; only those with a local solution get a Pell expansion.
+    p is not bounded here (the CLI bounds it by PRIME_MAX_P).
     """
     _require_prime(p)
     if k_max < 1:
