@@ -41,12 +41,13 @@ EXIT_ELIMINATED = 10
 ELEMENTARY2_MAX_M = 20
 
 # classify prime lists about 1.94 p admissible square-free parts and runs a
-# Pell expansion for those that pass the local test: p = 99,991 takes 0.7 s
-# at --kmax 10 and 0.8 s at --kmax 10^6 (2-CPU Xeon, start-up included)
+# Pell expansion for those that pass the local test: p = 99,991 takes
+# 0.5-0.7 s at --kmax 10 and 0.7-0.8 s at --kmax 10^6 (2-CPU Xeon, start-up
+# included)
 PRIME_MAX_P = 100_000
 
 # each Pell expansion runs until its convergents pass 2 p (kmax/2)^2 + 1, so
-# the scan's cost grows with the digits of --kmax: p = 99,991 takes 2.5-3.8 s
+# the scan's cost grows with the digits of --kmax: p = 99,991 takes 2.1-3.8 s
 # at --kmax 10^41 - 1 (2-CPU Xeon, start-up included)
 PRIME_MAX_KMAX_DIGITS = 41
 

@@ -39,7 +39,7 @@ def test_scan_matches_per_k_brute_force():
 
 def test_scan_certificates_match_the_public_tests():
     # the scan reads phi(x) off its search and checks p once; each certificate
-    # must equal the one prime_parity and prime_xbound compute from scratch
+    # must equal the one prime_parity and prime_xbound compute anew
     for p, kmax in ((7, 10**7), (47, 10**9), (1019, 10**12)):
         for e in scan_prime_levels(p, kmax).levels[1:]:
             assert e.certificates == (fr.prime_parity(p, e.k), fr.prime_xbound(p, e.k // 2)), (p, e.k)
