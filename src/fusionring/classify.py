@@ -17,6 +17,7 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import index
 from typing import TYPE_CHECKING
 
 from . import intpoly
@@ -300,14 +301,10 @@ def classify_elementary2(m: int) -> LevelReport:
 DEFAULT_RESIDUE_FILTERS: dict[int, tuple[int, ...]] = {7: (2, 3, 5, 13)}
 
 
-def admissible_squarefree_parts(p: int) -> list[int]:
-    """All square-free x with p not dividing x and
-    phi(x)^2 (p-1)^2 <= x (p+1)^3 (the weakest, m = 1, form of the bound)."""
-    return [x for x, _, _ in _admissible(p)]
-
-
 def _admissible(p: int) -> list[tuple[int, int, bool]]:
-    """(x, phi(x), local) for each admissible square-free part x, sorted by x.
+    """(x, phi(x), local) for each admissible square-free part x, sorted by x:
+    each square-free x with p not dividing x and
+    phi(x)^2 (p-1)^2 <= x (p+1)^3 (the weakest, m = 1, form of the bound).
     local is False when x y^2 - p m^2 = 1 has no solution modulo p, 8 or an
     odd prime of x: for p = 3 (mod 4), when a prime q | x has (q/p) = -1, or
     q = 2 and p = 3 (mod 8) (docs/obstructions.md, "Level classification").
@@ -424,8 +421,10 @@ def scan_prime_levels(
     entries, each at least 2; without it, survivors carried only by that
     claim are flagged rather than suppressed.  The admissible set has about
     1.94 p elements; only those with a local solution get a Pell expansion.
-    p is not bounded here (the CLI bounds it by PRIME_MAX_P).
+    p is not bounded here (the CLI bounds it by PRIME_MAX_P); p, k_max and
+    the filter entries are integers (`operator.index`).
     """
+    p, k_max = index(p), index(k_max)
     _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -436,7 +435,7 @@ def scan_prime_levels(
 
     table = _admissible(p)
     if residue_filter:
-        rf = tuple(sorted(set(int(q) for q in residue_filter)))
+        rf = tuple(sorted(set(map(index, residue_filter))))
         if rf[0] < 2:
             raise ValueError(f"residue filter entry {rf[0]} is below 2")
         table = [t for t in table if all(t[0] % q for q in rf)]

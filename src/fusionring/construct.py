@@ -63,6 +63,7 @@ def group_ring(spec) -> FusionRing:
 def near_group(spec, level: int) -> FusionRing:
     """Near-group ring: invertibles G plus one extra self-dual element rho
     with rho^2 = level*rho + sum_G g.  Valid for every (G, level)."""
+    level = index(level)
     if level < 0:
         raise ValueError("level must be nonnegative")
     _check_rank(_order(spec) + 1)
@@ -113,6 +114,7 @@ def uniform_two_orbit(spec, stabilizer_gens: Sequence, theta, k: int) -> FusionR
     failing parameter choice raises NotAFusionRingError with the witnessing
     indices, which is a legitimate outcome rather than a bug.
     """
+    k = index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     _check_rank(_order(spec) + 1)  # G and at least one coset

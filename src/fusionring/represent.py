@@ -26,6 +26,7 @@ from .groups import FiniteGroup, character_exponents
 from .numtheory import squarefree_part
 from .ring import (
     FusionRing,
+    _fact,
     _generator_first,
     _memo,
     dimension_profile,
@@ -51,6 +52,7 @@ class Codegree:
     dim_hint: int | None = None
 
 
+@partial(_fact, handout=list)
 def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     """Exact eigenvalue multiset of M = sum_x N_x N_x^T, largest first.
 
@@ -75,13 +77,9 @@ def codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     gcd at the jump holds no root found earlier.  The loop stops once the
     multiplicities account for the rank; the count and trace checks stay.
 
-    The spectrum is computed once per ring; each call gets its own list.
+    The spectrum is computed once per ring and kept as a tuple; each call
+    gets its own list.
     """
-    ring.require_verified()
-    return list(_memo(ring, "codegrees", partial(_codegree_spectrum, ring)))
-
-
-def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
     m, mp, powers = global_krylov(ring)
     d = intpoly.degree(mp)
     traces = [sum(c for j, row in enumerate(mat) for k, c in row if k == j) for mat in ring.rows]
@@ -120,7 +118,7 @@ def _codegree_spectrum(ring: FusionRing) -> list[Codegree]:
                 f"eigenvalue {e.value!r} of M below the invertible count {order}"
             )
     entries.sort(key=cmp_to_key(lambda e, f: alg_cmp(f.value, e.value)))
-    return entries
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

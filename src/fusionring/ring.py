@@ -18,7 +18,11 @@ All objects are immutable after construction and every operation is a pure
 function, so concurrent use needs no locking.  What a ring derives is kept
 by one memo, `_memo`: computed once per ring; callers get their own lists,
 so clearing a returned list changes no later result.  The axiom verdict
-(`verify_axioms`) is one of those facts; builders' rings get it as they are made.
+(`verify_axioms`) is one of those facts; builders' rings get it as they are
+made, and every guard (`require_verified`) reads it from the memo.  Each fact
+of a verified ring (the invertibles, the orbits, the dimension profile, ...)
+is one function under `_fact`: the guard, then the memo, keyed by the
+function itself.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from itertools import compress, islice, product
 from typing import Sequence
 
@@ -147,7 +151,7 @@ class FusionRing:
         return f"FusionRing(rank={self.rank}, labels={list(self.labels)})"
 
     def require_verified(self):
-        v = verify_axioms(self)
+        v = _memo(self, "violations", partial(_violations, self))
         if v:
             raise NotAFusionRingError(v)
 
@@ -159,6 +163,19 @@ def _memo(ring: FusionRing, key, compute):
     if key not in ring._cache:
         ring._cache[key] = compute()
     return ring._cache[key]
+
+
+def _fact(compute, handout=lambda kept: kept):
+    """The fact compute(ring) of a verified ring: the guard, then compute
+    once per ring, kept under compute itself; each call returns
+    handout(kept)."""
+
+    @wraps(compute)
+    def fact(ring: FusionRing):
+        ring.require_verified()
+        return handout(_memo(ring, compute, partial(compute, ring)))
+
+    return fact
 
 
 def _dense(pairs, rank: int) -> list:
@@ -271,7 +288,7 @@ def _generator_first(ring: FusionRing, failures, b0_holds: bool):
     checked on S first.  The first pass is failures(S) when the caller has
     established the law for the left factor b_0 (b0_holds), and
     failures((0, *S)) otherwise.  verify_axioms (associativity, b_0 settled
-    when the unit-left axiom holds), _dimension_profile (on a verified ring,
+    when the unit-left axiom holds), dimension_profile (on a verified ring,
     where v_0 = 1) and represent.verify_irrep (a homomorphism psi, b_0
     settled when psi(b_0) is the identity) use it.
 
@@ -347,30 +364,30 @@ def _generators(ring: FusionRing) -> tuple[int, ...]:
     product peels, the least index outside K joins S (and K).  Every element
     of K is thus in that algebra, and the loop ends with K the whole basis.
     Only the supports of the rows are read; the result is memoized."""
-    return _memo(ring, "generators", partial(_peel_generators, ring))
 
+    def peel() -> tuple[int, ...]:
+        n = ring.rank
+        known = [True] + [False] * (n - 1)
+        order = [0]  # the known indices, in the order they became known
+        gens: list[int] = []
+        while len(order) < n:
+            s = known.index(False)
+            gens.append(s)
+            known[s] = True
+            order.append(s)
+            peeled = True
+            while peeled:
+                peeled = False
+                for g in gens:
+                    for a in order:  # grows while it is scanned, which is intended
+                        unknown = [k for k, _ in ring.rows[g][a] if not known[k]]
+                        if len(unknown) == 1:
+                            known[unknown[0]] = True
+                            order.append(unknown[0])
+                            peeled = True
+        return tuple(gens)
 
-def _peel_generators(ring: FusionRing) -> tuple[int, ...]:
-    n = ring.rank
-    known = [True] + [False] * (n - 1)
-    order = [0]  # the known indices, in the order they became known
-    gens: list[int] = []
-    while len(order) < n:
-        s = known.index(False)
-        gens.append(s)
-        known[s] = True
-        order.append(s)
-        peeled = True
-        while peeled:
-            peeled = False
-            for g in gens:
-                for a in order:  # grows while it is scanned, which is intended
-                    unknown = [k for k, _ in ring.rows[g][a] if not known[k]]
-                    if len(unknown) == 1:
-                        known[unknown[0]] = True
-                        order.append(unknown[0])
-                        peeled = True
-    return tuple(gens)
+    return _memo(ring, "generators", peel)
 
 
 def fpdim_basis(ring: FusionRing, i: int, width: Fraction = DEFAULT_WIDTH) -> AlgebraicReal:
@@ -483,18 +500,15 @@ def global_multiplication_matrix(ring: FusionRing) -> list[list[int]]:
     return [_dense(((k, rl * c) for l, rl in enumerate(r) if rl for k, c in t[l][j]), n) for j in range(n)]
 
 
+@_fact
 def global_krylov(ring: FusionRing) -> tuple:
     """(M, mp, powers): M = global_multiplication_matrix(ring) and
     (mp, powers) = intpoly.krylov of the nonzeros of M, memoized, with M and
     powers as tuples of rows so that no caller can change them; fpdim_total
     and represent.codegree_spectrum both read it."""
-
-    def compute() -> tuple:
-        m = global_multiplication_matrix(ring)
-        mp, powers = intpoly.krylov([tuple(compress(enumerate(row), row)) for row in m])
-        return tuple(map(tuple, m)), mp, tuple(map(tuple, powers))
-
-    return _memo(ring, "global_krylov", compute)
+    m = global_multiplication_matrix(ring)
+    mp, powers = intpoly.krylov([tuple(compress(enumerate(row), row)) for row in m])
+    return tuple(map(tuple, m)), mp, tuple(map(tuple, powers))
 
 
 def is_invertible(ring: FusionRing, i: int) -> bool:
@@ -514,12 +528,8 @@ class InvertibleGroup:
         return len(self.indices)
 
 
+@_fact
 def invertibles(ring: FusionRing) -> InvertibleGroup:
-    ring.require_verified()
-    return _memo(ring, "invertibles", partial(_invertibles, ring))
-
-
-def _invertibles(ring: FusionRing) -> InvertibleGroup:
     """G with its table read off the left action: on a verified ring a
     product g h of invertibles is invertible, (g h)(g h)* = g (h h*) g* = 1."""
     indices, left, _ = _actions(ring)
@@ -528,20 +538,17 @@ def _invertibles(ring: FusionRing) -> InvertibleGroup:
     return InvertibleGroup(indices, FiniteGroup(table, names=[ring.labels[g] for g in indices]))
 
 
+@_fact
 def _actions(ring: FusionRing) -> tuple:
     """(indices, left, right): the invertible basis indices and, for the
     p-th of them, g, the permutations left[p][x] = g x and right[p][x] = x g
-    of the basis, memoized.  The group table, the orbits and stabilizers,
-    theta and the coset labels of a two-orbit ring are all read off them.
+    of the basis.  The group table, the orbits and stabilizers, theta and
+    the coset labels of a two-orbit ring are all read off them.
 
     On a verified ring g x and x g are one basis element y, the single pair
     (y, 1): the b_0 coefficient of (g x)(g x)* = g (x x*) g* is 1 by
     Frobenius reciprocity, and it is the sum of the squared coefficients of
     g x."""
-    return _memo(ring, "actions", partial(_action_tables, ring))
-
-
-def _action_tables(ring: FusionRing) -> tuple:
     t = ring.rows
     indices = tuple(i for i in range(ring.rank) if is_invertible(ring, i))
     left = tuple(tuple(t[g][x][0][0] for x in range(ring.rank)) for g in indices)
@@ -562,12 +569,8 @@ class OrbitStructure:
         return len(self.left_orbits)
 
 
+@_fact
 def orbit_structure(ring: FusionRing) -> OrbitStructure:
-    ring.require_verified()
-    return _memo(ring, "orbits", partial(_orbit_structure, ring))
-
-
-def _orbit_structure(ring: FusionRing) -> OrbitStructure:
     indices, left, right = _actions(ring)
 
     def orbits_of(perms) -> tuple:
@@ -606,6 +609,7 @@ class DimensionProfile:
         return math.isqrt(self.r**2 + 4 * self.s) ** 2 == self.r**2 + 4 * self.s if self.is_two_dimension else None
 
 
+@_fact
 def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     """Profile (d, r, s) with d*d = r*d + s read off x x* for the smallest
     noninvertible x: s and r are its coefficient sums on the invertibles and
@@ -624,11 +628,6 @@ def dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     square, d is an integer; otherwise both sides are a + b d with integers
     0 <= a, b, compared as a + b W for a base W above every a, so as the
     pairs (a, b).  No root is isolated and nothing is factored."""
-    ring.require_verified()
-    return _memo(ring, "profile", partial(_dimension_profile, ring))
-
-
-def _dimension_profile(ring: FusionRing) -> DimensionProfile | None:
     inv = [is_invertible(ring, i) for i in range(ring.rank)]
     if all(inv):
         return DimensionProfile(False)
@@ -678,12 +677,8 @@ class TwoOrbitData:
         return self.invertible.indices
 
 
+@_fact
 def two_orbit_data(ring: FusionRing) -> TwoOrbitData:
-    ring.require_verified()
-    return _memo(ring, "two_orbit", partial(_two_orbit_data, ring))
-
-
-def _two_orbit_data(ring: FusionRing) -> TwoOrbitData:
     orbits = orbit_structure(ring)
     if orbits.orbit_count != 2:
         raise NotTwoOrbitError(f"{orbits.orbit_count} orbits, need exactly 2")

@@ -12,7 +12,6 @@ from fusionring.classify import (
     _admissible,
     _pell_hits,
     _pell_unit,
-    admissible_squarefree_parts,
     coarse_cutoff,
     scan_prime_levels,
 )
@@ -127,11 +126,11 @@ def test_admissible_set_matches_totient_oracle():
     # every odd prime up to 103 against the definition that factors each candidate
     for p in range(3, 104, 2):
         if is_prime(p):
-            assert admissible_squarefree_parts(p) == admissible_squarefree_parts_oracle(p), p
+            assert [x for x, _, _ in _admissible(p)] == admissible_squarefree_parts_oracle(p), p
 
 
 def test_admissible_set_for_seven():
-    xs = admissible_squarefree_parts(7)
+    xs = [x for x, _, _ in _admissible(7)]
     assert xs == [1, 2, 3, 5, 6, 10, 11, 13, 15, 22, 26, 30, 33, 34, 38, 46, 58, 66, 78, 102, 114, 138]
     assert all(x % 7 for x in xs)
 
@@ -168,7 +167,7 @@ def test_local_test_keeps_every_pell_hit():
     # the hits over the x that pass are the hits over the whole admissible set
     for p in PRIMES_3_MOD_4_BELOW_500:
         passing, _ = local_split(p)
-        assert _pell_hits(p, 10**30, passing) == _pell_hits(p, 10**30, admissible_squarefree_parts(p)), p
+        assert _pell_hits(p, 10**30, passing) == _pell_hits(p, 10**30, [x for x, _, _ in _admissible(p)]), p
 
 
 def test_local_test_failures_have_no_solution():
@@ -268,6 +267,20 @@ def test_scan_rejects_bad_input():
         scan_prime_levels(5, 100)
     with pytest.raises(ValueError):
         scan_prime_levels(7, 0)
+
+
+def test_a_float_k_max_raises_type_error_instead_of_entering_the_report():
+    # 1e30 was scanned and reported as scan_bound.k_max = 1e+30
+    with pytest.raises(TypeError):
+        scan_prime_levels(7, 1e30)
+    assert scan_prime_levels(7, 10**30).scan_bound["k_max"] == 10**30
+
+
+def test_a_float_residue_filter_raises_type_error_instead_of_truncating():
+    # int() read (2.5, 3.9) as the filter {2,3}
+    with pytest.raises(TypeError):
+        scan_prime_levels(7, 100, residue_filter=(2.5, 3.9))
+    assert scan_prime_levels(7, 100, residue_filter=(2, 3)).filters_applied == ("residue filter {2,3}",)
 
 
 def test_classify_generic_examples():

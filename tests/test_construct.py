@@ -118,6 +118,20 @@ def test_a_float_theta_raises_type_error_instead_of_truncating():
     assert fr.uniform_two_orbit((4,), "trivial", (0, 3, 2, 1), 1).rank == 8
 
 
+def test_a_float_near_group_level_raises_type_error_at_the_door():
+    # 2.0 died inside the builder on a float's missing bit_length
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        fr.near_group((2,), 2.0)
+    assert fr.near_group((2,), 2).rank == 3
+
+
+def test_a_float_level_divisor_raises_type_error_at_the_door():
+    # 1.0 died inside the axiom check on a float shifted with <<
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        fr.uniform_two_orbit((4,), "trivial", "identity", 1.0)
+    assert fr.uniform_two_orbit((4,), "trivial", "identity", 1).rank == 8
+
+
 def test_uniform_axioms_verified_on_output():
     ring = fr.uniform_two_orbit((6,), [2], "inversion", 1)
     assert fr.verify_axioms(ring) == []

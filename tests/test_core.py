@@ -38,7 +38,7 @@ from fusionring.errors import (
     NotTwoOrbitError,
 )
 from fusionring.ring import algebra_generators, fpdim_all, is_invertible, noninvertible_indices
-from fusionring.ringfile import dumps_json, dumps_report, dumps_ring, loads_ring, write_json
+from fusionring.ringfile import dumps_json, dumps_report, dumps_ring, load_ring, loads_ring, write_json
 
 
 def test_group_ring_axioms_clean():
@@ -506,6 +506,39 @@ def test_verify_axioms_scans_a_loaded_ring_once(monkeypatch):
     lists[0].append("not a violation")
     assert lists[1] == lists[2] == fr.verify_axioms(ring) == []
     assert len({id(v) for v in lists}) == 3
+
+
+def test_guards_read_the_verdict_without_calling_verify_axioms(monkeypatch):
+    # every fact of a loaded ring is guarded; the guards read the verdict
+    # memo, so the one scan happens at the first guard and verify_axioms,
+    # the public reader, is never entered
+    import fusionring.ring
+
+    calls = {"verify_axioms": 0, "_violations": 0}
+
+    def counted(name):
+        original = getattr(fusionring.ring, name)
+
+        def wrapper(ring):
+            calls[name] += 1
+            return original(ring)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fusionring.ring, name, counted(name))
+    ring = load_ring(str(REPO_ROOT / "tests" / "golden" / "neargroup_c2x2_l8.ring"))
+    assert calls == {"verify_axioms": 0, "_violations": 0}
+    fpdim_all(ring)
+    fr.fpdim_total(ring)
+    fr.codegree_spectrum(ring)
+    fr.run_all(ring)
+    for model in fr.uniform_irreps(ring):
+        assert fr.verify_irrep(ring, model) == []
+    fr.orbit_structure(ring)
+    fr.two_orbit_data(ring)
+    algebra_generators(ring)
+    assert calls == {"verify_axioms": 0, "_violations": 1}
 
 
 def test_rings_refuse_assignment():

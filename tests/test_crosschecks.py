@@ -10,7 +10,7 @@ per-basis sums.
 import fusionring as fr
 from conftest import characters_commutative, fpdim_total_krylov_oracle, is_squarefree, linear_scan_hits
 from fusionring import Quadratic, alg_cmp
-from fusionring.classify import _pell_hits, admissible_squarefree_parts, scan_prime_levels
+from fusionring.classify import _admissible, _pell_hits, scan_prime_levels
 from fusionring.numtheory import squarefree_part, totient
 from fusionring.represent import SOURCE_IRR_H
 
@@ -48,7 +48,7 @@ def test_scan_certificates_match_the_public_tests():
 def test_pell_hits_match_linear_scan():
     # every (m, x) up to m = 10^5 over the whole admissible set, no filter
     for p in (7, 11, 19, 23, 31, 43, 47):
-        xs = admissible_squarefree_parts(p)
+        xs = [x for x, _, _ in _admissible(p)]
         pell = _pell_hits(p, 10**5, xs)
         assert [(m, x) for m, x, _ in pell] == linear_scan_hits(p, 10**5, xs), p
         assert all(x * y * y == m * m * p + 1 for m, x, y in pell), p
@@ -59,7 +59,7 @@ def test_pell_hits_match_squarefree_parts_of_each_m():
     # every hit up to m_max, including m = m_max itself, must remain, with
     # x and y read off the factorization of m^2 p + 1
     for p, m_max in ((7, 60), (1019, 30), (4099, 10)):
-        xs = admissible_squarefree_parts(p)
+        xs = [x for x, _, _ in _admissible(p)]
         admissible = set(xs)
         brute = []
         for m in range(1, m_max + 1):
@@ -72,7 +72,7 @@ def test_pell_hits_match_squarefree_parts_of_each_m():
 
 def test_admissible_set_matches_brute_force():
     for p in (7, 11):
-        xs = set(admissible_squarefree_parts(p))
+        xs = {x for x, _, _ in _admissible(p)}
         for x in range(1, 1500):
             if not is_squarefree(x) or x % p == 0:
                 assert x not in xs or not is_squarefree(x)
